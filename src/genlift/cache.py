@@ -1,9 +1,10 @@
 """Disk cache for orbit decompositions.
 
-Orbit label arrays are the expensive artifact shared by all claim
-drivers.  Entries are keyed by (tool version, group name, restrict
-flag); writes go to a temp file and are renamed into place so concurrent
-readers never see a partial entry.
+The restricted Nielsen labels (generating pairs only, -1 elsewhere) are
+the expensive artifact shared by all claim drivers.  Entries are keyed
+by (tool version, group name); writes go to a temp file and are renamed
+into place so concurrent readers never see a partial entry.  An entry
+that cannot be read or does not look like a labelling is a miss.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "genlift"
 
 
-def _key(group_name: str, restrict: bool) -> str:
+def _key(group_name: str) -> str:
     safe = group_name.replace("(", "_").replace(")", "").replace(",", "-")
     ver = TOOL_VERSION.replace(".", "-")
-    return f"v{ver}_{safe}_{'gamma' if restrict else 'full'}"
+    return f"v{ver}_{safe}_gamma"
 
 
-def load_labels(cache_dir: Path, group_name: str, n: int, restrict: bool) -> Optional[np.ndarray]:
-    base = Path(cache_dir) / _key(group_name, restrict)
+def load_labels(cache_dir: Path, group_name: str, n: int) -> Optional[np.ndarray]:
+    base = Path(cache_dir) / _key(group_name)
     # with_suffix would eat anything after a dot in the key, so append
     meta_path = Path(str(base) + ".json")
     data_path = Path(str(base) + ".npy")
@@ -44,36 +45,40 @@ def load_labels(cache_dir: Path, group_name: str, n: int, restrict: bool) -> Opt
         return None
     try:
         meta = json.loads(meta_path.read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
-    if meta.get("schema") != SCHEMA_VERSION or meta.get("n") != n:
+    if not isinstance(meta, dict) or meta.get("schema") != SCHEMA_VERSION or meta.get("n") != n:
         return None
-    labels = np.load(data_path)
-    if labels.shape != (n * n,):
+    try:
+        labels = np.load(data_path)
+    except (OSError, ValueError, EOFError):
+        return None
+    if labels.shape != (n * n,) or labels.dtype.kind not in "iu":
+        return None
+    if labels.min() < -1 or labels.max() >= n * n:
         return None
     return labels
 
 
-def save_labels(cache_dir: Path, group_name: str, n: int, restrict: bool, labels: np.ndarray) -> None:
+def save_labels(cache_dir: Path, group_name: str, n: int, labels: np.ndarray) -> None:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    base = cache_dir / _key(group_name, restrict)
+    base = cache_dir / _key(group_name)
     meta = {
         "schema": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,
         "group": group_name,
         "n": n,
-        "restrict": restrict,
     }
-    for suffix, writer in ((".npy", lambda p: np.save(p, labels)), (".json", None)):
+    payloads = (
+        (".npy", lambda fh: np.save(fh, labels)),
+        (".json", lambda fh: fh.write(json.dumps(meta, sort_keys=True).encode())),
+    )
+    for suffix, write in payloads:
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=suffix + ".tmp")
-        os.close(fd)
         try:
-            if writer is not None:
-                with open(tmp, "wb") as fh:
-                    np.save(fh, labels)
-            else:
-                Path(tmp).write_text(json.dumps(meta, sort_keys=True))
+            with os.fdopen(fd, "wb") as fh:
+                write(fh)
             os.replace(tmp, str(base) + suffix)
         finally:
             if os.path.exists(tmp):

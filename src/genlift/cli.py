@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,6 @@ from typing import Optional
 
 from . import verify as V
 from .cache import ENV_CACHE_DIR, TOOL_VERSION, default_cache_dir
-from .field import field_for_q
 from .fpgroups import (
     CosetEnumerationOverflow,
     PresentationParseError,
@@ -25,7 +23,7 @@ from .fpgroups import (
     parse_word,
     todd_coxeter,
 )
-from .groupcore import GroupSizeError, build_psl2
+from .groupcore import GroupSizeError
 from .nielsen import DEFAULT_PAIR_BUDGET, PairBudgetExceeded, aut_orbit_decomposition
 
 SCHEMA = 1
@@ -42,15 +40,12 @@ EXIT_PARSE = 65
 class Config:
     cache_dir: Optional[Path]
     pair_budget: int
-    threads: int
     output: Optional[Path]
     format: str
 
     def __post_init__(self):
         if self.pair_budget < 1:
             raise ValueError("pair_budget must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 class _UsageError(Exception):
@@ -98,8 +93,8 @@ def _render_table(report: dict, indent: str = "") -> str:
 
 def cmd_spectrum(args, cfg: Config) -> int:
     q = args.q
-    f = field_for_q(q)
-    G = build_psl2(q)
+    G = V.budgeted_psl(q, cfg.pair_budget)
+    f = G.field
     dec, hit = V.gamma_orbits(G, cfg.cache_dir, cfg.pair_budget)
     spectrum = {o.tau for o in dec.orbits}
     expected = V.expected_trace_spectrum(q)
@@ -117,7 +112,7 @@ def cmd_spectrum(args, cfg: Config) -> int:
 
 
 def cmd_orbits(args, cfg: Config) -> int:
-    G = build_psl2(args.q)
+    G = V.budgeted_psl(args.q, cfg.pair_budget)
     dec, hit = V.gamma_orbits(G, cfg.cache_dir, cfg.pair_budget)
     mn_pairs = []
     for item in args.mn or []:
@@ -219,9 +214,6 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--pair-budget", type=int,
                         **({"default": DEFAULT_PAIR_BUDGET} if top else kw),
                         help="refuse decompositions over this many pairs")
-    parser.add_argument("--threads", type=int,
-                        **({"default": os.cpu_count() or 1} if top else kw),
-                        help="worker threads (results are deterministic regardless)")
     parser.add_argument("--output", type=Path, **({"default": None} if top else kw),
                         help="write report here instead of stdout")
     parser.add_argument("--format", choices=("json", "table"),
@@ -273,7 +265,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = Config(
             cache_dir=cache_dir,
             pair_budget=args.pair_budget,
-            threads=args.threads,
             output=args.output,
             format=args.format,
         )

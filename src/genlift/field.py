@@ -261,9 +261,6 @@ class GF:
                 terms.append(xe if c == 1 else f"{c}*{xe}")
         return "+".join(terms) if terms else "0"
 
-    def describe(self) -> dict:
-        return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
-
     def __repr__(self) -> str:
         return f"GF({self.q})"
 

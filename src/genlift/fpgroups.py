@@ -222,7 +222,6 @@ class CosetTable:
     generator_count: int
     coset_count: int
     action: list[list[int]]
-    complete: bool = True
 
     def column(self, g: int, e: int) -> int:
         return 2 * g + (0 if e > 0 else 1)

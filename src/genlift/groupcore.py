@@ -87,11 +87,6 @@ class FiniteGroup:
         m = self.mult
         return int(m[m[self.inv[i], self.inv[j]], m[i, j]])
 
-    def conjugate(self, g: int, x: int) -> int:
-        """x^-1 g x."""
-        m = self.mult
-        return int(m[m[self.inv[x], g], x])
-
     def power(self, g: int, e: int) -> int:
         if e < 0:
             g, e = self.inv_of(g), -e
@@ -132,13 +127,6 @@ class FiniteGroup:
             raise AssertionError("identity fails on the right")
         if not np.all(self.mult[ref, self.inv] == self.identity):
             raise AssertionError("inverse table broken")
-
-    def summary(self) -> dict:
-        out = {"name": self.name, "order": self.n}
-        if self.field is not None:
-            out["q"] = self.field.q
-        out["class_count"] = len(conjugacy_classes(self).representatives)
-        return out
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.n})"
@@ -221,6 +209,12 @@ def build_sl2(q: int) -> FiniteGroup:
     f = field_for_q(q)
     packed = _sl2_matrices(f)
     return _matrix_group(f"SL(2,{q})", f, packed, lambda p: p, "sl2")
+
+
+def psl2_order(q: int) -> int:
+    """|PSL(2,q)| = q(q^2-1)/gcd(2,q-1), without building the group."""
+    field_for_q(q)  # rejects q that is not a prime power
+    return q * (q * q - 1) // (2 if q % 2 else 1)
 
 
 def build_psl2(q: int) -> FiniteGroup:

@@ -1,27 +1,29 @@
-"""Nielsen-move orbits of pairs, trace invariants, (m,n)-freeness, and
-the PGammaL automorphism action.
+"""Orbits of pairs of a finite group G under Nielsen moves, automorphisms
+or both; trace invariants, (m,n)-freeness and the PGammaL action.
 
-The decomposition runs over all of G x G, not just the generating pairs:
-the three Nielsen moves preserve the generated subgroup, so generation
-only needs to be tested once per connected component.  That turns the
-O(|G|^3) per-pair closure scan into one component computation plus one
-closure per component.  Pairs are packed as first * n + second and the
-component search is delegated to scipy's connected_components; a naive
-per-pair oracle (decompose_nielsen_orbits_naive) stays around for
-cross-checks.
+One engine serves every action set.  It works on all of G x G, not just
+the generating pairs: the moves preserve the generated subgroup, so
+generation is tested once per class, on its least member, instead of
+once per pair.  Pairs are packed as first * n + second.  The engine
+checks the pair budget, labels the classes with scipy's
+connected_components over the move graph (or takes a cached labelling),
+numbers them by least member, and builds one OrbitRecord per kept class;
+restricted mode keeps only the generating classes and labels every other
+pair -1.  The naive per-pair oracle (decompose_nielsen_orbits_naive)
+stays for cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .groupcore import FiniteGroup, closure_mask, closure_size, conjugacy_classes
-from .matrices import Mat2, bracket, psl_canonical, trace_invariant
+from .groupcore import FiniteGroup, closure_size, conjugacy_classes
+from .matrices import Mat2, trace_invariant
 
 DEFAULT_PAIR_BUDGET = 2 * 10**7
 
@@ -30,6 +32,14 @@ Pair = tuple[int, int]
 
 class PairBudgetExceeded(ValueError):
     """|G|^2 exceeds the configured pair budget."""
+
+
+def check_pair_budget(order: int, pair_budget: int) -> None:
+    """Refuse a host of this order whose order^2 pairs exceed the budget."""
+    if order * order > pair_budget:
+        raise PairBudgetExceeded(
+            f"group order {order} needs {order * order} pairs; budget is {pair_budget}"
+        )
 
 
 @dataclass
@@ -49,43 +59,20 @@ class OrbitDecomposition:
     `labels[first * n + second]` is the orbit id of a pair, or -1 for
     pairs outside the decomposition (restricted mode only).  Orbit ids
     increase with the lex-least member pair, so the numbering is
-    reproducible.
+    reproducible; `orbits[k]` is the record of orbit id k.
     """
 
-    def __init__(self, group: FiniteGroup, labels: np.ndarray, restricted: bool):
+    def __init__(
+        self,
+        group: FiniteGroup,
+        labels: np.ndarray,
+        restricted: bool,
+        orbits: list[OrbitRecord],
+    ):
         self.group = group
         self.labels = labels
         self.restricted = restricted
-        self.orbits: list[OrbitRecord] = []
-        self._build_records()
-
-    def _build_records(self) -> None:
-        G = self.group
-        n = G.n
-        ids = np.flatnonzero(self.labels >= 0)
-        labs = self.labels[ids]
-        sizes = np.bincount(labs)
-        # first occurrence of each label in id order = lex-least member
-        _, first = np.unique(labs, return_index=True)
-        first_idx = ids[first]
-        for oid in range(len(sizes)):
-            pid = int(first_idx[oid])
-            i, j = pid // n, pid % n
-            gen = closure_size(G, (i, j)) == n
-            comm = G.commutator(i, j)
-            tau = None
-            if G.kind == "psl2":
-                tau = trace_invariant(G.labels[i], G.labels[j])
-            self.orbits.append(
-                OrbitRecord(
-                    orbit_id=oid,
-                    size=int(sizes[oid]),
-                    canonical_rep=(i, j),
-                    is_generating=gen,
-                    tau=tau,
-                    commutator_order=G.order_of(comm),
-                )
-            )
+        self.orbits = orbits
 
     # -- queries --
 
@@ -188,13 +175,47 @@ def _components(n_pairs: int, edge_targets: list[np.ndarray]) -> np.ndarray:
     return raw
 
 
-def _canonical_relabel(raw: np.ndarray) -> np.ndarray:
-    """Renumber component labels so ids increase with the least member."""
-    _, first_idx = np.unique(raw, return_index=True)
-    order = np.argsort(first_idx)
-    remap = np.empty(len(order), dtype=np.int64)
-    remap[order] = np.arange(len(order))
-    return remap[raw]
+def _decompose(
+    G: FiniteGroup,
+    move_targets: Callable[[FiniteGroup], list[np.ndarray]],
+    restrict: bool,
+    pair_budget: int,
+    labels: Optional[np.ndarray] = None,
+) -> OrbitDecomposition:
+    """The orbit engine: classes of G x G under the moves `move_targets`
+    builds, or under a cached labelling (full, or restricted with -1
+    outside; any class numbering is accepted)."""
+    check_pair_budget(G.n, pair_budget)
+    n, n_pairs = G.n, G.n * G.n
+    if labels is None:
+        labels = _components(n_pairs, move_targets(G))
+    # class c + 1 holds the pairs labelled c, class 0 the pairs labelled -1;
+    # bincount and minimum.at find sizes and least members without a sort
+    shifted = np.add(labels, 1, dtype=np.int64)
+    sizes = np.bincount(shifted)
+    least = np.full(len(sizes), n_pairs, dtype=np.int64)
+    np.minimum.at(least, shifted, np.arange(n_pairs, dtype=np.int64))
+    classes = np.flatnonzero(sizes[1:]) + 1
+    classes = classes[np.argsort(least[classes])]
+    reps = [divmod(int(least[c]), n) for c in classes]
+    generating = [closure_size(G, rep) == n for rep in reps]
+    kept = [k for k, gen in enumerate(generating) if gen or not restrict]
+    remap = np.full(len(sizes), -1, dtype=np.int64)
+    remap[classes[kept]] = np.arange(len(kept))
+    orbits = []
+    for oid, k in enumerate(kept):
+        i, j = reps[k]
+        orbits.append(
+            OrbitRecord(
+                orbit_id=oid,
+                size=int(sizes[classes[k]]),
+                canonical_rep=(i, j),
+                is_generating=generating[k],
+                tau=trace_invariant(G.labels[i], G.labels[j]) if G.kind == "psl2" else None,
+                commutator_order=G.order_of(G.commutator(i, j)),
+            )
+        )
+    return OrbitDecomposition(G, remap[shifted], restrict, orbits)
 
 
 def decompose_nielsen_orbits(
@@ -203,38 +224,13 @@ def decompose_nielsen_orbits(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     labels: Optional[np.ndarray] = None,
 ) -> OrbitDecomposition:
-    """Connected components of G x G under the three Nielsen moves.
+    """Orbits of G x G under the three Nielsen moves.
 
-    `labels` short-circuits the component search with a cached raw
-    labelling (canonical renumbering is reapplied, so any run's output
-    is acceptable input).
+    `labels` short-circuits the component search with a cached labelling,
+    full or restricted; classes are renumbered canonically, so any run's
+    output is acceptable input.
     """
-    n2 = G.n * G.n
-    if n2 > pair_budget:
-        raise PairBudgetExceeded(f"{n2} pairs exceed budget {pair_budget}")
-    if labels is None:
-        labels = _components(n2, _move_targets(G))
-    labels = _canonical_relabel(labels)
-    dec = OrbitDecomposition(G, labels, restricted=False)
-    if restrict_to_generating:
-        dec = _restrict(dec)
-    return dec
-
-
-def _restrict(dec: OrbitDecomposition) -> OrbitDecomposition:
-    keep = [o for o in dec.orbits if o.is_generating]
-    remap = np.full(len(dec.orbits), -1, dtype=np.int64)
-    for new_id, o in enumerate(keep):
-        remap[o.orbit_id] = new_id
-    labels = np.where(dec.labels >= 0, remap[dec.labels], -1)
-    return OrbitDecomposition(dec.group, labels, restricted=True)
-
-
-def enumerate_generating_pairs(G: FiniteGroup, pair_budget: int = DEFAULT_PAIR_BUDGET) -> set[Pair]:
-    dec = decompose_nielsen_orbits(G, restrict_to_generating=True, pair_budget=pair_budget)
-    n = G.n
-    ids = np.flatnonzero(dec.labels >= 0)
-    return {(int(p) // n, int(p) % n) for p in ids}
+    return _decompose(G, _move_targets, restrict_to_generating, pair_budget, labels)
 
 
 def orbit_tau(dec: OrbitDecomposition, orbit: OrbitRecord, check_members: int = 16) -> int:
@@ -277,19 +273,6 @@ def higman_check(dec: OrbitDecomposition, orbit: OrbitRecord) -> tuple[int, bool
     ok = bool(np.all(np.isin(classes.class_of[comms], list(allowed))))
     ok = ok and bool(np.all(G.orders[comms] == orbit.commutator_order))
     return orbit.commutator_order, ok
-
-
-def orbit_is_mn_free(dec: OrbitDecomposition, orbit: OrbitRecord, m: int, n: int) -> bool:
-    return dec.mn_free_flags(m, n)[orbit.orbit_id]
-
-
-def lift_exists(dec: OrbitDecomposition, m: int, n: int, pair: Pair) -> bool:
-    """Whether `pair` lifts to a generating pair of C_m * C_n: true iff
-    its orbit contains an (m,n)-generating pair."""
-    orbit = dec.orbit_of(pair)
-    if not orbit.is_generating:
-        raise ValueError(f"pair {pair} does not generate the group")
-    return not orbit_is_mn_free(dec, orbit, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +392,17 @@ def psl_automorphism_perms(G: FiniteGroup) -> list[np.ndarray]:
     return perms
 
 
-def _perm_pair_targets(G: FiniteGroup, perms: list[np.ndarray]) -> list[np.ndarray]:
+def _aut_targets(G: FiniteGroup) -> list[np.ndarray]:
+    """Packed pair ids hit by each PGammaL(2,q) generator acting diagonally."""
     n = G.n
     ids = np.arange(n * n, dtype=np.int64)
     i = ids // n
     j = ids % n
-    return [perm[i] * n + perm[j] for perm in perms]
+    return [perm[i] * n + perm[j] for perm in psl_automorphism_perms(G)]
+
+
+def _joint_targets(G: FiniteGroup) -> list[np.ndarray]:
+    return _move_targets(G) + _aut_targets(G)
 
 
 def aut_orbit_decomposition(
@@ -423,15 +411,7 @@ def aut_orbit_decomposition(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> OrbitDecomposition:
     """Orbits of pairs under the diagonal PGammaL(2,q) action."""
-    n2 = G.n * G.n
-    if n2 > pair_budget:
-        raise PairBudgetExceeded(f"{n2} pairs exceed budget {pair_budget}")
-    targets = _perm_pair_targets(G, psl_automorphism_perms(G))
-    labels = _canonical_relabel(_components(n2, targets))
-    dec = OrbitDecomposition(G, labels, restricted=False)
-    if restrict_to_generating:
-        dec = _restrict(dec)
-    return dec
+    return _decompose(G, _aut_targets, restrict_to_generating, pair_budget)
 
 
 def joint_orbit_decomposition(
@@ -440,15 +420,7 @@ def joint_orbit_decomposition(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> OrbitDecomposition:
     """Orbits under Nielsen moves and automorphisms combined."""
-    n2 = G.n * G.n
-    if n2 > pair_budget:
-        raise PairBudgetExceeded(f"{n2} pairs exceed budget {pair_budget}")
-    targets = _move_targets(G) + _perm_pair_targets(G, psl_automorphism_perms(G))
-    labels = _canonical_relabel(_components(n2, targets))
-    dec = OrbitDecomposition(G, labels, restricted=False)
-    if restrict_to_generating:
-        dec = _restrict(dec)
-    return dec
+    return _decompose(G, _joint_targets, restrict_to_generating, pair_budget)
 
 
 def trace_spectrum(dec: OrbitDecomposition) -> set[int]:

@@ -28,14 +28,14 @@ from .groupcore import (
     conjugacy_classes,
     derived_series,
     generates,
+    psl2_order,
 )
 from .matrices import mat_from_ints
 from .nielsen import (
     DEFAULT_PAIR_BUDGET,
     OrbitDecomposition,
-    PairBudgetExceeded,
-    _restrict,
     aut_orbit_decomposition,
+    check_pair_budget,
     decompose_nielsen_orbits,
     joint_orbit_decomposition,
 )
@@ -82,7 +82,14 @@ def sl(q: int) -> FiniteGroup:
     return build_sl2(q)
 
 
-_DECOMP: dict[str, tuple[OrbitDecomposition, bool]] = {}
+def budgeted_psl(q: int, pair_budget: int) -> FiniteGroup:
+    """PSL(2,q), refused before its table is built if its pairs exceed the budget."""
+    check_pair_budget(psl2_order(q), pair_budget)
+    return psl(q)
+
+
+# (group name, pair budget) -> (restricted decomposition, disk cache hit)
+_DECOMP: dict[tuple[str, int], tuple[OrbitDecomposition, bool]] = {}
 
 
 def gamma_orbits(
@@ -91,26 +98,20 @@ def gamma_orbits(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> tuple[OrbitDecomposition, bool]:
     """Restricted (generating-pairs-only) decomposition, with caching."""
-    if G.name in _DECOMP:
-        return _DECOMP[G.name]
-    hit = False
+    key = (G.name, pair_budget)
+    if key in _DECOMP:
+        return _DECOMP[key]
     labels = None
     if cache_dir is not None:
-        labels = cache_mod.load_labels(cache_dir, G.name, G.n, restrict=False)
-        hit = labels is not None
-    full = decompose_nielsen_orbits(G, pair_budget=pair_budget, labels=labels)
+        labels = cache_mod.load_labels(cache_dir, G.name, G.n)
+    hit = labels is not None
+    dec = decompose_nielsen_orbits(
+        G, restrict_to_generating=True, pair_budget=pair_budget, labels=labels
+    )
     if cache_dir is not None and not hit:
-        cache_mod.save_labels(cache_dir, G.name, G.n, restrict=False, labels=full.labels)
-    dec = _restrict(full)
-    _DECOMP[G.name] = (dec, hit)
+        cache_mod.save_labels(cache_dir, G.name, G.n, labels=dec.labels)
+    _DECOMP[key] = (dec, hit)
     return dec, hit
-
-
-def _check_budget(order: int, pair_budget: int) -> None:
-    if order * order > pair_budget:
-        raise PairBudgetExceeded(
-            f"group order {order} needs {order * order} pairs; budget is {pair_budget}"
-        )
 
 
 def _orbit_evidence(dec: OrbitDecomposition, mn: tuple[int, int]) -> list[dict]:
@@ -162,8 +163,7 @@ def _timed(claim_id: str, parameters: dict, t0: float, passed: bool, evidence: d
 def verify_trace_table(q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """Spectrum of trace invariants over generating pairs matches the table."""
     t0 = time.perf_counter()
-    G = psl(q)
-    _check_budget(G.n, pair_budget)
+    G = budgeted_psl(q, pair_budget)
     dec, hit = gamma_orbits(G, cache_dir, pair_budget)
     spectrum = {o.tau for o in dec.orbits}
     expected = expected_trace_spectrum(q)
@@ -319,8 +319,7 @@ def verify_theorem(
     Nielsen orbit of its generating pairs is (m,n)-free."""
     t0 = time.perf_counter()
     mn = _theorem_mn(case, q, m)
-    G = psl(q)
-    _check_budget(G.n, pair_budget)
+    G = budgeted_psl(q, pair_budget)
     dec, hit = gamma_orbits(G, cache_dir, pair_budget)
     flags = dec.mn_free_flags(*mn)
     free = [o for o in dec.orbits if flags[o.orbit_id]]
@@ -362,8 +361,7 @@ def verify_s2p2(q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> Clai
     f = field_for_q(q)
     if q % 2 == 0 or not (q % 4 == 1 or q >= 11):
         raise PreconditionError("needs odd q with q = 1 mod 4 or q >= 11")
-    G = psl(q)
-    _check_budget(G.n, pair_budget)
+    G = budgeted_psl(q, pair_budget)
     dec, hit = gamma_orbits(G, cache_dir, pair_budget)
     s2p2 = f.squares_plus_two()
     flags = dec.mn_free_flags(2, f.p)
@@ -383,7 +381,7 @@ def verify_psl25_lift(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> C
     Nielsen orbits contain a (2,5)-generating pair; plus the published
     representatives land in three distinct orbits."""
     t0 = time.perf_counter()
-    G = psl(5)
+    G = budgeted_psl(5, pair_budget)
     dec, hit = gamma_orbits(G, cache_dir, pair_budget)
     flags = dec.mn_free_flags(2, 5)
     all_liftable = not any(flags.values())
@@ -424,10 +422,8 @@ def verify_psl25_lift(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> C
 def verify_remark(m: int, q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """Traces over (2,m)-generating pairs hit every value except 2."""
     t0 = time.perf_counter()
-    f = field_for_q(q)
-    order = q * (q * q - 1) // (2 if q % 2 else 1)
-    _check_budget(order, pair_budget)
-    G = psl(q)
+    G = budgeted_psl(q, pair_budget)
+    f = G.field
     dec, hit = gamma_orbits(G, cache_dir, pair_budget)
     flags = dec.mn_free_flags(2, m)
     values = {o.tau for o in dec.orbits if not flags[o.orbit_id]}
@@ -497,7 +493,7 @@ def verify_example_alt5(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) ->
     sizes {600,600,1080}; 19 automorphism orbits of size 120; joint
     orbits of sizes {1080,1200}."""
     t0 = time.perf_counter()
-    G = psl(5)
+    G = budgeted_psl(5, pair_budget)
     dec, hit = gamma_orbits(G, cache_dir, pair_budget)
     nielsen_sizes = sorted(o.size for o in dec.orbits)
     aut = aut_orbit_decomposition(G, pair_budget=pair_budget)
@@ -527,7 +523,7 @@ def verify_small_q_lifting(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_)
     t0 = time.perf_counter()
     results = {}
     for q in (2, 3):
-        G = psl(q)
+        G = budgeted_psl(q, pair_budget)
         dec, _hit = gamma_orbits(G, cache_dir, pair_budget)
         flags = dec.mn_free_flags(2, 3)
         results[q] = {

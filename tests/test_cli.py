@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from genlift import groupcore
 from genlift import verify as V
 from genlift.cli import (
     EXIT_BUDGET,
@@ -100,6 +101,19 @@ def test_budget_exit(capsys):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("q", [23, 37])
+@pytest.mark.parametrize(
+    "command", [("spectrum",), ("orbits",), ("verify", "thm-i")], ids="-".join
+)
+def test_budget_refused_before_build(capsys, monkeypatch, command, q):
+    def no_build(*args):
+        raise AssertionError("PSL table built before the budget check")
+
+    # every SL(2,q) and PSL(2,q) build starts by listing the SL matrices
+    monkeypatch.setattr(groupcore, "_sl2_matrices", no_build)
+    assert run(capsys, *command, "--q", str(q))[0] == EXIT_BUDGET
+
+
 def test_coset_enum(capsys, tmp_path):
     f = tmp_path / "pres.txt"
     f.write_text("gens: x y\nrels: x^3 y^3 [x,y]^2\n")
@@ -154,6 +168,20 @@ def test_cold_and_warm_cache_identical(capsys, tmp_path):
     assert code1 == code2 == EXIT_PASS
     assert not cold["cache_hit"] and warm["cache_hit"]
     assert _strip_volatile(cold) == _strip_volatile(warm)
+
+
+def test_damaged_cache_entry_is_recomputed(capsys, tmp_path):
+    argv = ["--cache-dir", str(tmp_path), "spectrum", "--q", "7"]
+    assert main(argv) == EXIT_PASS
+    cold = json.loads(capsys.readouterr().out)
+    (npy,) = tmp_path.glob("*.npy")
+    entry = npy.read_bytes()
+    npy.write_bytes(entry[:50])
+    V._DECOMP.clear()
+    assert main(argv) == EXIT_PASS
+    again = json.loads(capsys.readouterr().out)
+    assert again == cold and not again["cache_hit"]
+    assert npy.read_bytes() == entry
 
 
 def test_console_entry_point():

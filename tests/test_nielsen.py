@@ -68,16 +68,33 @@ def test_generating_pair_count_vs_oracle():
     assert dec.gamma_size() == count_generating_pairs(G) == 2280
 
 
+ACTIONS = {
+    "nielsen": decompose_nielsen_orbits,
+    "aut": aut_orbit_decomposition,
+    "joint": joint_orbit_decomposition,
+}
+# generating pairs, as counted by oracles.count_generating_pairs
+GAMMA = {"PSL(2,5)": 2280, "PSL(2,7)": 19152, "D10": 60, "D12": 36}
+
+
 def test_restricted_labels_align_with_full():
-    G = build_psl2(5)
-    full = decompose_nielsen_orbits(G)
-    res = decompose_nielsen_orbits(G, restrict_to_generating=True)
-    gen_mask = res.labels >= 0
-    # restricted pairs carry the same partition, refined ids
-    for o in res.orbits:
-        member = o.canonical_rep
-        assert full.orbit_of(member).size == o.size
-    assert gen_mask.sum() == 2280
+    cases = [(a, build_psl2(q)) for a in ACTIONS for q in (5, 7)]
+    cases += [("nielsen", build_dihedral(m)) for m in (5, 6)]
+    for action, G in cases:
+        case = f"{action} on {G.name}"
+        full = ACTIONS[action](G, restrict_to_generating=False)
+        res = ACTIONS[action](G, restrict_to_generating=True)
+        kept = [o for o in full.orbits if o.is_generating]
+        remap = np.full(len(full.orbits), -1, dtype=np.int64)
+        remap[[o.orbit_id for o in kept]] = np.arange(len(kept))
+        # label for label: the full run's generating orbits, renumbered in order
+        assert np.array_equal(res.labels, remap[full.labels]), case
+        assert [(o.size, o.canonical_rep, o.tau, o.commutator_order) for o in res.orbits] == [
+            (o.size, o.canonical_rep, o.tau, o.commutator_order) for o in kept
+        ], case
+        assert all(o.is_generating for o in res.orbits), case
+        assert res.restricted and not full.restricted, case
+        assert (res.labels >= 0).sum() == res.gamma_size() == GAMMA[G.name], case
 
 
 def test_pair_budget():
@@ -86,6 +103,8 @@ def test_pair_budget():
         decompose_nielsen_orbits(G, pair_budget=100)
     with pytest.raises(PairBudgetExceeded):
         aut_orbit_decomposition(G, pair_budget=100)
+    with pytest.raises(PairBudgetExceeded):
+        joint_orbit_decomposition(G, pair_budget=100)
 
 
 def test_trace_spectrum_psl25():
@@ -121,6 +140,12 @@ def test_joint_orbits_psl25():
 
 def test_cached_labels_round_trip():
     G = build_psl2(7)
-    dec = decompose_nielsen_orbits(G)
-    redo = decompose_nielsen_orbits(G, labels=dec.labels.copy())
-    assert np.array_equal(dec.labels, redo.labels)
+    for restrict in (False, True):
+        dec = decompose_nielsen_orbits(G, restrict_to_generating=restrict)
+        # any class numbering is accepted, so scrambled ids must come back canonical
+        ids = np.random.default_rng(7).permutation(len(dec.orbits)) + 5
+        scrambled = np.where(dec.labels >= 0, ids[dec.labels], -1)
+        for cached in (dec.labels.copy(), scrambled):
+            redo = decompose_nielsen_orbits(G, restrict_to_generating=restrict, labels=cached)
+            assert np.array_equal(dec.labels, redo.labels), restrict
+            assert redo.orbits == dec.orbits, restrict

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from genlift import cache
 from genlift import verify as V
 from genlift.nielsen import PairBudgetExceeded
 
@@ -90,6 +92,17 @@ def test_remark_budget():
         V.verify_remark(19, 37)
 
 
+def test_smaller_budget_refused_after_memo_hit():
+    # the memo is keyed on the budget, so an earlier default-budget run
+    # must not let a smaller budget through
+    V.gamma_orbits(V.psl(7), None)
+    with pytest.raises(PairBudgetExceeded):
+        V.gamma_orbits(V.psl(7), None, pair_budget=10)
+    check(V.verify_dihedral(5), "dihedral")
+    with pytest.raises(PairBudgetExceeded):
+        V.verify_dihedral(5, pair_budget=10)
+
+
 def test_miller():
     r = check(V.verify_miller_332(), "miller-332")
     assert r.evidence["order"] == 288
@@ -144,3 +157,30 @@ def test_disk_cache(tmp_path):
     assert cold.evidence == warm.evidence
     assert cold.passed and warm.passed
     V._DECOMP.clear()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["truncated header", "truncated data", "float dtype", "label below -1",
+     "label beyond pairs", "wrong shape"],
+)
+def test_damaged_cache_entry_is_a_miss(tmp_path, damage):
+    n = 60
+    labels = np.arange(n * n, dtype=np.int64) % 7 - 1
+    cache.save_labels(tmp_path, "PSL(2,5)", n, labels=labels)
+    assert np.array_equal(cache.load_labels(tmp_path, "PSL(2,5)", n), labels)
+    (npy,) = tmp_path.glob("*.npy")
+    data = npy.read_bytes()
+    bad = {
+        "float dtype": labels.astype(np.float64),
+        "label below -1": labels - 1,
+        "label beyond pairs": labels + n * n,
+        "wrong shape": labels[:-1],
+    }
+    if damage == "truncated header":
+        npy.write_bytes(data[:50])
+    elif damage == "truncated data":
+        npy.write_bytes(data[:-8])
+    else:
+        np.save(npy, bad[damage])
+    assert cache.load_labels(tmp_path, "PSL(2,5)", n) is None
