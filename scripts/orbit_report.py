@@ -28,7 +28,7 @@ def main() -> int:
 
     for q in args.q:
         G = build_psl2(q)
-        dec = decompose_nielsen_orbits(G, restrict_to_generating=True)
+        dec = decompose_nielsen_orbits(G)
         flag_cols = {mn: dec.mn_free_flags(*mn) for mn in mn_pairs}
         print(f"\nPSL(2,{q}): |G| = {G.n}, generating pairs = {dec.gamma_size()}, "
               f"orbits = {len(dec.orbits)}")

@@ -1,6 +1,6 @@
 """Disk cache for orbit decompositions.
 
-The restricted Nielsen labels (generating pairs only, -1 elsewhere) are
+The Nielsen labels of the generating pairs (-1 for other pairs) are
 the expensive artifact shared by all claim drivers.  Entries are keyed
 by (tool version, group name); writes go to a temp file and are renamed
 into place so concurrent readers never see a partial entry.  An entry

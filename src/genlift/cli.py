@@ -133,23 +133,23 @@ def cmd_orbits(args, cfg: Config) -> int:
     return EXIT_PASS
 
 
-# claim id -> (driver, required args, optional args)
+# claim id -> (driver, required args)
 _CLAIMS = {
-    "trace-table": (V.verify_trace_table, ("q",), ()),
-    "prop-key": (V.verify_prop_key, ("q",), ()),
-    "lemma5": (V.verify_lemma5, (), ()),
-    "lemma7": (V.verify_lemma7, (), ()),
-    "thm-i": (lambda **kw: V.verify_theorem("i", **kw), ("q",), ()),
-    "thm-ii": (lambda **kw: V.verify_theorem("ii", **kw), ("q",), ()),
-    "thm-iii": (lambda **kw: V.verify_theorem("iii", **kw), ("q", "m"), ()),
-    "thm-iv": (lambda **kw: V.verify_theorem("iv", **kw), ("q",), ()),
-    "s2p2": (V.verify_s2p2, ("q",), ()),
-    "psl25-lift": (V.verify_psl25_lift, (), ()),
-    "remark": (V.verify_remark, ("m", "q"), ()),
-    "miller-332": (V.verify_miller_332, (), ()),
-    "dihedral": (V.verify_dihedral, ("m",), ()),
-    "example-alt5": (V.verify_example_alt5, (), ()),
-    "small-q-lift": (V.verify_small_q_lifting, (), ()),
+    "trace-table": (V.verify_trace_table, ("q",)),
+    "prop-key": (V.verify_prop_key, ("q",)),
+    "lemma5": (V.verify_lemma5, ()),
+    "lemma7": (V.verify_lemma7, ()),
+    "thm-i": (lambda **kw: V.verify_theorem("i", **kw), ("q",)),
+    "thm-ii": (lambda **kw: V.verify_theorem("ii", **kw), ("q",)),
+    "thm-iii": (lambda **kw: V.verify_theorem("iii", **kw), ("q", "m")),
+    "thm-iv": (lambda **kw: V.verify_theorem("iv", **kw), ("q",)),
+    "s2p2": (V.verify_s2p2, ("q",)),
+    "psl25-lift": (V.verify_psl25_lift, ()),
+    "remark": (V.verify_remark, ("m", "q")),
+    "miller-332": (V.verify_miller_332, ()),
+    "dihedral": (V.verify_dihedral, ("m",)),
+    "example-alt5": (V.verify_example_alt5, ()),
+    "small-q-lift": (V.verify_small_q_lifting, ()),
 }
 
 
@@ -168,7 +168,7 @@ def cmd_verify(args, cfg: Config) -> int:
         return EXIT_PASS if passed else EXIT_FAIL
     if args.claim not in _CLAIMS:
         raise _UsageError(f"unknown claim id {args.claim!r}")
-    driver, required, _opt = _CLAIMS[args.claim]
+    driver, required = _CLAIMS[args.claim]
     for name in required:
         if getattr(args, name) is None:
             raise _UsageError(f"claim {args.claim!r} requires --{name}")

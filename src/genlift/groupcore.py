@@ -135,7 +135,8 @@ class FiniteGroup:
 @dataclass
 class ConjugacyClasses:
     class_of: np.ndarray
-    representatives: list[int]
+    representatives: list[int]  # the least member of each class
+    conjugator: np.ndarray  # x with x a x^-1 = representatives[class_of[a]]
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +238,8 @@ def build_dihedral(m: int) -> FiniteGroup:
     if m < 1:
         raise ValueError("m must be >= 1")
     n = 2 * m
+    if n > MAX_GROUP_ORDER:
+        raise GroupSizeError(f"group of order {n} exceeds bound {MAX_GROUP_ORDER}")
     mult = np.empty((n, n), dtype=np.int32)
     for i in range(m):
         for j in range(m):
@@ -298,6 +301,7 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
         return G._classes
     n = G.n
     class_of = np.full(n, -1, dtype=np.int32)
+    conjugator = np.empty(n, dtype=np.int64)
     reps: list[int] = []
     allx = np.arange(n)
     for g in range(n):
@@ -305,9 +309,10 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
             continue
         cid = len(reps)
         reps.append(g)
-        cls = G.mult[G.mult[G.inv, g], allx]
-        class_of[np.unique(cls)] = cid
-    G._classes = ConjugacyClasses(class_of=class_of, representatives=reps)
+        cls = G.mult[G.mult[G.inv, g], allx]  # x^-1 g x for every x
+        class_of[cls] = cid
+        conjugator[cls] = allx
+    G._classes = ConjugacyClasses(class_of=class_of, representatives=reps, conjugator=conjugator)
     return G._classes
 
 

@@ -1,16 +1,22 @@
-"""Orbits of pairs of a finite group G under Nielsen moves, automorphisms
-or both; trace invariants, (m,n)-freeness and the PGammaL action.
+"""Orbits of the generating pairs of a finite group G under Nielsen moves,
+automorphisms or both; trace invariants, (m,n)-freeness and the PGammaL
+action.
 
-One engine serves every action set.  It works on all of G x G, not just
-the generating pairs: the moves preserve the generated subgroup, so
-generation is tested once per class, on its least member, instead of
-once per pair.  Pairs are packed as first * n + second.  The engine
-checks the pair budget, labels the classes with scipy's
-connected_components over the move graph (or takes a cached labelling),
-numbers them by least member, and builds one OrbitRecord per kept class;
-restricted mode keeps only the generating classes and labels every other
-pair -1.  The naive per-pair oracle (decompose_nielsen_orbits_naive)
-stays for cross-checks.
+Only generating pairs are decomposed.  If (a, b) generates G, conjugating
+both by any element of G is a product of Nielsen moves (an inner
+automorphism of the free group on a, b: the Neumann-Neumann T-system
+reduction), so each orbit is a union of conjugation classes of pairs.  A
+pair generating a proper subgroup H only reaches its H-conjugates, which
+splits those classes; such pairs are out of scope and labelled -1.
+
+So the engine runs connected components over conjugation classes of
+pairs.  The class of (a, b) is keyed k * n + y: reps[k] = x a x^-1 is the
+class representative of a and y is the least conjugate of x b x^-1 under
+the centralizer of reps[k].  A pair's label is its key's component; labels
+are numbered by least member (pairs packed as first * n + second), and one
+OrbitRecord is built per generating class, tested once on its least member.
+The naive per-pair oracle (decompose_nielsen_orbits_naive) stays for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .groupcore import FiniteGroup, closure_size, conjugacy_classes
+from .groupcore import ConjugacyClasses, FiniteGroup, closure_size, conjugacy_classes
 from .matrices import Mat2, trace_invariant
 
 DEFAULT_PAIR_BUDGET = 2 * 10**7
@@ -47,31 +53,25 @@ class OrbitRecord:
     orbit_id: int
     size: int
     canonical_rep: Pair
-    is_generating: bool
     tau: Optional[int]  # field element; only for PSL(2,q) hosts
     commutator_order: int
     mn_free: dict = dc_field(default_factory=dict)
 
 
 class OrbitDecomposition:
-    """Partition of G x G (or of the generating pairs) into orbits.
+    """Partition of the generating pairs of G into orbits.
 
-    `labels[first * n + second]` is the orbit id of a pair, or -1 for
-    pairs outside the decomposition (restricted mode only).  Orbit ids
-    increase with the lex-least member pair, so the numbering is
-    reproducible; `orbits[k]` is the record of orbit id k.
+    `labels[first * n + second]` is the orbit id of a generating pair and
+    -1 for every other pair.  Orbit ids increase with the lex-least member
+    pair, so the numbering is reproducible; `orbits[k]` is the record of
+    orbit id k.
     """
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        labels: np.ndarray,
-        restricted: bool,
-        orbits: list[OrbitRecord],
-    ):
+    restricted = True  # generating pairs only; read by perfbench's span counters
+
+    def __init__(self, group: FiniteGroup, labels: np.ndarray, orbits: list[OrbitRecord]):
         self.group = group
         self.labels = labels
-        self.restricted = restricted
         self.orbits = orbits
 
     # -- queries --
@@ -89,11 +89,8 @@ class OrbitDecomposition:
         n = self.group.n
         return [(int(p) // n, int(p) % n) for p in self.member_ids(orbit_id)]
 
-    def generating_orbits(self) -> list[OrbitRecord]:
-        return [o for o in self.orbits if o.is_generating]
-
     def gamma_size(self) -> int:
-        return sum(o.size for o in self.generating_orbits())
+        return sum(o.size for o in self.orbits)
 
     def mn_free_flags(self, m: int, n: int) -> dict[int, bool]:
         """(m,n)-freeness of every orbit, computed in one vectorized pass."""
@@ -122,7 +119,7 @@ class OrbitDecomposition:
                 "id": o.orbit_id,
                 "size": o.size,
                 "rep": list(o.canonical_rep),
-                "is_generating": o.is_generating,
+                "is_generating": True,
                 "commutator_order": o.commutator_order,
                 "mn_free": {f"{m},{n}": v for (m, n), v in sorted(o.mn_free.items())},
             }
@@ -152,43 +149,69 @@ def nielsen_moves(G: FiniteGroup, pair: Pair) -> tuple[Pair, Pair, Pair]:
     )
 
 
-def _move_targets(G: FiniteGroup) -> list[np.ndarray]:
-    """Packed pair ids hit by each Nielsen move, over all of G x G."""
+def _nielsen_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
+    """nielsen_moves, vectorized over pairs."""
+    return [(G.inv[i], j), (G.mult[i, G.inv[j]], j), (j, i)]
+
+
+def _least_centralizer_conjugates(G: FiniteGroup, cls: ConjugacyClasses) -> np.ndarray:
+    """K x n table: row k maps y to its least conjugate under C(reps[k])."""
+    least_in_class = np.asarray(cls.representatives)[cls.class_of]  # reps are least members
+    rows = []
+    for r in cls.representatives:
+        cent = np.flatnonzero(G.mult[r] == G.mult[:, r])
+        if len(cent) == G.n:
+            rows.append(least_in_class)
+        else:
+            rows.append(G.mult[G.mult[cent], G.inv[cent][:, None]].min(axis=0))
+    return np.stack(rows)
+
+
+def _keys(G: FiniteGroup, cls: ConjugacyClasses, least: np.ndarray, i, j) -> np.ndarray:
+    """Conjugation-class keys k * n + y of the pairs (i, j)."""
+    k = cls.class_of[i].astype(np.int64)
+    x = cls.conjugator[i]
+    return k * G.n + least[k, G.mult[G.mult[x, j], G.inv[x]]]
+
+
+def _pair_labels(G: FiniteGroup, moves: Callable) -> np.ndarray:
+    """Component of every pair's key in the graph on the K * n keys whose
+    edges are the images under moves(G, i, j) -> [(i', j'), ...]."""
+    cls = conjugacy_classes(G)
+    least = _least_centralizer_conjugates(G, cls)
     n = G.n
-    ids = np.arange(n * n, dtype=np.int64)
-    i = ids // n
-    j = ids % n
-    m1 = G.inv[i].astype(np.int64) * n + j
-    m2 = G.mult[i, G.inv[j]].astype(np.int64) * n + j
-    m3 = j.astype(np.int64) * n + i
-    return [m1, m2, m3]
-
-
-def _components(n_pairs: int, edge_targets: list[np.ndarray]) -> np.ndarray:
-    ids = np.arange(n_pairs, dtype=np.int64)
-    rows = np.concatenate([ids] * len(edge_targets))
-    cols = np.concatenate(edge_targets)
+    reps = np.asarray(cls.representatives, dtype=np.int64)
+    # key k * n + y stands for the pair (reps[k], y); a key whose y is not
+    # least has the same move images as its least conjugate's key, so it
+    # joins that component
+    keys = np.arange(len(reps) * n, dtype=np.int64)
+    i, j = reps[keys // n], keys % n
+    targets = [_keys(G, cls, least, a, b) for a, b in moves(G, i, j)]
+    # self-loops keep the graph well formed without moves (PSL(2,2) has no outer automorphism)
+    rows = np.tile(keys, len(targets) + 1)
+    cols = np.concatenate([keys, *targets])
     graph = coo_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n_pairs, n_pairs)
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(keys), len(keys))
     )
-    _, raw = connected_components(graph, directed=False)
-    return raw
+    _, comp = connected_components(graph, directed=False)
+    # key the pairs in K blocks, to keep the temporaries near n * n / K entries
+    blocks = np.array_split(np.arange(n * n), len(reps))
+    return np.concatenate([comp[_keys(G, cls, least, *np.divmod(b, n))] for b in blocks])
 
 
 def _decompose(
     G: FiniteGroup,
-    move_targets: Callable[[FiniteGroup], list[np.ndarray]],
-    restrict: bool,
+    moves: Callable,
     pair_budget: int,
     labels: Optional[np.ndarray] = None,
 ) -> OrbitDecomposition:
-    """The orbit engine: classes of G x G under the moves `move_targets`
-    builds, or under a cached labelling (full, or restricted with -1
-    outside; any class numbering is accepted)."""
+    """The orbit engine: orbits of the generating pairs under `moves`, or
+    under a cached labelling (any class numbering, -1 or not outside the
+    generating pairs)."""
     check_pair_budget(G.n, pair_budget)
     n, n_pairs = G.n, G.n * G.n
     if labels is None:
-        labels = _components(n_pairs, move_targets(G))
+        labels = _pair_labels(G, moves)
     # class c + 1 holds the pairs labelled c, class 0 the pairs labelled -1;
     # bincount and minimum.at find sizes and least members without a sort
     shifted = np.add(labels, 1, dtype=np.int64)
@@ -198,8 +221,7 @@ def _decompose(
     classes = np.flatnonzero(sizes[1:]) + 1
     classes = classes[np.argsort(least[classes])]
     reps = [divmod(int(least[c]), n) for c in classes]
-    generating = [closure_size(G, rep) == n for rep in reps]
-    kept = [k for k, gen in enumerate(generating) if gen or not restrict]
+    kept = [k for k, rep in enumerate(reps) if closure_size(G, rep) == n]
     remap = np.full(len(sizes), -1, dtype=np.int64)
     remap[classes[kept]] = np.arange(len(kept))
     orbits = []
@@ -210,27 +232,25 @@ def _decompose(
                 orbit_id=oid,
                 size=int(sizes[classes[k]]),
                 canonical_rep=(i, j),
-                is_generating=generating[k],
                 tau=trace_invariant(G.labels[i], G.labels[j]) if G.kind == "psl2" else None,
                 commutator_order=G.order_of(G.commutator(i, j)),
             )
         )
-    return OrbitDecomposition(G, remap[shifted], restrict, orbits)
+    return OrbitDecomposition(G, remap[shifted], orbits)
 
 
 def decompose_nielsen_orbits(
     G: FiniteGroup,
-    restrict_to_generating: bool = False,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     labels: Optional[np.ndarray] = None,
 ) -> OrbitDecomposition:
-    """Orbits of G x G under the three Nielsen moves.
+    """Orbits of the generating pairs under the three Nielsen moves.
 
-    `labels` short-circuits the component search with a cached labelling,
-    full or restricted; classes are renumbered canonically, so any run's
-    output is acceptable input.
+    `labels` short-circuits the component search with a cached labelling;
+    classes are renumbered canonically, so any run's output is acceptable
+    input.
     """
-    return _decompose(G, _move_targets, restrict_to_generating, pair_budget, labels)
+    return _decompose(G, _nielsen_moves, pair_budget, labels)
 
 
 def orbit_tau(dec: OrbitDecomposition, orbit: OrbitRecord, check_members: int = 16) -> int:
@@ -327,104 +347,60 @@ def decompose_nielsen_orbits_naive(G: FiniteGroup) -> list[tuple[frozenset[Pair]
 # ---------------------------------------------------------------------------
 
 
-def _conj_perm_by_matrix(G: FiniteGroup, g: Mat2) -> np.ndarray:
-    """Permutation of element indices induced by conjugation x -> g^-1 x g.
-
-    det(g) need not be 1; conjugation still lands in SL and descends to
-    the sign quotient, which is exactly the PGL action on PSL.
-    """
-    f = G.field
-    det = g.det()
-    dinv = f.inv(det)
-    # g^-1 = adj(g) / det(g)
-    ginv = Mat2(
-        f,
-        f.mul(dinv, g.d),
-        f.mul(dinv, f.neg(g.b)),
-        f.mul(dinv, f.neg(g.c)),
-        f.mul(dinv, g.a),
-    )
+def _entry_perm(G: FiniteGroup, entries: Callable) -> np.ndarray:
+    """Index permutation induced by a map on the entries (a, b, c, d) of
+    the canonical representatives, re-canonicalized."""
     perm = np.empty(G.n, dtype=np.int64)
     for idx in range(G.n):
-        m = G.labels[idx].rep if G.kind == "psl2" else G.labels[idx]
-        conj = ginv * m * g
-        perm[idx] = G.index_of_matrix(conj)
+        m = G.labels[idx].rep
+        perm[idx] = G.index_of_matrix(Mat2(G.field, *entries(m.a, m.b, m.c, m.d)))
     return perm
-
-
-def _frobenius_perm(G: FiniteGroup) -> np.ndarray:
-    """Entrywise x -> x^p on canonical representatives, re-canonicalized."""
-    f = G.field
-    p = f.p
-    perm = np.empty(G.n, dtype=np.int64)
-    for idx in range(G.n):
-        m = G.labels[idx].rep if G.kind == "psl2" else G.labels[idx]
-        fr = Mat2(f, f.pow(m.a, p), f.pow(m.b, p), f.pow(m.c, p), f.pow(m.d, p))
-        perm[idx] = G.index_of_matrix(fr)
-    return perm
-
-
-def _find_generating_pair(G: FiniteGroup) -> Pair:
-    for i in range(G.n):
-        for j in range(G.n):
-            if closure_size(G, (i, j)) == G.n:
-                return (i, j)
-    raise ValueError("group is not 2-generated")
 
 
 def psl_automorphism_perms(G: FiniteGroup) -> list[np.ndarray]:
-    """Generators of Aut(PSL(2,q)) = PGammaL(2,q) as index permutations:
-    conjugation by two group generators, by diag(nu,1) for a non-square
-    nu (odd q), and the Frobenius (k > 1)."""
+    """The outer generators of Aut(PSL(2,q)) = PGammaL(2,q) as index
+    permutations: conjugation by diag(nu,1) for a non-square nu (odd q),
+    and the Frobenius (k > 1).  Inner automorphisms fix every conjugation
+    class of pairs, the orbit engine's nodes, so they are left out."""
     if G.kind != "psl2":
         raise ValueError("automorphism action implemented for PSL(2,q) hosts")
     f = G.field
-    i, j = _find_generating_pair(G)
-    perms = [
-        _conj_perm_by_matrix(G, G.labels[i].rep),
-        _conj_perm_by_matrix(G, G.labels[j].rep),
-    ]
+    perms = []
     if f.q % 2 == 1:
         nu = next(a for a in range(1, f.q) if not f.is_square(a))
-        perms.append(_conj_perm_by_matrix(G, Mat2(f, nu, 0, 0, f.one)))
+        # x -> g^-1 x g for g = diag(nu, 1), in PGL(2,q) but not PSL as nu is a non-square
+        over_nu = f.inv(nu)
+        perms.append(_entry_perm(G, lambda a, b, c, d: (a, f.mul(b, over_nu), f.mul(c, nu), d)))
     if f.k > 1:
-        perms.append(_frobenius_perm(G))
+        perms.append(_entry_perm(G, lambda *entries: [f.pow(e, f.p) for e in entries]))
     return perms
 
 
-def _aut_targets(G: FiniteGroup) -> list[np.ndarray]:
-    """Packed pair ids hit by each PGammaL(2,q) generator acting diagonally."""
-    n = G.n
-    ids = np.arange(n * n, dtype=np.int64)
-    i = ids // n
-    j = ids % n
-    return [perm[i] * n + perm[j] for perm in psl_automorphism_perms(G)]
+def _aut_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
+    """Images of the pairs under each outer automorphism generator, diagonally."""
+    return [(perm[i], perm[j]) for perm in psl_automorphism_perms(G)]
 
 
-def _joint_targets(G: FiniteGroup) -> list[np.ndarray]:
-    return _move_targets(G) + _aut_targets(G)
+def _joint_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
+    return _nielsen_moves(G, i, j) + _aut_moves(G, i, j)
 
 
 def aut_orbit_decomposition(
-    G: FiniteGroup,
-    restrict_to_generating: bool = True,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
+    G: FiniteGroup, pair_budget: int = DEFAULT_PAIR_BUDGET
 ) -> OrbitDecomposition:
-    """Orbits of pairs under the diagonal PGammaL(2,q) action."""
-    return _decompose(G, _aut_targets, restrict_to_generating, pair_budget)
+    """Orbits of the generating pairs under the diagonal PGammaL(2,q) action."""
+    return _decompose(G, _aut_moves, pair_budget)
 
 
 def joint_orbit_decomposition(
-    G: FiniteGroup,
-    restrict_to_generating: bool = True,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
+    G: FiniteGroup, pair_budget: int = DEFAULT_PAIR_BUDGET
 ) -> OrbitDecomposition:
-    """Orbits under Nielsen moves and automorphisms combined."""
-    return _decompose(G, _joint_targets, restrict_to_generating, pair_budget)
+    """Orbits of the generating pairs under Nielsen moves and automorphisms combined."""
+    return _decompose(G, _joint_moves, pair_budget)
 
 
 def trace_spectrum(dec: OrbitDecomposition) -> set[int]:
     """Set of trace invariants over the generating orbits of a PSL host."""
     if dec.group.kind != "psl2":
         raise ValueError("trace spectrum requires a PSL(2,q) host")
-    return {o.tau for o in dec.generating_orbits()}
+    return {o.tau for o in dec.orbits}

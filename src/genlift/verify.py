@@ -88,7 +88,7 @@ def budgeted_psl(q: int, pair_budget: int) -> FiniteGroup:
     return psl(q)
 
 
-# (group name, pair budget) -> (restricted decomposition, disk cache hit)
+# (group name, pair budget) -> (decomposition, disk cache hit)
 _DECOMP: dict[tuple[str, int], tuple[OrbitDecomposition, bool]] = {}
 
 
@@ -97,7 +97,7 @@ def gamma_orbits(
     cache_dir: Optional[Path] = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> tuple[OrbitDecomposition, bool]:
-    """Restricted (generating-pairs-only) decomposition, with caching."""
+    """Nielsen decomposition of the generating pairs, with caching."""
     key = (G.name, pair_budget)
     if key in _DECOMP:
         return _DECOMP[key]
@@ -105,9 +105,7 @@ def gamma_orbits(
     if cache_dir is not None:
         labels = cache_mod.load_labels(cache_dir, G.name, G.n)
     hit = labels is not None
-    dec = decompose_nielsen_orbits(
-        G, restrict_to_generating=True, pair_budget=pair_budget, labels=labels
-    )
+    dec = decompose_nielsen_orbits(G, pair_budget=pair_budget, labels=labels)
     if cache_dir is not None and not hit:
         cache_mod.save_labels(cache_dir, G.name, G.n, labels=dec.labels)
     _DECOMP[key] = (dec, hit)
@@ -468,6 +466,7 @@ def verify_dihedral(m: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> 
     t0 = time.perf_counter()
     if m < 3:
         raise PreconditionError("dihedral claim stated for m >= 3")
+    check_pair_budget(2 * m, pair_budget)
     G = build_dihedral(m)
     dec, hit = gamma_orbits(G, cache_dir, pair_budget)
     flags = dec.mn_free_flags(2, 2)

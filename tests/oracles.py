@@ -50,24 +50,78 @@ def invariant_factors_via_minors(rows: list[list[int]]) -> list[int]:
     return [gcds[i] // gcds[i - 1] for i in range(1, len(gcds))]
 
 
-# -- naive pair-orbit decomposition comparison -------------------------------
+# -- pair-space orbit decompositions ------------------------------------------
 
 
-def orbit_partition_fast(G) -> set[tuple[frozenset, bool]]:
+def _pair_space_targets(G, action: str) -> list:
+    """Packed pair ids hit by each generator of the action, over all of
+    G x G.  Automorphisms are the full PGammaL generator set: the outer
+    permutations plus conjugation by both members of a generating pair."""
+    import numpy as np
+
     from genlift.groupcore import closure_size
+    from genlift.nielsen import psl_automorphism_perms
+
+    n = G.n
+    ids = np.arange(n * n, dtype=np.int64)
+    i, j = ids // n, ids % n
+    targets = []
+    if action in ("nielsen", "joint"):
+        targets += [G.inv[i] * n + j, G.mult[i, G.inv[j]] * n + j, j * n + i]
+    if action in ("aut", "joint"):
+        gens = next(divmod(p, n) for p in range(n * n) if closure_size(G, divmod(p, n)) == n)
+        inner = [G.mult[G.mult[G.inv[g]], g] for g in gens]  # x -> g^-1 x g
+        targets += [perm[i] * n + perm[j] for perm in inner + psl_automorphism_perms(G)]
+    return targets
+
+
+def pair_space_orbits(G, action: str = "nielsen"):
+    """Orbits of the generating pairs found by connected components over
+    all |G|^2 pairs: (labels, records) in the library's layout, labels -1
+    off the generating pairs, ids by least member, records as tuples
+    (orbit_id, size, canonical_rep, tau, commutator_order)."""
+    import numpy as np
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    from genlift.groupcore import closure_size
+    from genlift.matrices import trace_invariant
+
+    n = G.n
+    targets = _pair_space_targets(G, action)
+    ids = np.arange(n * n, dtype=np.int64)
+    rows = np.concatenate([ids] * len(targets))
+    graph = coo_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, np.concatenate(targets))), shape=(n * n, n * n)
+    )
+    _, raw = connected_components(graph, directed=False)
+    _, first = np.unique(raw, return_index=True)  # least member of each component
+    labels = np.full(n * n, -1, dtype=np.int64)
+    records = []
+    for comp in np.argsort(first):
+        i, j = divmod(int(first[comp]), n)
+        if closure_size(G, (i, j)) != n:
+            continue
+        members = raw == comp
+        labels[members] = len(records)
+        tau = trace_invariant(G.labels[i], G.labels[j]) if G.kind == "psl2" else None
+        records.append((len(records), int(members.sum()), (i, j), tau,
+                        G.order_of(G.commutator(i, j))))
+    return labels, records
+
+
+def orbit_partition_fast(G) -> set[frozenset]:
     from genlift.nielsen import decompose_nielsen_orbits
 
     dec = decompose_nielsen_orbits(G)
-    out = set()
-    for o in dec.orbits:
-        out.add((frozenset(dec.members(o.orbit_id)), o.is_generating))
-    return out
+    return {frozenset(dec.members(o.orbit_id)) for o in dec.orbits}
 
 
-def orbit_partition_naive(G) -> set[tuple[frozenset, bool]]:
+def orbit_partition_naive(G) -> set[frozenset]:
+    """The naive union-find orbits of the generating pairs."""
     from genlift.nielsen import decompose_nielsen_orbits_naive
 
-    return {(members, gen) for members, gen in decompose_nielsen_orbits_naive(G)}
+    return {members for members, gen in decompose_nielsen_orbits_naive(G) if gen}
 
 
 # -- brute-force generating pair count ---------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,14 @@ def test_budget_refused_before_build(capsys, monkeypatch, command, q):
     assert run(capsys, *command, "--q", str(q))[0] == EXIT_BUDGET
 
 
+def test_dihedral_budget_refused_before_build(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("dihedral table built before the budget check")
+
+    monkeypatch.setattr(V, "build_dihedral", no_build)
+    assert run(capsys, "verify", "dihedral", "--m", "3000")[0] == EXIT_BUDGET
+
+
 def test_coset_enum(capsys, tmp_path):
     f = tmp_path / "pres.txt"
     f.write_text("gens: x y\nrels: x^3 y^3 [x,y]^2\n")
@@ -191,3 +200,13 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_orbit_report_script():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "orbit_report.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "5", "7", "--mn", "2,3"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    spectra = [line for line in proc.stdout.splitlines() if line.strip().startswith("spectrum:")]
+    assert len(spectra) == 2  # one per q

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from genlift.groupcore import (
+    MAX_GROUP_ORDER,
     GroupSizeError,
     build_cyclic,
     build_dihedral,
@@ -56,6 +57,16 @@ def test_conjugacy_classes_partition():
         assert G.order_of(rep) == G.order_of(g)
     # identity sits alone
     assert sum(1 for g in range(G.n) if cc.class_of[g] == cc.class_of[G.identity]) == 1
+
+
+def test_conjugator_transversal():
+    for G in (build_psl2(5), build_sl2(3), build_dihedral(6), build_cyclic(4)):
+        cc = conjugacy_classes(G)
+        for a in range(G.n):
+            x = int(cc.conjugator[a])
+            rep = cc.representatives[cc.class_of[a]]
+            assert G.mul(G.mul(x, a), G.inv_of(x)) == rep
+            assert rep <= a  # each representative is its class's least member
 
 
 def test_closure_and_generation():
@@ -119,6 +130,8 @@ def test_mn_generation_small():
 def test_size_guard():
     with pytest.raises(GroupSizeError):
         build_sl2(32)
+    with pytest.raises(GroupSizeError):
+        build_dihedral(MAX_GROUP_ORDER // 2 + 1)
 
 
 def test_index_of_matrix_round_trip():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from genlift.groupcore import build_cyclic, build_dihedral, build_psl2
+from genlift.groupcore import build_cyclic, build_dihedral, build_psl2, build_sl2
 from genlift.nielsen import (
     PairBudgetExceeded,
-    _move_targets,
+    _nielsen_moves,
     aut_orbit_decomposition,
     decompose_nielsen_orbits,
     higman_check,
@@ -14,7 +14,12 @@ from genlift.nielsen import (
     psl_automorphism_perms,
     trace_spectrum,
 )
-from oracles import count_generating_pairs, orbit_partition_fast, orbit_partition_naive
+from oracles import (
+    count_generating_pairs,
+    orbit_partition_fast,
+    orbit_partition_naive,
+    pair_space_orbits,
+)
 
 SMALL_GROUPS = [
     lambda: build_cyclic(8),
@@ -36,8 +41,14 @@ def test_moves_stay_inside_orbits():
     for q in (3, 5, 7):
         G = build_psl2(q)
         dec = decompose_nielsen_orbits(G)
-        for t in _move_targets(G):
-            assert np.array_equal(dec.labels[t], dec.labels)
+        gamma = np.flatnonzero(dec.labels >= 0)
+        i, j = gamma // G.n, gamma % G.n
+        # the Nielsen moves, and conjugation by every element, map each
+        # generating pair into its own orbit
+        conj = [G.mult[G.mult[G.inv[x]], x] for x in range(G.n)]  # y -> x^-1 y x
+        images = _nielsen_moves(G, i, j) + [(c[i], c[j]) for c in conj]
+        for a, b in images:
+            assert np.array_equal(dec.labels[a.astype(np.int64) * G.n + b], dec.labels[gamma])
 
 
 def test_moves_are_invertible():
@@ -64,7 +75,7 @@ def test_orbit_invariants_constant_exhaustive(q):
 
 def test_generating_pair_count_vs_oracle():
     G = build_psl2(5)
-    dec = decompose_nielsen_orbits(G, restrict_to_generating=True)
+    dec = decompose_nielsen_orbits(G)
     assert dec.gamma_size() == count_generating_pairs(G) == 2280
 
 
@@ -73,28 +84,28 @@ ACTIONS = {
     "aut": aut_orbit_decomposition,
     "joint": joint_orbit_decomposition,
 }
-# generating pairs, as counted by oracles.count_generating_pairs
-GAMMA = {"PSL(2,5)": 2280, "PSL(2,7)": 19152, "D10": 60, "D12": 36}
 
 
-def test_restricted_labels_align_with_full():
-    cases = [(a, build_psl2(q)) for a in ACTIONS for q in (5, 7)]
-    cases += [("nielsen", build_dihedral(m)) for m in (5, 6)]
-    for action, G in cases:
-        case = f"{action} on {G.name}"
-        full = ACTIONS[action](G, restrict_to_generating=False)
-        res = ACTIONS[action](G, restrict_to_generating=True)
-        kept = [o for o in full.orbits if o.is_generating]
-        remap = np.full(len(full.orbits), -1, dtype=np.int64)
-        remap[[o.orbit_id for o in kept]] = np.arange(len(kept))
-        # label for label: the full run's generating orbits, renumbered in order
-        assert np.array_equal(res.labels, remap[full.labels]), case
-        assert [(o.size, o.canonical_rep, o.tau, o.commutator_order) for o in res.orbits] == [
-            (o.size, o.canonical_rep, o.tau, o.commutator_order) for o in kept
-        ], case
-        assert all(o.is_generating for o in res.orbits), case
-        assert res.restricted and not full.restricted, case
-        assert (res.labels >= 0).sum() == res.gamma_size() == GAMMA[G.name], case
+def test_labels_match_pair_space_reference():
+    hosts = [(build_psl2(q), tuple(ACTIONS)) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    hosts += [(build_sl2(q), ("nielsen",)) for q in (3, 5)]
+    hosts += [(build_dihedral(m), ("nielsen",)) for m in range(3, 13)]
+    for G, actions in hosts:
+        for action in actions:
+            case = f"{action} on {G.name}"
+            dec = ACTIONS[action](G)
+            labels, records = pair_space_orbits(G, action)
+            # label for label, and record for record
+            assert np.array_equal(dec.labels, labels), case
+            assert [
+                (o.orbit_id, o.size, o.canonical_rep, o.tau, o.commutator_order)
+                for o in dec.orbits
+            ] == records, case
+            assert dec.restricted and (dec.labels >= 0).sum() == dec.gamma_size(), case
+        if G.n <= 120:
+            assert dec.gamma_size() == count_generating_pairs(G), G.name
+        if G.n <= 60:
+            assert orbit_partition_fast(G) == orbit_partition_naive(G), G.name
 
 
 def test_pair_budget():
@@ -109,7 +120,7 @@ def test_pair_budget():
 
 def test_trace_spectrum_psl25():
     G = build_psl2(5)
-    dec = decompose_nielsen_orbits(G, restrict_to_generating=True)
+    dec = decompose_nielsen_orbits(G)
     assert trace_spectrum(dec) == {1, 3}
 
 
@@ -140,12 +151,11 @@ def test_joint_orbits_psl25():
 
 def test_cached_labels_round_trip():
     G = build_psl2(7)
-    for restrict in (False, True):
-        dec = decompose_nielsen_orbits(G, restrict_to_generating=restrict)
-        # any class numbering is accepted, so scrambled ids must come back canonical
-        ids = np.random.default_rng(7).permutation(len(dec.orbits)) + 5
-        scrambled = np.where(dec.labels >= 0, ids[dec.labels], -1)
-        for cached in (dec.labels.copy(), scrambled):
-            redo = decompose_nielsen_orbits(G, restrict_to_generating=restrict, labels=cached)
-            assert np.array_equal(dec.labels, redo.labels), restrict
-            assert redo.orbits == dec.orbits, restrict
+    dec = decompose_nielsen_orbits(G)
+    # any class numbering is accepted, so scrambled ids must come back canonical
+    ids = np.random.default_rng(7).permutation(len(dec.orbits)) + 5
+    scrambled = np.where(dec.labels >= 0, ids[dec.labels], -1)
+    for cached in (dec.labels.copy(), scrambled):
+        redo = decompose_nielsen_orbits(G, labels=cached)
+        assert np.array_equal(dec.labels, redo.labels)
+        assert redo.orbits == dec.orbits
