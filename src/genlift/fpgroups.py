@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .groupcore import FiniteGroup
+from .groupcore import FiniteGroup, _cayley_table
 
 Letter = tuple[int, int]  # (generator index, +1 or -1)
 
@@ -406,14 +404,13 @@ def group_from_coset_table(table: CosetTable) -> FiniteGroup:
         frontier = nxt
     if any(w is None for w in rep_words):
         raise ValueError("coset table is not transitive; not an enumeration over 1")
-    mult = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        for j in range(n):
-            mult[i, j] = table.trace(i, rep_words[j])
-    g = FiniteGroup("fp-group", mult, 0, kind="coset")
-    if g.mult[0].tolist() != list(range(n)):
-        raise ValueError("coset table does not define a regular representation")
-    return g
+    # row i maps coset j to i * rep_words[j]: the product of elements i and j
+    mult = _cayley_table(n, 0, lambda i: [table.trace(i, w) for w in rep_words])
+    # right multiplication by each generator must be its action on the cosets
+    for col in range(2 * table.generator_count):
+        if mult[:, table.action[0][col]].tolist() != [row[col] for row in table.action]:
+            raise ValueError("coset table does not define a regular representation")
+    return FiniteGroup("fp-group", mult, 0, kind="coset")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@ Builders for SL(2,q), PSL(2,q), dihedral and cyclic groups, plus the
 generic queries the orbit machinery needs: subgroup closure, generation
 testing, conjugacy classes, derived series.
 
+The SL/PSL, dihedral and coset-table builders compute only the rows of a
+few generators directly and compose every other row from them
+(`_cayley_table`), so a build costs a few field-table rows plus |G|
+row gathers.
+
 Element indexing is by lex order of canonical matrix entries (matrix
 groups) or by the obvious shift/reflection layout (dihedral), so element
 indices, orbit representatives and reports are reproducible across runs.
@@ -12,7 +17,7 @@ indices, orbit representatives and reports are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,31 +51,28 @@ class FiniteGroup:
         self.labels = labels
         self.field = field
         self.kind = kind
-        self.inv = self._compute_inverses()
-        self.orders = self._compute_orders()
+        self.orders, self.inv = self._orders_and_inverses()
         self._classes: Optional[ConjugacyClasses] = None
         self._packed_index: Optional[dict] = None
 
     # -- table derivation --
 
-    def _compute_inverses(self) -> np.ndarray:
-        rows, cols = np.nonzero(self.mult == self.identity)
-        inv = np.empty(self.n, dtype=self.mult.dtype)
-        inv[rows] = cols
-        return inv
-
-    def _compute_orders(self) -> np.ndarray:
-        orders = np.empty(self.n, dtype=np.int32)
-        mult = self.mult
-        e = self.identity
-        for g in range(self.n):
-            x = g
-            m = 1
-            while x != e:
-                x = int(mult[x, g])
-                m += 1
-            orders[g] = m
-        return orders
+    def _orders_and_inverses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Element orders by walking the powers g, g^2, ... of every element
+        at once; the last power before the identity is g^(ord-1) = g^-1."""
+        g = np.arange(self.n, dtype=self.mult.dtype)
+        power = g.copy()
+        inv = g.copy()
+        orders = np.ones(self.n, dtype=np.int32)
+        live = np.flatnonzero(power != self.identity)
+        for _ in range(self.n):  # no order exceeds n
+            if not live.size:
+                return orders, inv
+            inv[live] = power[live]
+            power[live] = self.mult[power[live], live]
+            orders[live] += 1
+            live = live[power[live] != self.identity]
+        raise ValueError("not a group table: some power walk misses the identity")
 
     # -- element access --
 
@@ -144,6 +146,43 @@ class ConjugacyClasses:
 # ---------------------------------------------------------------------------
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_GROUP_ORDER:
+        raise GroupSizeError(f"group of order {n} exceeds bound {MAX_GROUP_ORDER}")
+
+
+def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The n x n multiplication table from the rows of a few generators.
+
+    Each generator is the least element that has no row yet, and
+    `row_of(g)` computes its row directly.  Every other row is composed
+    breadth-first: (s p) x = s (p x), so mult[s p] = mult[s][mult[p]].
+    """
+    mult = np.empty((n, n), dtype=np.int32)
+    mult[identity] = np.arange(n)
+    done = np.zeros(n, dtype=bool)
+    done[identity] = True
+    gens: list[int] = []
+    while not done.all():
+        s = int(np.argmin(done))
+        mult[s] = row_of(s)
+        done[s] = True
+        gens.append(s)
+        frontier = np.flatnonzero(done)
+        while frontier.size:
+            reached = []
+            for g in gens:
+                prod = mult[g, frontier]
+                new = ~done[prod]
+                # p -> g p is injective, so the new products are distinct
+                targets, sources = prod[new], frontier[new]
+                mult[targets] = mult[g][mult[sources]]
+                done[targets] = True
+                reached.append(targets)
+            frontier = np.concatenate(reached)
+    return mult
+
+
 def _sl2_matrices(f: GF) -> np.ndarray:
     """All det-1 matrices as packed ints, sorted (= lex order of entries)."""
     q = f.q
@@ -169,29 +208,37 @@ def _unpack(packed: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
     return a, b, c, d
 
 
-def _matrix_group(name: str, f: GF, packed: np.ndarray, canonical, kind: str) -> FiniteGroup:
-    """Shared SL/PSL construction: vectorized table fill over field tables.
+def _negated(f: GF, packed: np.ndarray) -> np.ndarray:
+    """Packed -M of packed matrices M."""
+    negT = f.neg_table
+    a, b, c, d = _unpack(packed, f.q)
+    return ((negT[a].astype(np.int64) * f.q + negT[b]) * f.q + negT[c]) * f.q + negT[d]
 
-    `canonical` maps packed products back to canonical packed form
-    (identity for SL, sign-minimum for PSL).
+
+def _matrix_group(name: str, f: GF, packed: np.ndarray, kind: str) -> FiniteGroup:
+    """Shared SL/PSL construction from the sorted packed element matrices.
+
+    Generator rows are products over the field tables, mapped back to
+    indices by a q^4 lookup that for PSL also sends -M to M's index.
     """
     q = f.q
     n = len(packed)
-    if n > MAX_GROUP_ORDER:
-        raise GroupSizeError(f"group of order {n} exceeds bound {MAX_GROUP_ORDER}")
     a, b, c, d = _unpack(packed, q)
     lookup = np.full(q**4, -1, dtype=np.int32)
+    if kind == "psl2":
+        lookup[_negated(f, packed)] = np.arange(n, dtype=np.int32)
     lookup[packed] = np.arange(n, dtype=np.int32)
     mulT, addT = f.mul_table, f.add_table
-    mult = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
+
+    def row_of(i: int) -> np.ndarray:
         na = addT[mulT[a[i], a], mulT[b[i], c]]
         nb = addT[mulT[a[i], b], mulT[b[i], d]]
         nc = addT[mulT[c[i], a], mulT[d[i], c]]
         nd = addT[mulT[c[i], b], mulT[d[i], d]]
-        prod = ((na.astype(np.int64) * q + nb) * q + nc) * q + nd
-        mult[i] = lookup[canonical(prod)]
-    ident = int(lookup[canonical(np.array([Mat2(f, f.one, 0, 0, f.one).packed()]))[0]])
+        return lookup[((na.astype(np.int64) * q + nb) * q + nc) * q + nd]
+
+    ident = int(lookup[Mat2(f, f.one, 0, 0, f.one).packed()])
+    mult = _cayley_table(n, ident, row_of)
     labels = _matrix_labels(f, a, b, c, d, kind)
     g = FiniteGroup(name, mult, ident, labels=labels, field=f, kind=kind)
     g._packed_index = {int(p): i for i, p in enumerate(packed)}
@@ -208,8 +255,8 @@ def _matrix_labels(f: GF, a, b, c, d, kind: str) -> list:
 def build_sl2(q: int) -> FiniteGroup:
     """SL(2,q); order q(q^2-1); elements indexed in lex order of entries."""
     f = field_for_q(q)
-    packed = _sl2_matrices(f)
-    return _matrix_group(f"SL(2,{q})", f, packed, lambda p: p, "sl2")
+    _check_order(q * (q * q - 1))
+    return _matrix_group(f"SL(2,{q})", f, _sl2_matrices(f), "sl2")
 
 
 def psl2_order(q: int) -> int:
@@ -219,18 +266,11 @@ def psl2_order(q: int) -> int:
 
 
 def build_psl2(q: int) -> FiniteGroup:
-    """PSL(2,q) via canonical sign representatives of SL(2,q)."""
+    """PSL(2,q) via canonical sign representatives min(M, -M) of SL(2,q)."""
+    _check_order(psl2_order(q))
     f = field_for_q(q)
     sl = _sl2_matrices(f)
-    negT = f.neg_table
-
-    def canon(packed: np.ndarray) -> np.ndarray:
-        a, b, c, d = _unpack(packed, f.q)
-        neg = ((negT[a].astype(np.int64) * f.q + negT[b]) * f.q + negT[c]) * f.q + negT[d]
-        return np.minimum(packed, neg)
-
-    reps = np.unique(canon(sl))
-    return _matrix_group(f"PSL(2,{q})", f, reps, canon, "psl2")
+    return _matrix_group(f"PSL(2,{q})", f, np.unique(np.minimum(sl, _negated(f, sl))), "psl2")
 
 
 def build_dihedral(m: int) -> FiniteGroup:
@@ -238,17 +278,17 @@ def build_dihedral(m: int) -> FiniteGroup:
     if m < 1:
         raise ValueError("m must be >= 1")
     n = 2 * m
-    if n > MAX_GROUP_ORDER:
-        raise GroupSizeError(f"group of order {n} exceeds bound {MAX_GROUP_ORDER}")
-    mult = np.empty((n, n), dtype=np.int32)
-    for i in range(m):
-        for j in range(m):
-            mult[i, j] = (i + j) % m  # shift * shift
-            mult[i, m + j] = m + (i + j) % m  # shift * reflection
-            mult[m + i, j] = m + (i - j) % m  # reflection * shift
-            mult[m + i, m + j] = (i - j) % m  # reflection * reflection
+    _check_order(n)
+    j = np.arange(m)
+
+    def row_of(g: int) -> np.ndarray:
+        i = g % m
+        if g < m:  # shift * shift, shift * reflection
+            return np.concatenate([(i + j) % m, m + (i + j) % m])
+        return np.concatenate([m + (i - j) % m, (i - j) % m])  # reflection * (shift, reflection)
+
     labels = [("shift", j) for j in range(m)] + [("reflection", j) for j in range(m)]
-    return FiniteGroup(f"D{2 * m}", mult, 0, labels=labels, kind="dihedral")
+    return FiniteGroup(f"D{2 * m}", _cayley_table(n, 0, row_of), 0, labels=labels, kind="dihedral")
 
 
 def build_cyclic(m: int) -> FiniteGroup:
@@ -276,10 +316,12 @@ def closure_mask(G: FiniteGroup, gens: Sequence[int]) -> np.ndarray:
     visited[G.identity] = True
     frontier = np.array([G.identity], dtype=np.int64)
     while frontier.size:
-        nxt = np.unique(G.mult[frontier[:, None], garr[None, :]])
-        nxt = nxt[~visited[nxt]]
-        visited[nxt] = True
-        frontier = nxt
+        # a boolean mask dedupes the next frontier without a sort
+        fresh = np.zeros(G.n, dtype=bool)
+        fresh[G.mult[frontier[:, None], garr]] = True
+        fresh &= ~visited
+        visited |= fresh
+        frontier = np.flatnonzero(fresh)
     return visited
 
 

@@ -12,9 +12,14 @@ splits those classes; such pairs are out of scope and labelled -1.
 So the engine runs connected components over conjugation classes of
 pairs.  The class of (a, b) is keyed k * n + y: reps[k] = x a x^-1 is the
 class representative of a and y is the least conjugate of x b x^-1 under
-the centralizer of reps[k].  A pair's label is its key's component; labels
-are numbered by least member (pairs packed as first * n + second), and one
-OrbitRecord is built per generating class, tested once on its least member.
+the centralizer of reps[k].  Every orbit fact is read off the K x n rep
+rows, the labels of the pairs (reps[k], y): orbit sizes weight each row by
+its class size, the least member of an orbit (pairs packed as first * n +
+second) lies in the row of its least class, as representatives are least
+members, and (m,n)-freeness needs only the rep rows, as element orders are
+conjugation invariant.  Orbits are numbered by least member, and one
+OrbitRecord is built per generating class, tested once on its least
+member.  The |G|^2 labels are written once, row by row from the rep rows.
 The naive per-pair oracle (decompose_nielsen_orbits_naive) stays for
 cross-checks.
 """
@@ -64,15 +69,23 @@ class OrbitDecomposition:
     `labels[first * n + second]` is the orbit id of a generating pair and
     -1 for every other pair.  Orbit ids increase with the lex-least member
     pair, so the numbering is reproducible; `orbits[k]` is the record of
-    orbit id k.
+    orbit id k.  `rep_rows[k, y]` is the label of the pair (reps[k], y),
+    reps the conjugacy class representatives of G.
     """
 
     restricted = True  # generating pairs only; read by perfbench's span counters
 
-    def __init__(self, group: FiniteGroup, labels: np.ndarray, orbits: list[OrbitRecord]):
+    def __init__(
+        self,
+        group: FiniteGroup,
+        labels: np.ndarray,
+        orbits: list[OrbitRecord],
+        rep_rows: np.ndarray,
+    ):
         self.group = group
         self.labels = labels
         self.orbits = orbits
+        self.rep_rows = rep_rows
 
     # -- queries --
 
@@ -93,18 +106,16 @@ class OrbitDecomposition:
         return sum(o.size for o in self.orbits)
 
     def mn_free_flags(self, m: int, n: int) -> dict[int, bool]:
-        """(m,n)-freeness of every orbit, computed in one vectorized pass."""
+        """(m,n)-freeness of every orbit, read off the rep rows: a pair and
+        its conjugate in a rep row have the same element orders."""
         key = (m, n)
         if self.orbits and key in self.orbits[0].mn_free:
             return {o.orbit_id: o.mn_free[key] for o in self.orbits}
         G = self.group
-        ngrp = G.n
-        ok_m = (m % G.orders) == 0
-        ok_n = (n % G.orders) == 0
-        ids = np.flatnonzero(self.labels >= 0)
-        mask = ok_m[ids // ngrp] & ok_n[ids % ngrp]
+        reps = conjugacy_classes(G).representatives
+        ok = ((m % G.orders[reps]) == 0)[:, None] & ((n % G.orders) == 0)
         witnessed = np.zeros(len(self.orbits), dtype=bool)
-        witnessed[np.unique(self.labels[ids[mask]])] = True
+        witnessed[self.rep_rows[ok & (self.rep_rows >= 0)]] = True
         for o in self.orbits:
             o.mn_free[key] = not bool(witnessed[o.orbit_id])
         return {o.orbit_id: o.mn_free[key] for o in self.orbits}
@@ -174,10 +185,10 @@ def _keys(G: FiniteGroup, cls: ConjugacyClasses, least: np.ndarray, i, j) -> np.
     return k * G.n + least[k, G.mult[G.mult[x, j], G.inv[x]]]
 
 
-def _pair_labels(G: FiniteGroup, moves: Callable) -> np.ndarray:
-    """Component of every pair's key in the graph on the K * n keys whose
-    edges are the images under moves(G, i, j) -> [(i', j'), ...]."""
-    cls = conjugacy_classes(G)
+def _rep_rows(G: FiniteGroup, cls: ConjugacyClasses, moves: Callable) -> np.ndarray:
+    """K x n rows: the component of the pair (reps[k], y) in the graph on
+    the K * n keys whose edges are the images under
+    moves(G, i, j) -> [(i', j'), ...]."""
     least = _least_centralizer_conjugates(G, cls)
     n = G.n
     reps = np.asarray(cls.representatives, dtype=np.int64)
@@ -194,9 +205,19 @@ def _pair_labels(G: FiniteGroup, moves: Callable) -> np.ndarray:
         (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(keys), len(keys))
     )
     _, comp = connected_components(graph, directed=False)
-    # key the pairs in K blocks, to keep the temporaries near n * n / K entries
-    blocks = np.array_split(np.arange(n * n), len(reps))
-    return np.concatenate([comp[_keys(G, cls, least, *np.divmod(b, n))] for b in blocks])
+    return np.take_along_axis(comp.reshape(len(reps), n), least, axis=1)
+
+
+def _expand(G: FiniteGroup, cls: ConjugacyClasses, rep_rows: np.ndarray) -> np.ndarray:
+    """The |G|^2 labels: the pair (g, j) is conjugate by x = conjugator[g]
+    to (reps[k], x j x^-1), k the class of g."""
+    inv = G.inv.astype(np.intp)
+    labels = np.empty((G.n, G.n), dtype=rep_rows.dtype)
+    for g in range(G.n):
+        row = G.mult[cls.conjugator[g]].astype(np.intp)  # j -> x j
+        # x j x^-1 = x (x j^-1)^-1, by row gathers only
+        np.take(rep_rows[cls.class_of[g]], row.take(inv.take(row.take(inv))), out=labels[g])
+    return labels.reshape(-1)
 
 
 def _decompose(
@@ -207,26 +228,27 @@ def _decompose(
 ) -> OrbitDecomposition:
     """The orbit engine: orbits of the generating pairs under `moves`, or
     under a cached labelling (any class numbering, -1 or not outside the
-    generating pairs)."""
+    generating pairs), of which only the rep rows are read."""
     check_pair_budget(G.n, pair_budget)
-    n, n_pairs = G.n, G.n * G.n
-    if labels is None:
-        labels = _pair_labels(G, moves)
+    n = G.n
+    cls = conjugacy_classes(G)
+    reps = np.asarray(cls.representatives, dtype=np.int64)
+    rows = _rep_rows(G, cls, moves) if labels is None else labels.reshape(n, n)[reps]
     # class c + 1 holds the pairs labelled c, class 0 the pairs labelled -1;
-    # bincount and minimum.at find sizes and least members without a sort
-    shifted = np.add(labels, 1, dtype=np.int64)
-    sizes = np.bincount(shifted)
-    least = np.full(len(sizes), n_pairs, dtype=np.int64)
-    np.minimum.at(least, shifted, np.arange(n_pairs, dtype=np.int64))
+    # each rep row entry stands for one pair per member of its class
+    shifted = np.add(rows, 1, dtype=np.int64).reshape(-1)
+    sizes = np.bincount(shifted, weights=np.repeat(np.bincount(cls.class_of), n)).astype(np.int64)
+    least = np.full(len(sizes), n * n, dtype=np.int64)
+    np.minimum.at(least, shifted, (reps[:, None] * n + np.arange(n)).reshape(-1))
     classes = np.flatnonzero(sizes[1:]) + 1
     classes = classes[np.argsort(least[classes])]
-    reps = [divmod(int(least[c]), n) for c in classes]
-    kept = [k for k, rep in enumerate(reps) if closure_size(G, rep) == n]
+    pairs = [divmod(int(least[c]), n) for c in classes]
+    kept = [k for k, rep in enumerate(pairs) if closure_size(G, rep) == n]
     remap = np.full(len(sizes), -1, dtype=np.int64)
     remap[classes[kept]] = np.arange(len(kept))
     orbits = []
     for oid, k in enumerate(kept):
-        i, j = reps[k]
+        i, j = pairs[k]
         orbits.append(
             OrbitRecord(
                 orbit_id=oid,
@@ -236,7 +258,8 @@ def _decompose(
                 commutator_order=G.order_of(G.commutator(i, j)),
             )
         )
-    return OrbitDecomposition(G, remap[shifted], orbits)
+    rep_rows = remap[shifted].reshape(len(reps), n)
+    return OrbitDecomposition(G, _expand(G, cls, rep_rows), orbits, rep_rows)
 
 
 def decompose_nielsen_orbits(

@@ -50,6 +50,92 @@ def invariant_factors_via_minors(rows: list[list[int]]) -> list[int]:
     return [gcds[i] // gcds[i - 1] for i in range(1, len(gcds))]
 
 
+# -- Cayley tables, entry by entry ---------------------------------------------
+
+
+def matrix_cayley_table(G) -> list[list[int]]:
+    """SL(2,q) / PSL(2,q) table: every product of two element matrices in
+    plain ints over the field's scalar tables, indexed by index_of_matrix
+    (for PSL, M and -M both map to their element)."""
+    from genlift.matrices import Mat2, PslElement
+
+    f = G.field
+    mul, add, neg = f.mul_table.tolist(), f.add_table.tolist(), f.neg_table.tolist()
+    mats = [(m.rep if isinstance(m, PslElement) else m).entries() for m in G.labels]
+    signs = mats + [tuple(neg[e] for e in m) for m in mats] if G.kind == "psl2" else mats
+    index = {m: G.index_of_matrix(Mat2(f, *m)) for m in signs}
+    table = []
+    for a, b, c, d in mats:
+        ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
+        table.append([
+            index[(add[ma[e]][mb[g]], add[ma[f_]][mb[h]], add[mc[e]][md[g]], add[mc[f_]][md[h]])]
+            for e, f_, g, h in mats
+        ])
+    return table
+
+
+def dihedral_cayley_table(m: int) -> list[list[int]]:
+    """D_2m with shifts s_i = index i and reflections r_i = index m + i:
+    s_i s_j = s_(i+j), s_i r_j = r_(i+j), r_i s_j = r_(i-j), r_i r_j = s_(i-j)."""
+    table = []
+    for x in range(2 * m):
+        i, refl = x % m, x >= m
+        row = []
+        for y in range(2 * m):
+            j, refl_y = y % m, y >= m
+            k = (i - j) % m if refl else (i + j) % m
+            row.append(k + m * (refl != refl_y))
+        table.append(row)
+    return table
+
+
+def coset_cayley_table(table) -> list[list[int]]:
+    """Regular representation of a coset enumeration over the trivial
+    subgroup: element j is the coset reached from coset 0 by some word w_j,
+    and the product of elements i and j is coset i traced along w_j."""
+    from genlift.fpgroups import Word
+
+    words = {0: Word(())}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for g in range(table.generator_count):
+                for e in (1, -1):
+                    d = table.trace(c, Word(((g, e),)))
+                    if d not in words:
+                        words[d] = words[c] * Word(((g, e),))
+                        nxt.append(d)
+        frontier = nxt
+    n = table.coset_count
+    return [[table.trace(i, words[j]) for j in range(n)] for i in range(n)]
+
+
+# -- (m,n)-freeness by a scan over every pair ---------------------------------
+
+
+def mn_free_flags_scan(dec, mn_pairs) -> dict:
+    """{(m, n): {orbit id: no member (a, b) has a^m = b^n = 1}}, from the
+    element orders of every member pair, found by one scan of dec.labels."""
+    import numpy as np
+
+    G = dec.group
+    ids = np.flatnonzero(dec.labels >= 0)
+    orders = G.orders.astype(np.int64)
+    base = int(orders.max()) + 1
+    codes = np.unique((dec.labels[ids] * base + orders[ids // G.n]) * base + orders[ids % G.n])
+    seen: dict[int, list] = {}
+    for code in codes.tolist():
+        seen.setdefault(code // base // base, []).append((code // base % base, code % base))
+    return {
+        (m, n): {
+            o.orbit_id: not any(m % oa == 0 and n % ob == 0 for oa, ob in seen[o.orbit_id])
+            for o in dec.orbits
+        }
+        for m, n in mn_pairs
+    }
+
+
 # -- pair-space orbit decompositions ------------------------------------------
 
 

@@ -14,7 +14,7 @@ from genlift.fpgroups import (
     smith_normal_form,
     todd_coxeter,
 )
-from oracles import invariant_factors_via_minors
+from oracles import coset_cayley_table, invariant_factors_via_minors
 
 
 def enumerate_order(text, max_cosets=10**5):
@@ -38,6 +38,18 @@ def test_quaternion_8():
     G = group_from_coset_table(todd_coxeter(parse_presentation(pres)))
     G.validate()
     assert sorted(G.order_of(g) for g in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]
+
+
+def test_miller_table_entry_for_entry():
+    table = todd_coxeter(parse_presentation("gens: x y\nrels: x^3 y^3 [x,y]^2"))
+    assert group_from_coset_table(table).mult.tolist() == coset_cayley_table(table)
+
+
+def test_non_regular_coset_table_refused():
+    pres = parse_presentation("gens: x y\nrels: x^3 y^3 [x,y]^2")
+    table = todd_coxeter(pres, subgroup_gens=[parse_word("x", pres.generators)])
+    with pytest.raises(ValueError, match="regular representation"):
+        group_from_coset_table(table)
 
 
 @pytest.mark.parametrize("m", range(3, 9))

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from genlift import groupcore
 from genlift.groupcore import (
     MAX_GROUP_ORDER,
+    FiniteGroup,
     GroupSizeError,
     build_cyclic,
     build_dihedral,
@@ -18,6 +21,7 @@ from genlift.groupcore import (
     possible_psl_orders,
     subgroup_closure,
 )
+from oracles import dihedral_cayley_table, matrix_cayley_table
 
 
 def sl_order(q):
@@ -41,6 +45,23 @@ def test_cayley_table_valid(build):
     for g in range(G.n):
         assert G.n % G.order_of(g) == 0
         assert G.power(g, G.order_of(g)) == G.identity
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_matrix_tables_entry_for_entry(q):
+    for G in (build_sl2(q), build_psl2(q)):
+        assert G.mult.tolist() == matrix_cayley_table(G), G.name
+
+
+def test_dihedral_tables_entry_for_entry():
+    for m in range(3, 13):
+        assert build_dihedral(m).mult.tolist() == dihedral_cayley_table(m), m
+
+
+def test_non_group_table_refused():
+    # 1 * 1 = 1: the powers of 1 never reach the identity 0
+    with pytest.raises(ValueError, match="not a group table"):
+        FiniteGroup("bad", np.array([[0, 1], [1, 1]], dtype=np.int32), 0)
 
 
 def test_conjugacy_class_counts():
@@ -132,6 +153,18 @@ def test_size_guard():
         build_sl2(32)
     with pytest.raises(GroupSizeError):
         build_dihedral(MAX_GROUP_ORDER // 2 + 1)
+
+
+def test_size_refused_before_listing(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("SL matrices listed before the order check")
+
+    # the q^4 grid of the listing takes 32 q^4 bytes
+    monkeypatch.setattr(groupcore, "_sl2_matrices", no_listing)
+    with pytest.raises(GroupSizeError):
+        build_sl2(43)
+    with pytest.raises(GroupSizeError):
+        build_psl2(97)
 
 
 def test_index_of_matrix_round_trip():

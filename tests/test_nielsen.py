@@ -16,6 +16,7 @@ from genlift.nielsen import (
 )
 from oracles import (
     count_generating_pairs,
+    mn_free_flags_scan,
     orbit_partition_fast,
     orbit_partition_naive,
     pair_space_orbits,
@@ -106,6 +107,21 @@ def test_labels_match_pair_space_reference():
             assert dec.gamma_size() == count_generating_pairs(G), G.name
         if G.n <= 60:
             assert orbit_partition_fast(G) == orbit_partition_naive(G), G.name
+
+
+def test_mn_flags_match_full_scan():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        G = build_psl2(q)
+        orders = sorted(set(G.orders.tolist()))
+        mn_pairs = [(m, n) for m in orders for n in orders]
+        for action, decompose in ACTIONS.items():
+            fresh = decompose(G)
+            # the cached-labels path reads its rep rows out of the given labels
+            cached = decompose_nielsen_orbits(G, labels=fresh.labels)
+            assert np.array_equal(cached.labels, fresh.labels), (action, G.name)
+            for dec in (fresh, cached):
+                for (m, n), expected in mn_free_flags_scan(dec, mn_pairs).items():
+                    assert dec.mn_free_flags(m, n) == expected, (action, G.name, m, n)
 
 
 def test_pair_budget():
