@@ -1,15 +1,16 @@
 """Disk cache for orbit decompositions.
 
-The Nielsen labels of the generating pairs (-1 for other pairs) are
-the expensive artifact shared by all claim drivers.  Entries are keyed
-by (tool version, group name); writes go to a temp file and are renamed
-into place so concurrent readers never see a partial entry.  An entry
-that cannot be read or does not look like a labelling is a miss.
+The Nielsen rep rows (the orbit labels of the pairs whose first entry is
+a conjugacy class representative, -1 for pairs that do not generate) are
+the expensive artifact shared by all claim drivers.  An entry is one
+.npy file keyed by (tool version, schema version, group name); writes go
+to a temp file and are renamed into place so concurrent readers never see
+a partial entry.  An entry that cannot be read or does not look like a
+labelling of the expected shape is a miss.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TOOL_VERSION = "0.1.0"
 
 ENV_CACHE_DIR = "GENLIFT_CACHE_DIR"
@@ -30,56 +31,34 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "genlift"
 
 
-def _key(group_name: str) -> str:
+def _path(cache_dir: Path, group_name: str) -> Path:
     safe = group_name.replace("(", "_").replace(")", "").replace(",", "-")
     ver = TOOL_VERSION.replace(".", "-")
-    return f"v{ver}_{safe}_gamma"
+    return Path(cache_dir) / f"v{ver}-s{SCHEMA_VERSION}_{safe}_gamma.npy"
 
 
-def load_labels(cache_dir: Path, group_name: str, n: int) -> Optional[np.ndarray]:
-    base = Path(cache_dir) / _key(group_name)
-    # with_suffix would eat anything after a dot in the key, so append
-    meta_path = Path(str(base) + ".json")
-    data_path = Path(str(base) + ".npy")
-    if not (meta_path.exists() and data_path.exists()):
-        return None
+def load_labels(cache_dir: Path, group_name: str, shape: tuple[int, int]) -> Optional[np.ndarray]:
+    """The cached rep rows of the group, or None unless they form an integer
+    array of this (K, n) shape with every label in [-1, K * n)."""
     try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(meta, dict) or meta.get("schema") != SCHEMA_VERSION or meta.get("n") != n:
-        return None
-    try:
-        labels = np.load(data_path)
+        rows = np.load(_path(cache_dir, group_name))
     except (OSError, ValueError, EOFError):
         return None
-    if labels.shape != (n * n,) or labels.dtype.kind not in "iu":
+    if not isinstance(rows, np.ndarray) or rows.shape != tuple(shape) or rows.dtype.kind not in "iu":
         return None
-    if labels.min() < -1 or labels.max() >= n * n:
+    if rows.min() < -1 or rows.max() >= rows.size:
         return None
-    return labels
+    return rows
 
 
-def save_labels(cache_dir: Path, group_name: str, n: int, labels: np.ndarray) -> None:
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    base = cache_dir / _key(group_name)
-    meta = {
-        "schema": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
-        "group": group_name,
-        "n": n,
-    }
-    payloads = (
-        (".npy", lambda fh: np.save(fh, labels)),
-        (".json", lambda fh: fh.write(json.dumps(meta, sort_keys=True).encode())),
-    )
-    for suffix, write in payloads:
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=suffix + ".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                write(fh)
-            os.replace(tmp, str(base) + suffix)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+def save_labels(cache_dir: Path, group_name: str, labels: np.ndarray) -> None:
+    path = _path(cache_dir, group_name)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npy.tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, labels)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

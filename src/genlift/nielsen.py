@@ -12,20 +12,21 @@ splits those classes; such pairs are out of scope and labelled -1.
 So the engine runs connected components over conjugation classes of
 pairs.  The class of (a, b) is keyed k * n + y: reps[k] = x a x^-1 is the
 class representative of a and y is the least conjugate of x b x^-1 under
-the centralizer of reps[k].  Every orbit fact is read off the K x n rep
-rows, the labels of the pairs (reps[k], y): orbit sizes weight each row by
+the centralizer of reps[k].  The K x n rep rows, the labels of the pairs
+(reps[k], y), are the only labelling kept: orbit sizes weight each row by
 its class size, the least member of an orbit (pairs packed as first * n +
 second) lies in the row of its least class, as representatives are least
 members, and (m,n)-freeness needs only the rep rows, as element orders are
 conjugation invariant.  Orbits are numbered by least member, and one
 OrbitRecord is built per generating class, tested once on its least
-member.  The |G|^2 labels are written once, row by row from the rep rows.
-The naive per-pair oracle (decompose_nielsen_orbits_naive) stays for
-cross-checks.
+member.  Queries on single pairs or orbits conjugate into the rep rows and
+back; the |G|^2 labels are a view built on first use.  The naive per-pair
+oracle (decompose_nielsen_orbits_naive) stays for cross-checks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -66,37 +67,52 @@ class OrbitRecord:
 class OrbitDecomposition:
     """Partition of the generating pairs of G into orbits.
 
-    `labels[first * n + second]` is the orbit id of a generating pair and
-    -1 for every other pair.  Orbit ids increase with the lex-least member
-    pair, so the numbering is reproducible; `orbits[k]` is the record of
-    orbit id k.  `rep_rows[k, y]` is the label of the pair (reps[k], y),
-    reps the conjugacy class representatives of G.
+    `rep_rows[k, y]` is the orbit id of the pair (reps[k], y), reps the
+    conjugacy class representatives of G, and -1 if that pair does not
+    generate G.  Orbit ids increase with the lex-least member pair, so the
+    numbering is reproducible; `orbits[k]` is the record of orbit id k.
+    `labels[first * n + second]`, the same labelling with one entry per
+    pair, is expanded from the rep rows on first read.
     """
 
     restricted = True  # generating pairs only; read by perfbench's span counters
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        labels: np.ndarray,
-        orbits: list[OrbitRecord],
-        rep_rows: np.ndarray,
-    ):
+    def __init__(self, group: FiniteGroup, orbits: list[OrbitRecord], rep_rows: np.ndarray):
         self.group = group
-        self.labels = labels
         self.orbits = orbits
         self.rep_rows = rep_rows
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        return _expand(self.group, conjugacy_classes(self.group), self.rep_rows)
 
     # -- queries --
 
     def orbit_of(self, pair: Pair) -> OrbitRecord:
-        lab = int(self.labels[pair[0] * self.group.n + pair[1]])
+        G = self.group
+        a, b = pair
+        if not (0 <= a < G.n and 0 <= b < G.n):
+            raise KeyError(f"pair {pair} is not a pair of elements of {G.name}")
+        cls = conjugacy_classes(G)
+        x = cls.conjugator[a]
+        lab = int(self.rep_rows[cls.class_of[a], G.mult[G.mult[x, b], G.inv[x]]])
         if lab < 0:
             raise KeyError(f"pair {pair} not in decomposition")
         return self.orbits[lab]
 
     def member_ids(self, orbit_id: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == orbit_id)
+        """Sorted ids first * n + second of the orbit's pairs: (g, x^-1 y x)
+        for g in class k, x = conjugator[g] and rep_rows[k, y] == orbit_id."""
+        G = self.group
+        cls = conjugacy_classes(G)
+        ids = []
+        for k, row in enumerate(self.rep_rows == orbit_id):
+            if row.any():
+                g = np.flatnonzero(cls.class_of == k)[:, None]
+                x = cls.conjugator[g]
+                second = G.mult[G.mult[G.inv[x], np.flatnonzero(row)], x]
+                ids.append((g * G.n + second).ravel())
+        return np.sort(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
 
     def members(self, orbit_id: int) -> list[Pair]:
         n = self.group.n
@@ -209,8 +225,8 @@ def _rep_rows(G: FiniteGroup, cls: ConjugacyClasses, moves: Callable) -> np.ndar
 
 
 def _expand(G: FiniteGroup, cls: ConjugacyClasses, rep_rows: np.ndarray) -> np.ndarray:
-    """The |G|^2 labels: the pair (g, j) is conjugate by x = conjugator[g]
-    to (reps[k], x j x^-1), k the class of g."""
+    """The |G|^2 labels, one entry per pair: the pair (g, j) is conjugate
+    by x = conjugator[g] to (reps[k], x j x^-1), k the class of g."""
     inv = G.inv.astype(np.intp)
     labels = np.empty((G.n, G.n), dtype=rep_rows.dtype)
     for g in range(G.n):
@@ -224,16 +240,16 @@ def _decompose(
     G: FiniteGroup,
     moves: Callable,
     pair_budget: int,
-    labels: Optional[np.ndarray] = None,
+    rep_rows: Optional[np.ndarray] = None,
 ) -> OrbitDecomposition:
     """The orbit engine: orbits of the generating pairs under `moves`, or
-    under a cached labelling (any class numbering, -1 or not outside the
-    generating pairs), of which only the rep rows are read."""
+    as given by cached rep rows (any class numbering, -1 or not outside
+    the generating pairs)."""
     check_pair_budget(G.n, pair_budget)
     n = G.n
     cls = conjugacy_classes(G)
     reps = np.asarray(cls.representatives, dtype=np.int64)
-    rows = _rep_rows(G, cls, moves) if labels is None else labels.reshape(n, n)[reps]
+    rows = _rep_rows(G, cls, moves) if rep_rows is None else rep_rows
     # class c + 1 holds the pairs labelled c, class 0 the pairs labelled -1;
     # each rep row entry stands for one pair per member of its class
     shifted = np.add(rows, 1, dtype=np.int64).reshape(-1)
@@ -258,22 +274,21 @@ def _decompose(
                 commutator_order=G.order_of(G.commutator(i, j)),
             )
         )
-    rep_rows = remap[shifted].reshape(len(reps), n)
-    return OrbitDecomposition(G, _expand(G, cls, rep_rows), orbits, rep_rows)
+    return OrbitDecomposition(G, orbits, remap[shifted].reshape(len(reps), n))
 
 
 def decompose_nielsen_orbits(
     G: FiniteGroup,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    labels: Optional[np.ndarray] = None,
+    rep_rows: Optional[np.ndarray] = None,
 ) -> OrbitDecomposition:
     """Orbits of the generating pairs under the three Nielsen moves.
 
-    `labels` short-circuits the component search with a cached labelling;
-    classes are renumbered canonically, so any run's output is acceptable
-    input.
+    `rep_rows` short-circuits the component search with cached rep rows;
+    classes are renumbered canonically, so any run's rep rows are
+    acceptable input.
     """
-    return _decompose(G, _nielsen_moves, pair_budget, labels)
+    return _decompose(G, _nielsen_moves, pair_budget, rep_rows)
 
 
 def orbit_tau(dec: OrbitDecomposition, orbit: OrbitRecord, check_members: int = 16) -> int:

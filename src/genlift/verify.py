@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -56,19 +56,11 @@ class ClaimReport:
     cache_hit: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "parameters": self.parameters,
-            "passed": self.passed,
-            "evidence": self.evidence,
-            "elapsed_ms": self.elapsed_ms,
-            "tool_version": self.tool_version,
-            "cache_hit": self.cache_hit,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
-# shared builders (memoized per process; orbit labels optionally disk-cached)
+# shared builders (memoized per process; orbit rep rows optionally disk-cached)
 # ---------------------------------------------------------------------------
 
 
@@ -101,13 +93,15 @@ def gamma_orbits(
     key = (G.name, pair_budget)
     if key in _DECOMP:
         return _DECOMP[key]
-    labels = None
+    check_pair_budget(G.n, pair_budget)
+    rows = None
     if cache_dir is not None:
-        labels = cache_mod.load_labels(cache_dir, G.name, G.n)
-    hit = labels is not None
-    dec = decompose_nielsen_orbits(G, pair_budget=pair_budget, labels=labels)
+        shape = (len(conjugacy_classes(G).representatives), G.n)
+        rows = cache_mod.load_labels(cache_dir, G.name, shape)
+    hit = rows is not None
+    dec = decompose_nielsen_orbits(G, pair_budget=pair_budget, rep_rows=rows)
     if cache_dir is not None and not hit:
-        cache_mod.save_labels(cache_dir, G.name, G.n, labels=dec.labels)
+        cache_mod.save_labels(cache_dir, G.name, labels=dec.rep_rows)
     _DECOMP[key] = (dec, hit)
     return dec, hit
 

@@ -1,8 +1,10 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from genlift import groupcore
@@ -191,6 +193,30 @@ def test_damaged_cache_entry_is_recomputed(capsys, tmp_path):
     again = json.loads(capsys.readouterr().out)
     assert again == cold and not again["cache_hit"]
     assert npy.read_bytes() == entry
+
+
+def test_schema1_cache_entry_is_ignored(capsys, tmp_path):
+    # an entry of the old layout: |G|^2 labels plus JSON metadata, here
+    # claiming one orbit, which would change the spectrum if it were read
+    n = 168
+    np.save(tmp_path / "v0-1-0_PSL_2-7_gamma.npy", np.zeros(n * n, dtype=np.int64))
+    meta = {"schema": 1, "tool_version": "0.1.0", "group": "PSL(2,7)", "n": n}
+    (tmp_path / "v0-1-0_PSL_2-7_gamma.json").write_text(json.dumps(meta))
+    _, expected = run_json(capsys, "spectrum", "--q", "7")
+    V._DECOMP.clear()
+    assert main(["--cache-dir", str(tmp_path), "spectrum", "--q", "7"]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert report == expected and not report["cache_hit"]
+    assert len(list(tmp_path.glob("*.npy"))) == 2  # the old entry and the new one
+
+
+def test_verify_all_is_deterministic():
+    argv = [sys.executable, "-m", "genlift.cli", "--no-cache", "verify", "all", "--max-q", "13"]
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) for _ in range(2)]
+    outs = [re.sub(r'\n *"elapsed_ms": [^\n]*', "", p.communicate()[0]) for p in procs]
+    assert [p.returncode for p in procs] == [EXIT_PASS, EXIT_PASS]
+    assert '"claims"' in outs[0] and '"elapsed_ms"' not in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_console_entry_point():

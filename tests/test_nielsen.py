@@ -103,6 +103,12 @@ def test_labels_match_pair_space_reference():
                 for o in dec.orbits
             ] == records, case
             assert dec.restricted and (dec.labels >= 0).sum() == dec.gamma_size(), case
+            # the on-demand queries, orbit for orbit and pair for pair
+            for oid in range(len(dec.orbits)):
+                assert np.array_equal(dec.member_ids(oid), np.flatnonzero(labels == oid)), case
+            gamma = np.flatnonzero(labels >= 0)
+            found = [dec.orbit_of(divmod(p, G.n)).orbit_id for p in gamma.tolist()]
+            assert np.array_equal(found, labels[gamma]), case
         if G.n <= 120:
             assert dec.gamma_size() == count_generating_pairs(G), G.name
         if G.n <= 60:
@@ -116,10 +122,15 @@ def test_mn_flags_match_full_scan():
         mn_pairs = [(m, n) for m in orders for n in orders]
         for action, decompose in ACTIONS.items():
             fresh = decompose(G)
-            # the cached-labels path reads its rep rows out of the given labels
-            cached = decompose_nielsen_orbits(G, labels=fresh.labels)
-            assert np.array_equal(cached.labels, fresh.labels), (action, G.name)
-            for dec in (fresh, cached):
+            # the cached path renumbers the given rep rows, whatever their ids
+            cached = [
+                decompose_nielsen_orbits(G, rep_rows=rows)
+                for rows in (fresh.rep_rows.copy(), _scrambled(fresh))
+            ]
+            for dec in cached:
+                assert np.array_equal(dec.rep_rows, fresh.rep_rows), (action, G.name)
+                assert np.array_equal(dec.labels, fresh.labels), (action, G.name)
+            for dec in (fresh, *cached):
                 for (m, n), expected in mn_free_flags_scan(dec, mn_pairs).items():
                     assert dec.mn_free_flags(m, n) == expected, (action, G.name, m, n)
 
@@ -165,13 +176,26 @@ def test_joint_orbits_psl25():
     assert sorted(o.size for o in dec.orbits) == [1080, 1200]
 
 
+def _scrambled(dec):
+    """The rep rows with the orbit ids permuted and shifted."""
+    ids = np.random.default_rng(len(dec.orbits)).permutation(len(dec.orbits)) + 5
+    return np.where(dec.rep_rows >= 0, ids[dec.rep_rows], -1)
+
+
 def test_cached_labels_round_trip():
     G = build_psl2(7)
     dec = decompose_nielsen_orbits(G)
     # any class numbering is accepted, so scrambled ids must come back canonical
-    ids = np.random.default_rng(7).permutation(len(dec.orbits)) + 5
-    scrambled = np.where(dec.labels >= 0, ids[dec.labels], -1)
-    for cached in (dec.labels.copy(), scrambled):
-        redo = decompose_nielsen_orbits(G, labels=cached)
+    for cached in (dec.rep_rows.copy(), _scrambled(dec)):
+        redo = decompose_nielsen_orbits(G, rep_rows=cached)
+        assert np.array_equal(dec.rep_rows, redo.rep_rows)
         assert np.array_equal(dec.labels, redo.labels)
         assert redo.orbits == dec.orbits
+
+
+def test_orbit_of_refuses_entries_outside_the_group():
+    G = build_psl2(5)
+    dec = decompose_nielsen_orbits(G)
+    for pair in [(-1, 61), (-1, 1), (0, -1), (60, 0), (0, 60), (1, 60 * 60 + 1)]:
+        with pytest.raises(KeyError):
+            dec.orbit_of(pair)

@@ -5,7 +5,7 @@ import pytest
 
 from genlift import cache
 from genlift import verify as V
-from genlift.nielsen import PairBudgetExceeded
+from genlift.nielsen import PairBudgetExceeded, higman_check, orbit_tau
 
 
 def check(report, claim_id):
@@ -165,16 +165,16 @@ def test_disk_cache(tmp_path):
      "label beyond pairs", "wrong shape"],
 )
 def test_damaged_cache_entry_is_a_miss(tmp_path, damage):
-    n = 60
-    labels = np.arange(n * n, dtype=np.int64) % 7 - 1
-    cache.save_labels(tmp_path, "PSL(2,5)", n, labels=labels)
-    assert np.array_equal(cache.load_labels(tmp_path, "PSL(2,5)", n), labels)
+    shape = (5, 60)  # the rep rows of PSL(2,5): 5 conjugacy classes by 60 elements
+    labels = np.arange(300, dtype=np.int64).reshape(shape) % 7 - 1
+    cache.save_labels(tmp_path, "PSL(2,5)", labels=labels)
+    assert np.array_equal(cache.load_labels(tmp_path, "PSL(2,5)", shape), labels)
     (npy,) = tmp_path.glob("*.npy")
     data = npy.read_bytes()
     bad = {
         "float dtype": labels.astype(np.float64),
         "label below -1": labels - 1,
-        "label beyond pairs": labels + n * n,
+        "label beyond pairs": labels + 300,
         "wrong shape": labels[:-1],
     }
     if damage == "truncated header":
@@ -183,4 +183,31 @@ def test_damaged_cache_entry_is_a_miss(tmp_path, damage):
         npy.write_bytes(data[:-8])
     else:
         np.save(npy, bad[damage])
-    assert cache.load_labels(tmp_path, "PSL(2,5)", n) is None
+    assert cache.load_labels(tmp_path, "PSL(2,5)", shape) is None
+
+
+def test_budget_checked_before_cache_read(tmp_path, monkeypatch):
+    V._DECOMP.clear()
+
+    def read(*args):
+        raise AssertionError("cache read before the budget check")
+
+    monkeypatch.setattr(cache, "load_labels", read)
+    with pytest.raises(PairBudgetExceeded):
+        V.gamma_orbits(V.psl(7), tmp_path, pair_budget=10)
+
+
+def test_queries_leave_the_dense_labels_unbuilt(tmp_path):
+    G = V.psl(7)
+    for cache_dir in (None, tmp_path, tmp_path):  # no cache, miss, hit
+        V._DECOMP.clear()
+        dec, _hit = V.gamma_orbits(G, cache_dir)
+        dec.report(mn_pairs=((2, 3), (3, 3)))
+        for o in dec.orbits:
+            assert dec.orbit_of(o.canonical_rep) is o
+            assert len(dec.member_ids(o.orbit_id)) == o.size
+            assert orbit_tau(dec, o, check_members=None) == o.tau
+            assert higman_check(dec, o)[1]
+        assert "labels" not in dec.__dict__
+    assert _hit
+    V._DECOMP.clear()
