@@ -10,18 +10,21 @@ pair generating a proper subgroup H only reaches its H-conjugates, which
 splits those classes; such pairs are out of scope and labelled -1.
 
 So the engine runs connected components over conjugation classes of
-pairs.  The class of (a, b) is keyed k * n + y: reps[k] = x a x^-1 is the
-class representative of a and y is the least conjugate of x b x^-1 under
-the centralizer of reps[k].  The K x n rep rows, the labels of the pairs
-(reps[k], y), are the only labelling kept: orbit sizes weight each row by
-its class size, the least member of an orbit (pairs packed as first * n +
-second) lies in the row of its least class, as representatives are least
-members, and (m,n)-freeness needs only the rep rows, as element orders are
-conjugation invariant.  Orbits are numbered by least member, and one
-OrbitRecord is built per generating class, tested once on its least
-member.  Queries on single pairs or orbits conjugate into the rep rows and
-back; the |G|^2 labels are a view built on first use.  The naive per-pair
-oracle (decompose_nielsen_orbits_naive) stays for cross-checks.
+pairs.  The pair (a, b) is keyed k * n + y by its conjugate (reps[k], y),
+reps[k] = x a x^-1 the class representative of a and y = x b x^-1.  The
+edges join each key to the keys of its images under the moves, and to
+its conjugates (reps[k], z y z^-1) by a few generators z of the
+centralizer of reps[k], picked greedily; a numpy union-find (hooking and
+pointer jumping) finds the components.  The K x n rep rows, the labels
+of the pairs (reps[k], y), are the only labelling kept: orbit sizes
+weight each row by its class size, the least member of an orbit (pairs
+packed as first * n + second) lies in the row of its least class, as
+representatives are least members, and (m,n)-freeness needs only the
+rep rows, as element orders are conjugation invariant.  Orbits are
+numbered by least member, and one OrbitRecord is built per generating
+class, tested once on its least member.  Queries on single pairs or
+orbits conjugate into the rep rows and back; the |G|^2 labels are a view
+built on first use.
 """
 
 from __future__ import annotations
@@ -31,10 +34,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .groupcore import ConjugacyClasses, FiniteGroup, closure_size, conjugacy_classes
+from .groupcore import ConjugacyClasses, FiniteGroup, closure_mask, closure_size, conjugacy_classes
 from .matrices import Mat2, trace_invariant
 
 DEFAULT_PAIR_BUDGET = 2 * 10**7
@@ -166,62 +167,61 @@ class OrbitDecomposition:
         return out
 
 
-def nielsen_moves(G: FiniteGroup, pair: Pair) -> tuple[Pair, Pair, Pair]:
-    """The three basic moves (g1^-1, g2), (g1 g2^-1, g2), (g2, g1)."""
-    g1, g2 = pair
-    return (
-        (G.inv_of(g1), g2),
-        (G.mul(g1, G.inv_of(g2)), g2),
-        (g2, g1),
-    )
-
-
 def _nielsen_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
-    """nielsen_moves, vectorized over pairs."""
+    """The three basic moves (g1^-1, g2), (g1 g2^-1, g2), (g2, g1), vectorized over pairs."""
     return [(G.inv[i], j), (G.mult[i, G.inv[j]], j), (j, i)]
 
 
-def _least_centralizer_conjugates(G: FiniteGroup, cls: ConjugacyClasses) -> np.ndarray:
-    """K x n table: row k maps y to its least conjugate under C(reps[k])."""
-    least_in_class = np.asarray(cls.representatives)[cls.class_of]  # reps are least members
-    rows = []
-    for r in cls.representatives:
-        cent = np.flatnonzero(G.mult[r] == G.mult[:, r])
-        if len(cent) == G.n:
-            rows.append(least_in_class)
-        else:
-            rows.append(G.mult[G.mult[cent], G.inv[cent][:, None]].min(axis=0))
-    return np.stack(rows)
+def _centralizer_generators(G: FiniteGroup, r: int) -> list[int]:
+    """Generators of the centralizer C(r), picked greedily from {identity}:
+    each is the least element of C(r) outside the subgroup generated so
+    far, so each at least doubles it and there are at most log2 |C(r)|."""
+    cent = G.mult[r] == G.mult[:, r]
+    reached = np.zeros(G.n, dtype=bool)
+    reached[G.identity] = True
+    gens: list[int] = []
+    while not np.array_equal(reached, cent):
+        gens.append(int(np.argmax(cent & ~reached)))
+        reached = closure_mask(G, gens)
+    return gens
 
 
-def _keys(G: FiniteGroup, cls: ConjugacyClasses, least: np.ndarray, i, j) -> np.ndarray:
-    """Conjugation-class keys k * n + y of the pairs (i, j)."""
-    k = cls.class_of[i].astype(np.int64)
-    x = cls.conjugator[i]
-    return k * G.n + least[k, G.mult[G.mult[x, j], G.inv[x]]]
+def _components(nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Connected components of the graph with edges src[e] -- dst[e], each
+    labelled by its least node.  Every round hooks each root onto the
+    least root it touches, then jumps pointers until every tree is a star."""
+    lab = np.arange(nodes, dtype=np.int64)
+    while True:
+        a, b = lab[src], lab[dst]
+        if np.array_equal(a, b):
+            return lab
+        np.minimum.at(lab, a, b)
+        np.minimum.at(lab, b, a)
+        while not np.array_equal(lab, up := lab[lab]):
+            lab = up
 
 
 def _rep_rows(G: FiniteGroup, cls: ConjugacyClasses, moves: Callable) -> np.ndarray:
     """K x n rows: the component of the pair (reps[k], y) in the graph on
-    the K * n keys whose edges are the images under
-    moves(G, i, j) -> [(i', j'), ...]."""
-    least = _least_centralizer_conjugates(G, cls)
+    the K * n keys k * n + y, one per such pair.  A pair (a, b) is keyed
+    by its conjugate (reps[k], x b x^-1), x = conjugator[a]; the edges join
+    each key to the keys of its images under moves(G, i, j) -> [(i', j'), ...]
+    and to its conjugates (reps[k], z y z^-1) by a few generators z of the
+    centralizer of reps[k], so each conjugation class of pairs is connected."""
     n = G.n
     reps = np.asarray(cls.representatives, dtype=np.int64)
-    # key k * n + y stands for the pair (reps[k], y); a key whose y is not
-    # least has the same move images as its least conjugate's key, so it
-    # joins that component
     keys = np.arange(len(reps) * n, dtype=np.int64)
     i, j = reps[keys // n], keys % n
-    targets = [_keys(G, cls, least, a, b) for a, b in moves(G, i, j)]
-    # self-loops keep the graph well formed without moves (PSL(2,2) has no outer automorphism)
-    rows = np.tile(keys, len(targets) + 1)
-    cols = np.concatenate([keys, *targets])
-    graph = coo_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(keys), len(keys))
-    )
-    _, comp = connected_components(graph, directed=False)
-    return np.take_along_axis(comp.reshape(len(reps), n), least, axis=1)
+    src, dst = [], []
+    for a, b in moves(G, i, j):
+        x = cls.conjugator[a]
+        src.append(keys)
+        dst.append(cls.class_of[a].astype(np.int64) * n + G.mult[G.mult[x, b], G.inv[x]])
+    for k, r in enumerate(reps):
+        for z in _centralizer_generators(G, int(r)):
+            src.append(keys[k * n : (k + 1) * n])
+            dst.append(k * n + G.mult[G.mult[z], G.inv[z]].astype(np.int64))
+    return _components(len(keys), np.concatenate(src), np.concatenate(dst)).reshape(len(reps), n)
 
 
 def _expand(G: FiniteGroup, cls: ConjugacyClasses, rep_rows: np.ndarray) -> np.ndarray:
@@ -331,53 +331,6 @@ def higman_check(dec: OrbitDecomposition, orbit: OrbitRecord) -> tuple[int, bool
     ok = bool(np.all(np.isin(classes.class_of[comms], list(allowed))))
     ok = ok and bool(np.all(G.orders[comms] == orbit.commutator_order))
     return orbit.commutator_order, ok
-
-
-# ---------------------------------------------------------------------------
-# naive oracle (used by tests to cross-check the component optimization)
-# ---------------------------------------------------------------------------
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def decompose_nielsen_orbits_naive(G: FiniteGroup) -> list[tuple[frozenset[Pair], bool]]:
-    """Per-pair union-find with per-pair generation closure; no shortcuts.
-
-    Returns (members, is_generating) per orbit, ordered by least member.
-    """
-    n = G.n
-    uf = _UnionFind(n * n)
-    for g1 in range(n):
-        for g2 in range(n):
-            pid = g1 * n + g2
-            for h1, h2 in nielsen_moves(G, (g1, g2)):
-                uf.union(pid, h1 * n + h2)
-    groups: dict[int, list[Pair]] = {}
-    for g1 in range(n):
-        for g2 in range(n):
-            groups.setdefault(uf.find(g1 * n + g2), []).append((g1, g2))
-    gen_flags = {}
-    out = []
-    for root in sorted(groups):
-        members = groups[root]
-        flags = {closure_size(G, p) == n for p in members}
-        assert len(flags) == 1, "generation not constant on a Nielsen component"
-        out.append((frozenset(members), flags.pop()))
-    return out
 
 
 # ---------------------------------------------------------------------------

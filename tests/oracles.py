@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately slow and simple: plain-int polynomial
-arithmetic, cofactor determinants, per-pair closure scans.  None of it
-imports the fast paths it is checking beyond what the test needs.
+arithmetic, cofactor determinants, per-pair closure scans, a per-pair
+union-find.  None of it imports the fast paths it is checking beyond
+what the test needs.
 """
 
 from __future__ import annotations
@@ -203,10 +204,61 @@ def orbit_partition_fast(G) -> set[frozenset]:
     return {frozenset(dec.members(o.orbit_id)) for o in dec.orbits}
 
 
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def nielsen_moves(G, pair):
+    """The three basic moves (g1^-1, g2), (g1 g2^-1, g2), (g2, g1) of one pair."""
+    g1, g2 = pair
+    return (
+        (G.inv_of(g1), g2),
+        (G.mul(g1, G.inv_of(g2)), g2),
+        (g2, g1),
+    )
+
+
+def decompose_nielsen_orbits_naive(G) -> list:
+    """Per-pair union-find with per-pair generation closure; no shortcuts.
+
+    Returns (members, is_generating) per orbit, ordered by least member.
+    """
+    from genlift.groupcore import closure_size
+
+    n = G.n
+    uf = _UnionFind(n * n)
+    for g1 in range(n):
+        for g2 in range(n):
+            pid = g1 * n + g2
+            for h1, h2 in nielsen_moves(G, (g1, g2)):
+                uf.union(pid, h1 * n + h2)
+    groups: dict[int, list] = {}
+    for g1 in range(n):
+        for g2 in range(n):
+            groups.setdefault(uf.find(g1 * n + g2), []).append((g1, g2))
+    out = []
+    for root in sorted(groups):
+        members = groups[root]
+        flags = {closure_size(G, p) == n for p in members}
+        assert len(flags) == 1, "generation not constant on a Nielsen component"
+        out.append((frozenset(members), flags.pop()))
+    return out
+
+
 def orbit_partition_naive(G) -> set[frozenset]:
     """The naive union-find orbits of the generating pairs."""
-    from genlift.nielsen import decompose_nielsen_orbits_naive
-
     return {members for members, gen in decompose_nielsen_orbits_naive(G) if gen}
 
 

@@ -228,6 +228,21 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["passed"] is True
 
 
+def test_cli_runs_without_scipy():
+    wrapper = (
+        "import runpy, sys\n"
+        "sys.argv = ['genlift', '--no-cache', 'verify', 'trace-table', '--q', '5']\n"
+        "try:\n"
+        "    runpy.run_module('genlift.cli', run_name='__main__')\n"
+        "finally:\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", wrapper], capture_output=True, text=True)
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
+    assert proc.stderr.strip().splitlines()[-1] == "[]"
+
+
 def test_orbit_report_script():
     script = Path(__file__).resolve().parent.parent / "scripts" / "orbit_report.py"
     proc = subprocess.run(

@@ -1,20 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from genlift.groupcore import build_cyclic, build_dihedral, build_psl2, build_sl2
+from genlift.groupcore import (
+    build_cyclic,
+    build_dihedral,
+    build_psl2,
+    build_sl2,
+    closure_mask,
+    conjugacy_classes,
+)
 from genlift.nielsen import (
     PairBudgetExceeded,
+    _centralizer_generators,
+    _components,
     _nielsen_moves,
     aut_orbit_decomposition,
     decompose_nielsen_orbits,
     higman_check,
     joint_orbit_decomposition,
-    nielsen_moves,
     orbit_tau,
     psl_automorphism_perms,
     trace_spectrum,
 )
 from oracles import (
+    _UnionFind,
     count_generating_pairs,
     mn_free_flags_scan,
     orbit_partition_fast,
@@ -54,12 +65,82 @@ def test_moves_stay_inside_orbits():
 
 def test_moves_are_invertible():
     G = build_psl2(5)
-    for pair in [(1, 2), (7, 30), (0, 0), (59, 1)]:
-        m1, m2, m3 = nielsen_moves(G, pair)
-        assert nielsen_moves(G, m1)[0] == pair  # inversion is an involution
-        assert nielsen_moves(G, m3)[2] == pair  # swap is an involution
-        # (g1 g2^-1, g2) recovers g1 on right-multiplying by g2
-        assert G.mul(m2[0], pair[1]) == pair[0]
+    i, j = np.divmod(np.arange(G.n * G.n), G.n)  # every pair
+    m1, m2, m3 = _nielsen_moves(G, i, j)
+    back_i, back_j = _nielsen_moves(G, *m1)[0]
+    assert np.array_equal(back_i, i) and np.array_equal(back_j, j)  # inversion is an involution
+    back_i, back_j = _nielsen_moves(G, *m3)[2]
+    assert np.array_equal(back_i, i) and np.array_equal(back_j, j)  # swap is an involution
+    # (g1 g2^-1, g2) recovers g1 on right-multiplying by g2
+    assert np.array_equal(G.mult[m2[0], j], i)
+
+
+def _partition(labels) -> set[frozenset]:
+    blocks: dict[int, set] = {}
+    for node, lab in enumerate(labels):
+        blocks.setdefault(int(lab), set()).add(node)
+    return {frozenset(b) for b in blocks.values()}
+
+
+@st.composite
+def _graphs(draw):
+    nodes = draw(st.integers(1, 40))
+    edges = draw(st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1))))
+    return nodes, edges
+
+
+def _bit_reversed_path(bits: int) -> tuple[int, list]:
+    order = [int(format(v, f"0{bits}b")[::-1], 2) for v in range(2**bits)]
+    return 2**bits, list(zip(order, order[1:]))
+
+
+def _star_of_stars(stars: int, leaves: int) -> tuple[int, list]:
+    """A centre with the largest id, joined to sub-centres, each joined to
+    leaves with the smallest ids."""
+    nodes = stars * leaves + stars + 1
+    edges = []
+    for s in range(stars):
+        edges.append((nodes - 1, stars * leaves + s))
+        edges += [(stars * leaves + s, s * leaves + leaf) for leaf in range(leaves)]
+    return nodes, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+@example((5, []))  # no edges
+@example((6, [(2, 2), (3, 1), (1, 3), (3, 1), (4, 4)]))  # self-loops, duplicates, isolated nodes
+@example((64, [(v + 1, v) for v in range(63)]))  # a path with reversed ids
+@example(_bit_reversed_path(6))  # one hook round per bit
+@example(_star_of_stars(5, 4))
+def test_components_match_union_find(graph):
+    nodes, edges = graph
+    uf = _UnionFind(nodes)
+    for a, b in edges:
+        uf.union(a, b)
+    src, dst = (np.array([e[side] for e in edges], dtype=np.int64) for side in (0, 1))
+    labels = _components(nodes, src, dst)
+    assert _partition(labels) == _partition([uf.find(v) for v in range(nodes)])
+
+
+CENTRALIZER_HOSTS = (
+    [lambda q=q: build_psl2(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    + [lambda q=q: build_sl2(q) for q in (3, 5)]
+    + [lambda m=m: build_dihedral(m) for m in range(3, 13)]
+    + [lambda: build_cyclic(8)]
+)
+
+
+@pytest.mark.parametrize("build", CENTRALIZER_HOSTS)
+def test_centralizer_generators(build):
+    G = build()
+    for r in conjugacy_classes(G).representatives:
+        cent = G.mult[r] == G.mult[:, r]
+        gens = _centralizer_generators(G, r)
+        case = (G.name, r, gens)
+        assert all(cent[z] for z in gens), case
+        assert G.identity not in gens, case
+        assert np.array_equal(closure_mask(G, gens), cent), case  # C(identity) is all of G
+        assert 2 ** len(gens) <= cent.sum(), case
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
