@@ -1,6 +1,6 @@
 """Finite groups as indexed element sets with dense multiplication tables.
 
-Builders for SL(2,q), PSL(2,q), dihedral and cyclic groups, plus the
+Builders for SL(2,q), PSL(2,q) and dihedral groups, plus the
 generic queries the orbit machinery needs: subgroup closure, generation
 testing, conjugacy classes, derived series.
 
@@ -12,6 +12,8 @@ row gathers.
 Element indexing is by lex order of canonical matrix entries (matrix
 groups) or by the obvious shift/reflection layout (dihedral), so element
 indices, orbit representatives and reports are reproducible across runs.
+A matrix group keeps its sorted packed elements; `_matrix_indices`
+(canonicalize, then binary search) is its one map back to indices.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class FiniteGroup:
         self.kind = kind
         self.orders, self.inv = self._orders_and_inverses()
         self._classes: Optional[ConjugacyClasses] = None
-        self._packed_index: Optional[dict] = None
+        self.elements: Optional[np.ndarray] = None  # sorted packed matrices
 
     # -- table derivation --
 
@@ -99,19 +101,11 @@ class FiniteGroup:
 
     def index_of_matrix(self, m) -> int:
         """Index of an SL matrix / PSL element in a matrix-group build."""
-        if self.labels is None or self._packed_index is None:
+        if self.elements is None:
             raise ValueError("group carries no matrix labels")
-        if isinstance(m, Mat2):
-            if self.kind == "psl2":
-                from .matrices import psl_canonical
-
-                m = psl_canonical(m)
-            key = m.packed()
-        elif isinstance(m, PslElement):
-            key = m.packed()
-        else:
+        if not isinstance(m, (Mat2, PslElement)):
             raise TypeError("expected Mat2 or PslElement")
-        return self._packed_index[key]
+        return int(_matrix_indices(self.field, self.elements, self.kind, m.packed()))
 
     # -- structural checks (exercised by the test suite) --
 
@@ -184,50 +178,50 @@ def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) ->
 
 
 def _sl2_matrices(f: GF) -> np.ndarray:
-    """All det-1 matrices as packed ints, sorted (= lex order of entries)."""
-    q = f.q
-    grid = np.indices((q, q, q, q)).reshape(4, -1)
-    a, b, c, d = grid
-    mulT, negT = f.mul_table, f.neg_table
-    addT = f.add_table
-    det = addT[mulT[a, d], negT[mulT[b, c]]]
-    keep = det == f.one
-    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-    packed = ((a.astype(np.int64) * q + b) * q + c) * q + d
-    packed.sort()
-    return packed
+    """All det-1 matrices as packed ints, sorted (= lex order of entries,
+    the order in which the grid runs)."""
+    a, b, c, d = np.indices((f.q,) * 4).reshape(4, -1)
+    mulT, negT, addT = f.mul_table, f.neg_table, f.add_table
+    keep = addT[mulT[a, d], negT[mulT[b, c]]] == f.one
+    return _pack(f.q, a[keep], b[keep], c[keep], d[keep])
+
+
+def _pack(q: int, a, b, c, d) -> np.ndarray:
+    """Entries packed into one int each; int order = lex order on entries."""
+    return ((np.asarray(a, dtype=np.int64) * q + b) * q + c) * q + d
 
 
 def _unpack(packed: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
-    d = packed % q
-    r = packed // q
-    c = r % q
-    r //= q
-    b = r % q
-    a = r // q
-    return a, b, c, d
+    return packed // q**3, packed // q**2 % q, packed // q % q, packed % q
 
 
 def _negated(f: GF, packed: np.ndarray) -> np.ndarray:
     """Packed -M of packed matrices M."""
-    negT = f.neg_table
-    a, b, c, d = _unpack(packed, f.q)
-    return ((negT[a].astype(np.int64) * f.q + negT[b]) * f.q + negT[c]) * f.q + negT[d]
+    return _pack(f.q, *(f.neg_table[e] for e in _unpack(packed, f.q)))
+
+
+def _matrix_indices(f: GF, elements: np.ndarray, kind: str, packed) -> np.ndarray:
+    """Indices of packed det-1 matrices among the sorted packed elements
+    of a matrix group: PSL takes the sign representative min(M, -M)
+    first, then a binary search finds each one.  KeyError if some matrix
+    is not an element (det != 1 included)."""
+    packed = np.asarray(packed, dtype=np.int64)
+    if kind == "psl2":
+        packed = np.minimum(packed, _negated(f, packed))
+    idx = np.minimum(np.searchsorted(elements, packed), len(elements) - 1)
+    if not np.array_equal(elements[idx], packed):
+        raise KeyError("matrix is not an element of the group")
+    return idx
 
 
 def _matrix_group(name: str, f: GF, packed: np.ndarray, kind: str) -> FiniteGroup:
     """Shared SL/PSL construction from the sorted packed element matrices.
 
     Generator rows are products over the field tables, mapped back to
-    indices by a q^4 lookup that for PSL also sends -M to M's index.
+    indices by `_matrix_indices`, the group's one index map.
     """
     q = f.q
-    n = len(packed)
     a, b, c, d = _unpack(packed, q)
-    lookup = np.full(q**4, -1, dtype=np.int32)
-    if kind == "psl2":
-        lookup[_negated(f, packed)] = np.arange(n, dtype=np.int32)
-    lookup[packed] = np.arange(n, dtype=np.int32)
     mulT, addT = f.mul_table, f.add_table
 
     def row_of(i: int) -> np.ndarray:
@@ -235,14 +229,22 @@ def _matrix_group(name: str, f: GF, packed: np.ndarray, kind: str) -> FiniteGrou
         nb = addT[mulT[a[i], b], mulT[b[i], d]]
         nc = addT[mulT[c[i], a], mulT[d[i], c]]
         nd = addT[mulT[c[i], b], mulT[d[i], d]]
-        return lookup[((na.astype(np.int64) * q + nb) * q + nc) * q + nd]
+        return _matrix_indices(f, packed, kind, _pack(q, na, nb, nc, nd))
 
-    ident = int(lookup[Mat2(f, f.one, 0, 0, f.one).packed()])
-    mult = _cayley_table(n, ident, row_of)
+    ident = int(_matrix_indices(f, packed, kind, _pack(q, f.one, 0, 0, f.one)))
+    mult = _cayley_table(len(packed), ident, row_of)
     labels = _matrix_labels(f, a, b, c, d, kind)
     g = FiniteGroup(name, mult, ident, labels=labels, field=f, kind=kind)
-    g._packed_index = {int(p): i for i, p in enumerate(packed)}
+    g.elements = packed
     return g
+
+
+def entry_perm(G: FiniteGroup, entry_map: Callable) -> np.ndarray:
+    """Index permutation of a matrix group induced by a map on the entry
+    arrays (a, b, c, d) of all its elements, re-canonicalized."""
+    q = G.field.q
+    images = _pack(q, *entry_map(*_unpack(G.elements, q)))
+    return _matrix_indices(G.field, G.elements, G.kind, images)
 
 
 def _matrix_labels(f: GF, a, b, c, d, kind: str) -> list:
@@ -270,7 +272,8 @@ def build_psl2(q: int) -> FiniteGroup:
     _check_order(psl2_order(q))
     f = field_for_q(q)
     sl = _sl2_matrices(f)
-    return _matrix_group(f"PSL(2,{q})", f, np.unique(np.minimum(sl, _negated(f, sl))), "psl2")
+    # the sign representatives M <= -M of the sorted list stay sorted and distinct
+    return _matrix_group(f"PSL(2,{q})", f, sl[sl <= _negated(f, sl)], "psl2")
 
 
 def build_dihedral(m: int) -> FiniteGroup:
@@ -289,13 +292,6 @@ def build_dihedral(m: int) -> FiniteGroup:
 
     labels = [("shift", j) for j in range(m)] + [("reflection", j) for j in range(m)]
     return FiniteGroup(f"D{2 * m}", _cayley_table(n, 0, row_of), 0, labels=labels, kind="dihedral")
-
-
-def build_cyclic(m: int) -> FiniteGroup:
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    mult = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
-    return FiniteGroup(f"C{m}", mult.astype(np.int32), 0, kind="cyclic")
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +319,6 @@ def closure_mask(G: FiniteGroup, gens: Sequence[int]) -> np.ndarray:
         visited |= fresh
         frontier = np.flatnonzero(fresh)
     return visited
-
-
-def subgroup_closure(G: FiniteGroup, gens: Sequence[int]) -> set[int]:
-    """The subgroup generated by gens, as a set of element indices."""
-    return set(int(i) for i in np.flatnonzero(closure_mask(G, gens)))
 
 
 def closure_size(G: FiniteGroup, gens: Sequence[int]) -> int:
@@ -366,7 +357,7 @@ def derived_series(G: FiniteGroup) -> list[np.ndarray]:
         x = np.repeat(current, len(current))
         y = np.tile(current, len(current))
         comms = G.mult[G.mult[G.inv[x], G.inv[y]], G.mult[x, y]]
-        gens = np.unique(comms)
+        gens = np.flatnonzero(np.bincount(comms, minlength=G.n))
         if len(gens) == 1 and gens[0] == G.identity:
             nxt = np.array([G.identity])
         else:
@@ -378,34 +369,6 @@ def derived_series(G: FiniteGroup) -> list[np.ndarray]:
         if len(current) == 1:
             break
     return series
-
-
-def derived_length(G: FiniteGroup) -> int:
-    series = derived_series(G)
-    if len(series[-1]) != 1:
-        raise ValueError("derived series does not reach the trivial group")
-    return len(series) - 1
-
-
-def _divisors(n: int) -> set[int]:
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
-
-
-def possible_psl_orders(q: int) -> set[int]:
-    """Possible element orders in PSL(2,q): p, and divisors of (q+-1)/gcd(2,q-1)."""
-    f = field_for_q(q)
-    g = 2 if q % 2 == 1 else 1
-    out = {f.p}
-    out |= _divisors((q + 1) // g)
-    out |= _divisors((q - 1) // g)
-    return out
 
 
 def is_mn_generated(G: FiniteGroup, m: int, n: int) -> bool:

@@ -69,10 +69,6 @@ class Mat2:
         return f"[[{fmt(self.a)},{fmt(self.b)}],[{fmt(self.c)},{fmt(self.d)}]]"
 
 
-def identity_mat(f: GF) -> Mat2:
-    return Mat2(f, f.one, 0, 0, f.one)
-
-
 def mat_from_ints(f: GF, a: int, b: int, c: int, d: int) -> Mat2:
     """Matrix from integer literals (each reduced into the prime subfield)."""
     return Mat2(f, f.from_int(a), f.from_int(b), f.from_int(c), f.from_int(d))

@@ -35,8 +35,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groupcore import ConjugacyClasses, FiniteGroup, closure_mask, closure_size, conjugacy_classes
-from .matrices import Mat2, trace_invariant
+from .groupcore import (
+    ConjugacyClasses, FiniteGroup, closure_mask, closure_size, conjugacy_classes, entry_perm,
+)
+from .matrices import trace_invariant
 
 DEFAULT_PAIR_BUDGET = 2 * 10**7
 
@@ -338,16 +340,6 @@ def higman_check(dec: OrbitDecomposition, orbit: OrbitRecord) -> tuple[int, bool
 # ---------------------------------------------------------------------------
 
 
-def _entry_perm(G: FiniteGroup, entries: Callable) -> np.ndarray:
-    """Index permutation induced by a map on the entries (a, b, c, d) of
-    the canonical representatives, re-canonicalized."""
-    perm = np.empty(G.n, dtype=np.int64)
-    for idx in range(G.n):
-        m = G.labels[idx].rep
-        perm[idx] = G.index_of_matrix(Mat2(G.field, *entries(m.a, m.b, m.c, m.d)))
-    return perm
-
-
 def psl_automorphism_perms(G: FiniteGroup) -> list[np.ndarray]:
     """The outer generators of Aut(PSL(2,q)) = PGammaL(2,q) as index
     permutations: conjugation by diag(nu,1) for a non-square nu (odd q),
@@ -360,10 +352,11 @@ def psl_automorphism_perms(G: FiniteGroup) -> list[np.ndarray]:
     if f.q % 2 == 1:
         nu = next(a for a in range(1, f.q) if not f.is_square(a))
         # x -> g^-1 x g for g = diag(nu, 1), in PGL(2,q) but not PSL as nu is a non-square
-        over_nu = f.inv(nu)
-        perms.append(_entry_perm(G, lambda a, b, c, d: (a, f.mul(b, over_nu), f.mul(c, nu), d)))
+        over_nu, mulT = f.inv(nu), f.mul_table
+        perms.append(entry_perm(G, lambda a, b, c, d: (a, mulT[b, over_nu], mulT[c, nu], d)))
     if f.k > 1:
-        perms.append(_entry_perm(G, lambda *entries: [f.pow(e, f.p) for e in entries]))
+        frob = np.array([f.pow(e, f.p) for e in range(f.q)])
+        perms.append(entry_perm(G, lambda *entries: [frob[e] for e in entries]))
     return perms
 
 

@@ -2,14 +2,18 @@
 
 Everything here is deliberately slow and simple: plain-int polynomial
 arithmetic, cofactor determinants, per-pair closure scans, a per-pair
-union-find.  None of it imports the fast paths it is checking beyond
-what the test needs.
+union-find, a Mat2 and a dict lookup per element.  None of it imports
+the fast paths it is checking beyond what the test needs.  It also holds
+the few helpers (a cyclic group builder, derived length, and so on)
+that only the tests call.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+
+import numpy as np
 
 
 # -- exact integer linear algebra -------------------------------------------
@@ -51,20 +55,90 @@ def invariant_factors_via_minors(rows: list[list[int]]) -> list[int]:
     return [gcds[i] // gcds[i - 1] for i in range(1, len(gcds))]
 
 
+# -- groups and helpers that only the tests use --------------------------------
+
+
+def build_cyclic(m: int):
+    from genlift.groupcore import FiniteGroup
+
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    mult = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
+    return FiniteGroup(f"C{m}", mult.astype(np.int32), 0, kind="cyclic")
+
+
+def identity_mat(f):
+    from genlift.matrices import Mat2
+
+    return Mat2(f, f.one, 0, 0, f.one)
+
+
+def subgroup_closure(G, gens) -> set[int]:
+    """The subgroup generated by gens, as a set of element indices."""
+    from genlift.groupcore import closure_mask
+
+    return set(int(i) for i in np.flatnonzero(closure_mask(G, gens)))
+
+
+def derived_length(G) -> int:
+    from genlift.groupcore import derived_series
+
+    series = derived_series(G)
+    if len(series[-1]) != 1:
+        raise ValueError("derived series does not reach the trivial group")
+    return len(series) - 1
+
+
+def _divisors(n: int) -> set[int]:
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return out
+
+
+def possible_psl_orders(q: int) -> set[int]:
+    """Possible element orders in PSL(2,q): p, and divisors of (q+-1)/gcd(2,q-1)."""
+    from genlift.field import field_for_q
+
+    f = field_for_q(q)
+    g = 2 if q % 2 == 1 else 1
+    out = {f.p}
+    out |= _divisors((q + 1) // g)
+    out |= _divisors((q - 1) // g)
+    return out
+
+
 # -- Cayley tables, entry by entry ---------------------------------------------
+
+
+def _label_index(G) -> dict:
+    """Entries of every element matrix -> element index, read off G.labels;
+    for PSL, M and -M both map to their element."""
+    from genlift.matrices import PslElement
+
+    neg = G.field.neg_table.tolist()
+    index = {}
+    for g, m in enumerate(G.labels):
+        entries = (m.rep if isinstance(m, PslElement) else m).entries()
+        index[entries] = g
+        if G.kind == "psl2":
+            index[tuple(neg[e] for e in entries)] = g
+    return index
 
 
 def matrix_cayley_table(G) -> list[list[int]]:
     """SL(2,q) / PSL(2,q) table: every product of two element matrices in
-    plain ints over the field's scalar tables, indexed by index_of_matrix
-    (for PSL, M and -M both map to their element)."""
-    from genlift.matrices import Mat2, PslElement
+    plain ints over the field's scalar tables, indexed by `_label_index`."""
+    from genlift.matrices import PslElement
 
     f = G.field
-    mul, add, neg = f.mul_table.tolist(), f.add_table.tolist(), f.neg_table.tolist()
+    mul, add = f.mul_table.tolist(), f.add_table.tolist()
     mats = [(m.rep if isinstance(m, PslElement) else m).entries() for m in G.labels]
-    signs = mats + [tuple(neg[e] for e in m) for m in mats] if G.kind == "psl2" else mats
-    index = {m: G.index_of_matrix(Mat2(f, *m)) for m in signs}
+    index = _label_index(G)
     table = []
     for a, b, c, d in mats:
         ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
@@ -73,6 +147,23 @@ def matrix_cayley_table(G) -> list[list[int]]:
             for e, f_, g, h in mats
         ])
     return table
+
+
+def psl_automorphism_perms_scan(G) -> list[list[int]]:
+    """The outer automorphism generators of PSL(2,q), conjugation by
+    diag(nu,1) for the least non-square nu (odd q) and the Frobenius
+    (k > 1), one Mat2 per element, indexed by `_label_index`."""
+    from genlift.matrices import Mat2
+
+    f = G.field
+    index = _label_index(G)
+    maps = []
+    if f.q % 2 == 1:
+        nu = next(x for x in range(1, f.q) if not f.is_square(x))
+        maps.append(lambda m: Mat2(f, m.a, f.mul(m.b, f.inv(nu)), f.mul(m.c, nu), m.d))
+    if f.k > 1:
+        maps.append(lambda m: Mat2(f, *(f.pow(e, f.p) for e in m.entries())))
+    return [[index[phi(x.rep).entries()] for x in G.labels] for phi in maps]
 
 
 def dihedral_cayley_table(m: int) -> list[list[int]]:
@@ -118,8 +209,6 @@ def coset_cayley_table(table) -> list[list[int]]:
 def mn_free_flags_scan(dec, mn_pairs) -> dict:
     """{(m, n): {orbit id: no member (a, b) has a^m = b^n = 1}}, from the
     element orders of every member pair, found by one scan of dec.labels."""
-    import numpy as np
-
     G = dec.group
     ids = np.flatnonzero(dec.labels >= 0)
     orders = G.orders.astype(np.int64)
@@ -144,10 +233,7 @@ def _pair_space_targets(G, action: str) -> list:
     """Packed pair ids hit by each generator of the action, over all of
     G x G.  Automorphisms are the full PGammaL generator set: the outer
     permutations plus conjugation by both members of a generating pair."""
-    import numpy as np
-
     from genlift.groupcore import closure_size
-    from genlift.nielsen import psl_automorphism_perms
 
     n = G.n
     ids = np.arange(n * n, dtype=np.int64)
@@ -158,7 +244,8 @@ def _pair_space_targets(G, action: str) -> list:
     if action in ("aut", "joint"):
         gens = next(divmod(p, n) for p in range(n * n) if closure_size(G, divmod(p, n)) == n)
         inner = [G.mult[G.mult[G.inv[g]], g] for g in gens]  # x -> g^-1 x g
-        targets += [perm[i] * n + perm[j] for perm in inner + psl_automorphism_perms(G)]
+        outer = [np.array(perm) for perm in psl_automorphism_perms_scan(G)]
+        targets += [perm[i] * n + perm[j] for perm in inner + outer]
     return targets
 
 
@@ -167,7 +254,6 @@ def pair_space_orbits(G, action: str = "nielsen"):
     all |G|^2 pairs: (labels, records) in the library's layout, labels -1
     off the generating pairs, ids by least member, records as tuples
     (orbit_id, size, canonical_rep, tau, commutator_order)."""
-    import numpy as np
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 

@@ -13,10 +13,11 @@ import pytest
 from genlift import verify as V
 from genlift.field import field_for_q
 from genlift.fpgroups import parse_presentation, smith_normal_form, todd_coxeter
-from genlift.groupcore import build_cyclic, build_dihedral, build_psl2, build_sl2, is_mn_generated
+from genlift.groupcore import build_dihedral, build_psl2, build_sl2, is_mn_generated
 from genlift.matrices import PslElement, bracket
 from genlift.nielsen import decompose_nielsen_orbits, higman_check, orbit_tau
 from oracles import (
+    build_cyclic,
     invariant_factors_via_minors,
     orbit_partition_fast,
     orbit_partition_naive,

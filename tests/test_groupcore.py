@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,20 +10,24 @@ from genlift.groupcore import (
     MAX_GROUP_ORDER,
     FiniteGroup,
     GroupSizeError,
-    build_cyclic,
     build_dihedral,
     build_psl2,
     build_sl2,
     closure_size,
     conjugacy_classes,
-    derived_length,
     derived_series,
     generates,
     is_mn_generated,
+)
+from genlift.matrices import PslElement, mat_from_ints
+from oracles import (
+    build_cyclic,
+    derived_length,
+    dihedral_cayley_table,
+    matrix_cayley_table,
     possible_psl_orders,
     subgroup_closure,
 )
-from oracles import dihedral_cayley_table, matrix_cayley_table
 
 
 def sl_order(q):
@@ -172,3 +178,34 @@ def test_index_of_matrix_round_trip():
         G = build(5)
         for g in range(0, G.n, 7):
             assert G.index_of_matrix(G.labels[g]) == g
+
+
+def test_index_of_matrix_refuses_non_members():
+    for build in (build_sl2, build_psl2):
+        G = build(5)
+        with pytest.raises(KeyError):
+            G.index_of_matrix(mat_from_ints(G.field, 2, 0, 0, 1))  # det 2
+
+
+def test_index_of_matrix_canonicalizes_psl_signs():
+    G = build_psl2(5)
+    for g in range(0, G.n, 7):
+        m = G.labels[g].rep
+        assert G.index_of_matrix(m.neg()) == g
+        assert G.index_of_matrix(PslElement(m.neg())) == g  # not the lex-least sign
+
+
+def test_psl_build_and_derived_series_skip_numpy_ma():
+    # numpy 2.x imports numpy.ma on the first np.unique call, a cost every cold pass would pay
+    script = (
+        "import sys\n"
+        "from genlift.groupcore import build_psl2, derived_series\n"
+        "from genlift.nielsen import decompose_nielsen_orbits\n"
+        "G = build_psl2(13)\n"
+        "decompose_nielsen_orbits(G)\n"
+        "derived_series(G)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

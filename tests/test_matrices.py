@@ -9,11 +9,11 @@ from genlift.matrices import (
     PslElement,
     bracket,
     element_order_sl,
-    identity_mat,
     mat_from_ints,
     psl_canonical,
     trace_invariant,
 )
+from oracles import identity_mat
 
 
 def random_sl(G, rng):

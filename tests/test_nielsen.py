@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genlift.groupcore import (
-    build_cyclic,
     build_dihedral,
     build_psl2,
     build_sl2,
@@ -26,11 +25,13 @@ from genlift.nielsen import (
 )
 from oracles import (
     _UnionFind,
+    build_cyclic,
     count_generating_pairs,
     mn_free_flags_scan,
     orbit_partition_fast,
     orbit_partition_naive,
     pair_space_orbits,
+    psl_automorphism_perms_scan,
 )
 
 SMALL_GROUPS = [
@@ -241,6 +242,13 @@ def test_automorphisms_are_automorphisms():
             sample = np.random.default_rng(q).integers(0, G.n, size=(200, 2))
             for i, j in sample:
                 assert perm[G.mul(int(i), int(j))] == G.mul(int(perm[i]), int(perm[j]))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16, 19])
+def test_automorphism_perms_match_per_element_scan(q):
+    G = build_psl2(q)
+    fast = [perm.tolist() for perm in psl_automorphism_perms(G)]
+    assert fast == psl_automorphism_perms_scan(G)
 
 
 @pytest.mark.parametrize("q,aut_order", [(5, 120), (7, 336), (9, 1440)])
