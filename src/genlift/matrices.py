@@ -105,14 +105,6 @@ class PslElement:
         return self.rep.serialize()
 
 
-def psl_canonical(m: Mat2) -> PslElement:
-    """Canonical sign-representative; psl_canonical(-m) == psl_canonical(m)."""
-    if m.det() != m.field.one:
-        raise ValueError("psl_canonical requires determinant 1")
-    n = m.neg()
-    return PslElement(m if m.packed() <= n.packed() else n)
-
-
 def bracket(h1: PslElement, h2: PslElement) -> Mat2:
     """The SL(2,q) commutator of sign representatives of a PSL pair.
 

@@ -9,22 +9,19 @@ reduction), so each orbit is a union of conjugation classes of pairs.  A
 pair generating a proper subgroup H only reaches its H-conjugates, which
 splits those classes; such pairs are out of scope and labelled -1.
 
-So the engine runs connected components over conjugation classes of
-pairs.  The pair (a, b) is keyed k * n + y by its conjugate (reps[k], y),
-reps[k] = x a x^-1 the class representative of a and y = x b x^-1.  The
-edges join each key to the keys of its images under the moves, and to
-its conjugates (reps[k], z y z^-1) by a few generators z of the
-centralizer of reps[k], picked greedily; a numpy union-find (hooking and
-pointer jumping) finds the components.  The K x n rep rows, the labels
-of the pairs (reps[k], y), are the only labelling kept: orbit sizes
-weight each row by its class size, the least member of an orbit (pairs
-packed as first * n + second) lies in the row of its least class, as
-representatives are least members, and (m,n)-freeness needs only the
-rep rows, as element orders are conjugation invariant.  Orbits are
-numbered by least member, and one OrbitRecord is built per generating
-class, tested once on its least member.  Queries on single pairs or
-orbits conjugate into the rep rows and back; the |G|^2 labels are a view
-built on first use.
+So Nielsen and Aut orbits are connected components over conjugation
+classes of pairs.  The pair (a, b) is keyed k * n + y by its conjugate
+(reps[k], y), reps[k] = x a x^-1 the class representative of a and
+y = x b x^-1.  The edges join each key to the keys of its images under
+the moves, and to its conjugates (reps[k], z y z^-1) by a few generators
+z of the centralizer of reps[k], picked greedily; a numpy union-find
+(hooking and pointer jumping) labels each component by its least key,
+whose pair is its least member, as representatives are least members.
+Generation is tested once per Nielsen class, fresh or cached.  Aut keeps
+the components inside generating Nielsen classes, as automorphisms
+preserve generation; joint orbits are Nielsen orbits merged under the
+outer generators, which commute with the moves.  Aut and joint never
+read the disk cache.  The K x n rep rows are the only labelling kept.
 """
 
 from __future__ import annotations
@@ -238,45 +235,35 @@ def _expand(G: FiniteGroup, cls: ConjugacyClasses, rep_rows: np.ndarray) -> np.n
     return labels.reshape(-1)
 
 
-def _decompose(
-    G: FiniteGroup,
-    moves: Callable,
-    pair_budget: int,
-    rep_rows: Optional[np.ndarray] = None,
-) -> OrbitDecomposition:
-    """The orbit engine: orbits of the generating pairs under `moves`, or
-    as given by cached rep rows (any class numbering, -1 or not outside
-    the generating pairs)."""
-    check_pair_budget(G.n, pair_budget)
-    n = G.n
-    cls = conjugacy_classes(G)
-    reps = np.asarray(cls.representatives, dtype=np.int64)
-    rows = _rep_rows(G, cls, moves) if rep_rows is None else rep_rows
-    # class c + 1 holds the pairs labelled c, class 0 the pairs labelled -1;
-    # each rep row entry stands for one pair per member of its class
-    shifted = np.add(rows, 1, dtype=np.int64).reshape(-1)
-    sizes = np.bincount(shifted, weights=np.repeat(np.bincount(cls.class_of), n)).astype(np.int64)
-    least = np.full(len(sizes), n * n, dtype=np.int64)
-    np.minimum.at(least, shifted, (reps[:, None] * n + np.arange(n)).reshape(-1))
-    classes = np.flatnonzero(sizes[1:]) + 1
-    classes = classes[np.argsort(least[classes])]
-    pairs = [divmod(int(least[c]), n) for c in classes]
-    kept = [k for k, rep in enumerate(pairs) if closure_size(G, rep) == n]
-    remap = np.full(len(sizes), -1, dtype=np.int64)
-    remap[classes[kept]] = np.arange(len(kept))
+def _least_keys(rows: np.ndarray) -> np.ndarray:
+    """Rep rows with each class relabelled by its least key k * n + y, -1 kept."""
+    first = np.full(int(rows.max()) + 2, rows.size, dtype=np.int64)
+    np.minimum.at(first, rows.reshape(-1) + 1, np.arange(rows.size))
+    return np.where(rows >= 0, first[rows + 1], -1)
+
+
+def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> OrbitDecomposition:
+    """Orbits given by rep rows of generating classes (any ids, -1 outside
+    them), numbered in least-key order, which is least-member order."""
+    n, rows = G.n, _least_keys(rows)
+    # an entry stands for one pair per member of its class; index 0 counts the -1s
+    sizes = np.bincount(rows.reshape(-1) + 1, np.repeat(np.bincount(cls.class_of), n))[1:]
+    keys = np.flatnonzero(sizes)
+    remap = np.full(rows.size + 1, -1, dtype=np.int64)  # its last entry maps -1 to -1
+    remap[keys] = np.arange(len(keys))
     orbits = []
-    for oid, k in enumerate(kept):
-        i, j = pairs[k]
+    for oid, key in enumerate(keys.tolist()):
+        i, j = cls.representatives[key // n], key % n
         orbits.append(
             OrbitRecord(
                 orbit_id=oid,
-                size=int(sizes[classes[k]]),
+                size=int(sizes[key]),
                 canonical_rep=(i, j),
                 tau=trace_invariant(G.labels[i], G.labels[j]) if G.kind == "psl2" else None,
                 commutator_order=G.order_of(G.commutator(i, j)),
             )
         )
-    return OrbitDecomposition(G, orbits, remap[shifted].reshape(len(reps), n))
+    return OrbitDecomposition(G, orbits, remap[rows])
 
 
 def decompose_nielsen_orbits(
@@ -290,7 +277,13 @@ def decompose_nielsen_orbits(
     classes are renumbered canonically, so any run's rep rows are
     acceptable input.
     """
-    return _decompose(G, _nielsen_moves, pair_budget, rep_rows)
+    check_pair_budget(G.n, pair_budget)
+    n, cls = G.n, conjugacy_classes(G)
+    rows = _rep_rows(G, cls, _nielsen_moves) if rep_rows is None else _least_keys(rep_rows)
+    generating = np.zeros(rows.size, dtype=bool)
+    for key in np.flatnonzero(np.bincount(rows[rows >= 0], minlength=rows.size)).tolist():
+        generating[key] = closure_size(G, (cls.representatives[key // n], key % n)) == n
+    return _decompose(G, cls, np.where((rows >= 0) & generating[rows], rows, -1))
 
 
 def orbit_tau(dec: OrbitDecomposition, orbit: OrbitRecord, check_members: int = 16) -> int:
@@ -365,22 +358,29 @@ def _aut_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
     return [(perm[i], perm[j]) for perm in psl_automorphism_perms(G)]
 
 
-def _joint_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
-    return _nielsen_moves(G, i, j) + _aut_moves(G, i, j)
-
-
 def aut_orbit_decomposition(
     G: FiniteGroup, pair_budget: int = DEFAULT_PAIR_BUDGET
 ) -> OrbitDecomposition:
     """Orbits of the generating pairs under the diagonal PGammaL(2,q) action."""
-    return _decompose(G, _aut_moves, pair_budget)
+    generating = decompose_nielsen_orbits(G, pair_budget).rep_rows >= 0
+    cls = conjugacy_classes(G)
+    return _decompose(G, cls, np.where(generating, _rep_rows(G, cls, _aut_moves), -1))
 
 
 def joint_orbit_decomposition(
     G: FiniteGroup, pair_budget: int = DEFAULT_PAIR_BUDGET
 ) -> OrbitDecomposition:
-    """Orbits of the generating pairs under Nielsen moves and automorphisms combined."""
-    return _decompose(G, _joint_moves, pair_budget)
+    """Orbits of the generating pairs under Nielsen moves and automorphisms:
+    each Nielsen orbit o merged with that of phi(rep(o)), phi an outer generator."""
+    nielsen = decompose_nielsen_orbits(G, pair_budget)
+    edges = [
+        (o.orbit_id, nielsen.orbit_of(tuple(int(perm[g]) for g in o.canonical_rep)).orbit_id)
+        for perm in psl_automorphism_perms(G)
+        for o in nielsen.orbits
+    ]
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    merged = np.append(_components(len(nielsen.orbits), src, dst), -1)  # -1 stays -1
+    return _decompose(G, conjugacy_classes(G), merged[nielsen.rep_rows])
 
 
 def trace_spectrum(dec: OrbitDecomposition) -> set[int]:

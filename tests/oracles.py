@@ -73,6 +73,16 @@ def identity_mat(f):
     return Mat2(f, f.one, 0, 0, f.one)
 
 
+def psl_canonical(m):
+    """Canonical sign-representative; psl_canonical(-m) == psl_canonical(m)."""
+    from genlift.matrices import PslElement
+
+    if m.det() != m.field.one:
+        raise ValueError("psl_canonical requires determinant 1")
+    n = m.neg()
+    return PslElement(m if m.packed() <= n.packed() else n)
+
+
 def subgroup_closure(G, gens) -> set[int]:
     """The subgroup generated by gens, as a set of element indices."""
     from genlift.groupcore import closure_mask

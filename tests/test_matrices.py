@@ -10,10 +10,9 @@ from genlift.matrices import (
     bracket,
     element_order_sl,
     mat_from_ints,
-    psl_canonical,
     trace_invariant,
 )
-from oracles import identity_mat
+from oracles import identity_mat, psl_canonical
 
 
 def random_sl(G, rng):

@@ -251,12 +251,60 @@ def test_automorphism_perms_match_per_element_scan(q):
     assert fast == psl_automorphism_perms_scan(G)
 
 
-@pytest.mark.parametrize("q,aut_order", [(5, 120), (7, 336), (9, 1440)])
+@pytest.mark.parametrize(
+    "q,aut_order",
+    [(5, 120), (7, 336), (8, 1512), (9, 1440), (13, 2184), (16, 16320), (19, 6840)],
+)
 def test_aut_orbits_semiregular(q, aut_order):
     G = build_psl2(q)
     dec = aut_orbit_decomposition(G)
     sizes = {o.size for o in dec.orbits}
     assert sizes == {aut_order}
+
+
+def test_aut_and_joint_test_generation_through_nielsen(monkeypatch):
+    # generation is settled on the Nielsen classes: Aut and joint add no closure of their own
+    import genlift.nielsen
+
+    G = build_psl2(13)
+    calls = []
+    closure_size = genlift.nielsen.closure_size
+
+    def counted(*args):
+        calls.append(args)
+        return closure_size(*args)
+
+    monkeypatch.setattr(genlift.nielsen, "closure_size", counted)
+    counts = {}
+    for action, decompose in ACTIONS.items():
+        calls.clear()
+        decompose(G)
+        counts[action] = len(calls)
+    assert counts["nielsen"] > 0
+    assert counts["aut"] <= counts["nielsen"] and counts["joint"] <= counts["nielsen"], counts
+
+
+def _least_key_partition(rows: np.ndarray, keys: np.ndarray) -> list[int]:
+    """Each key's class, named by the least key with the same label."""
+    least: dict = {}
+    labels = rows.reshape(-1)[keys].tolist()
+    return [least.setdefault(label, key) for key, label in zip(keys.tolist(), labels)]
+
+
+@pytest.mark.parametrize("q", [16, 17, 19])
+def test_joint_is_join_of_nielsen_and_aut(q):
+    # beyond the pair-space reference's range: the joint partition of the rep
+    # rows is the finest one coarser than both the Nielsen and the Aut partitions
+    G = build_psl2(q)
+    nielsen, aut, joint = (decompose(G) for decompose in ACTIONS.values())
+    keys = np.flatnonzero(nielsen.rep_rows.reshape(-1) >= 0)
+    for dec in (aut, joint):
+        assert np.array_equal(np.flatnonzero(dec.rep_rows.reshape(-1) >= 0), keys)
+    uf = _UnionFind(nielsen.rep_rows.size)
+    for dec in (nielsen, aut):
+        for key, least in zip(keys.tolist(), _least_key_partition(dec.rep_rows, keys)):
+            uf.union(key, least)
+    assert [uf.find(key) for key in keys.tolist()] == _least_key_partition(joint.rep_rows, keys)
 
 
 def test_joint_orbits_psl25():
