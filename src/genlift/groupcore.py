@@ -13,11 +13,15 @@ Element indexing is by lex order of canonical matrix entries (matrix
 groups) or by the obvious shift/reflection layout (dihedral), so element
 indices, orbit representatives and reports are reproducible across runs.
 A matrix group keeps its sorted packed elements; `_matrix_indices`
-(canonicalize, then binary search) is its one map back to indices.
+(canonicalize, then binary search) is its one map back to indices, and
+`matrix_entries` unpacks them into the entry arrays (a, b, c, d) that
+vectorized callers compute with.  Its `labels`, one matrix object per
+element, are built only when something reads them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -35,7 +39,15 @@ class GroupSizeError(ValueError):
 
 
 class FiniteGroup:
-    """Indexed finite group with dense multiplication/inverse/order tables."""
+    """Indexed finite group with dense multiplication/inverse/order tables.
+
+    A matrix group (SL/PSL) also keeps `elements`, its sorted packed
+    matrices; its `labels`, a Mat2 (SL) or PslElement (PSL) per element,
+    are built from them on first read.  Other groups take their labels, if
+    any, at construction.  `_classes` keeps the conjugacy classes and
+    `_nielsen` the records and rep rows of the Nielsen decomposition,
+    once computed.
+    """
 
     def __init__(
         self,
@@ -50,12 +62,20 @@ class FiniteGroup:
         self.n = mult.shape[0]
         self.mult = mult
         self.identity = identity
-        self.labels = labels
+        if labels is not None:
+            self.labels = labels
         self.field = field
         self.kind = kind
         self.orders, self.inv = self._orders_and_inverses()
         self._classes: Optional[ConjugacyClasses] = None
+        self._nielsen: Optional[tuple] = None  # (records, rep rows), set by decompose_nielsen_orbits
         self.elements: Optional[np.ndarray] = None  # sorted packed matrices
+
+    @functools.cached_property
+    def labels(self) -> Optional[list]:
+        if self.elements is None:
+            return None
+        return _matrix_labels(self.field, *matrix_entries(self), self.kind)
 
     # -- table derivation --
 
@@ -91,13 +111,9 @@ class FiniteGroup:
         m = self.mult
         return int(m[m[self.inv[i], self.inv[j]], m[i, j]])
 
-    def power(self, g: int, e: int) -> int:
-        if e < 0:
-            g, e = self.inv_of(g), -e
-        acc = self.identity
-        for _ in range(e):
-            acc = int(self.mult[acc, g])
-        return acc
+    def matrix(self, i: int) -> Mat2:
+        """The matrix of element i (its sign representative in PSL), from its packed entries."""
+        return Mat2(self.field, *(int(e) for e in _unpack(self.elements[i], self.field.q)))
 
     def index_of_matrix(self, m) -> int:
         """Index of an SL matrix / PSL element in a matrix-group build."""
@@ -232,18 +248,20 @@ def _matrix_group(name: str, f: GF, packed: np.ndarray, kind: str) -> FiniteGrou
         return _matrix_indices(f, packed, kind, _pack(q, na, nb, nc, nd))
 
     ident = int(_matrix_indices(f, packed, kind, _pack(q, f.one, 0, 0, f.one)))
-    mult = _cayley_table(len(packed), ident, row_of)
-    labels = _matrix_labels(f, a, b, c, d, kind)
-    g = FiniteGroup(name, mult, ident, labels=labels, field=f, kind=kind)
+    g = FiniteGroup(name, _cayley_table(len(packed), ident, row_of), ident, field=f, kind=kind)
     g.elements = packed
     return g
+
+
+def matrix_entries(G: FiniteGroup) -> tuple[np.ndarray, ...]:
+    """The entry arrays (a, b, c, d) of all elements of a matrix group, by index."""
+    return _unpack(G.elements, G.field.q)
 
 
 def entry_perm(G: FiniteGroup, entry_map: Callable) -> np.ndarray:
     """Index permutation of a matrix group induced by a map on the entry
     arrays (a, b, c, d) of all its elements, re-canonicalized."""
-    q = G.field.q
-    images = _pack(q, *entry_map(*_unpack(G.elements, q)))
+    images = _pack(G.field.q, *entry_map(*matrix_entries(G)))
     return _matrix_indices(G.field, G.elements, G.kind, images)
 
 
@@ -321,6 +339,12 @@ def closure_mask(G: FiniteGroup, gens: Sequence[int]) -> np.ndarray:
     return visited
 
 
+def commutators(G: FiniteGroup, i, j) -> np.ndarray:
+    """The commutators [i, j] = i^-1 j^-1 i j, elementwise over broadcast index arrays."""
+    m = G.mult
+    return m[m[G.inv[i], G.inv[j]], m[i, j]]
+
+
 def closure_size(G: FiniteGroup, gens: Sequence[int]) -> int:
     return int(closure_mask(G, gens).sum())
 
@@ -356,8 +380,7 @@ def derived_series(G: FiniteGroup) -> list[np.ndarray]:
     while True:
         x = np.repeat(current, len(current))
         y = np.tile(current, len(current))
-        comms = G.mult[G.mult[G.inv[x], G.inv[y]], G.mult[x, y]]
-        gens = np.flatnonzero(np.bincount(comms, minlength=G.n))
+        gens = np.flatnonzero(np.bincount(commutators(G, x, y), minlength=G.n))
         if len(gens) == 1 and gens[0] == G.identity:
             nxt = np.array([G.identity])
         else:

@@ -20,8 +20,19 @@ whose pair is its least member, as representatives are least members.
 Generation is tested once per Nielsen class, fresh or cached.  Aut keeps
 the components inside generating Nielsen classes, as automorphisms
 preserve generation; joint orbits are Nielsen orbits merged under the
-outer generators, which commute with the moves.  Aut and joint never
-read the disk cache.  The K x n rep rows are the only labelling kept.
+outer generators, which commute with the moves.
+
+A group's Nielsen decomposition is computed once: the records and rep
+rows of a fresh one are kept on the group (`G._nielsen`), and later
+calls, the Aut and joint decompositions among them, start from them.
+One built from cached rep rows is never kept, so Aut and joint never see
+the disk cache.  The K x n rep rows are the only labelling kept.
+
+Orbit records come from arrays: the commutator orders of all
+representative pairs by table lookups, and for PSL(2,q) their trace
+invariants by the Fricke identity on the entry arrays of the elements, in
+the field tables.  `orbit_tau` re-derives tau with scalar matrix
+arithmetic, as an independent check.
 """
 
 from __future__ import annotations
@@ -33,7 +44,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groupcore import (
-    ConjugacyClasses, FiniteGroup, closure_mask, closure_size, conjugacy_classes, entry_perm,
+    ConjugacyClasses, FiniteGroup, closure_mask, closure_size, commutators, conjugacy_classes,
+    entry_perm, matrix_entries,
 )
 from .matrices import trace_invariant
 
@@ -153,7 +165,7 @@ class OrbitDecomposition:
             if G.kind == "psl2":
                 entry["tau"] = G.field.format_element(o.tau)
                 i, j = o.canonical_rep
-                entry["rep_matrices"] = [G.labels[i].serialize(), G.labels[j].serialize()]
+                entry["rep_matrices"] = [G.matrix(i).serialize(), G.matrix(j).serialize()]
             orbits.append(entry)
         out = {
             "group": G.name,
@@ -242,27 +254,39 @@ def _least_keys(rows: np.ndarray) -> np.ndarray:
     return np.where(rows >= 0, first[rows + 1], -1)
 
 
+def _bracket_traces(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """tr [A, B] for the PSL(2,q) pairs (i, j), by the Fricke identity
+    tr [A, B] = tA^2 + tB^2 + tAB^2 - tA tB tAB - 2 on sign representatives;
+    flipping the sign of A or B flips tA or tB and tAB, which it leaves alone."""
+    f = G.field
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
+    a, b, c, d = matrix_entries(G)
+    tA, tB = add[a[i], d[i]], add[a[j], d[j]]
+    tAB = add[add[mul[a[i], a[j]], mul[b[i], c[j]]], add[mul[c[i], b[j]], mul[d[i], d[j]]]]
+    squares = add[add[mul[tA, tA], mul[tB, tB]], mul[tAB, tAB]]
+    return add[squares, neg[add[mul[mul[tA, tB], tAB], f.two]]]
+
+
 def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> OrbitDecomposition:
     """Orbits given by rep rows of generating classes (any ids, -1 outside
-    them), numbered in least-key order, which is least-member order."""
+    them), numbered in least-key order, which is least-member order.  The
+    commutator orders and trace invariants of all the representative pairs
+    are computed at once, as arrays."""
     n, rows = G.n, _least_keys(rows)
     # an entry stands for one pair per member of its class; index 0 counts the -1s
     sizes = np.bincount(rows.reshape(-1) + 1, np.repeat(np.bincount(cls.class_of), n))[1:]
     keys = np.flatnonzero(sizes)
     remap = np.full(rows.size + 1, -1, dtype=np.int64)  # its last entry maps -1 to -1
     remap[keys] = np.arange(len(keys))
-    orbits = []
-    for oid, key in enumerate(keys.tolist()):
-        i, j = cls.representatives[key // n], key % n
-        orbits.append(
-            OrbitRecord(
-                orbit_id=oid,
-                size=int(sizes[key]),
-                canonical_rep=(i, j),
-                tau=trace_invariant(G.labels[i], G.labels[j]) if G.kind == "psl2" else None,
-                commutator_order=G.order_of(G.commutator(i, j)),
-            )
-        )
+    i, j = np.asarray(cls.representatives)[keys // n], keys % n
+    taus = _bracket_traces(G, i, j).tolist() if G.kind == "psl2" else [None] * len(keys)
+    columns = zip(
+        sizes[keys].astype(np.int64).tolist(),
+        zip(i.tolist(), j.tolist()),
+        taus,
+        G.orders[commutators(G, i, j)].tolist(),
+    )
+    orbits = [OrbitRecord(oid, *record) for oid, record in enumerate(columns)]
     return OrbitDecomposition(G, orbits, remap[rows])
 
 
@@ -275,15 +299,23 @@ def decompose_nielsen_orbits(
 
     `rep_rows` short-circuits the component search with cached rep rows;
     classes are renumbered canonically, so any run's rep rows are
-    acceptable input.
+    acceptable input.  Without them, the decomposition is computed once
+    per group and kept on it; the budget is checked on every call.
     """
     check_pair_budget(G.n, pair_budget)
+    if rep_rows is None and G._nielsen is not None:
+        return OrbitDecomposition(G, *G._nielsen)
     n, cls = G.n, conjugacy_classes(G)
     rows = _rep_rows(G, cls, _nielsen_moves) if rep_rows is None else _least_keys(rep_rows)
     generating = np.zeros(rows.size, dtype=bool)
     for key in np.flatnonzero(np.bincount(rows[rows >= 0], minlength=rows.size)).tolist():
         generating[key] = closure_size(G, (cls.representatives[key // n], key % n)) == n
-    return _decompose(G, cls, np.where((rows >= 0) & generating[rows], rows, -1))
+    dec = _decompose(G, cls, np.where((rows >= 0) & generating[rows], rows, -1))
+    if rep_rows is None:
+        # its parts, not dec itself: dec.group -> G -> dec would be a reference
+        # cycle, and would keep every such G alive until a full garbage collection
+        G._nielsen = (dec.orbits, dec.rep_rows)
+    return dec
 
 
 def orbit_tau(dec: OrbitDecomposition, orbit: OrbitRecord, check_members: int = 16) -> int:
@@ -320,9 +352,7 @@ def higman_check(dec: OrbitDecomposition, orbit: OrbitRecord) -> tuple[int, bool
     classes = conjugacy_classes(G)
     allowed = {int(classes.class_of[c0]), int(classes.class_of[G.inv_of(c0)])}
     ids = dec.member_ids(orbit.orbit_id)
-    xi = ids // n
-    xj = ids % n
-    comms = G.mult[G.mult[G.inv[xi], G.inv[xj]], G.mult[xi, xj]]
+    comms = commutators(G, ids // n, ids % n)
     ok = bool(np.all(np.isin(classes.class_of[comms], list(allowed))))
     ok = ok and bool(np.all(G.orders[comms] == orbit.commutator_order))
     return orbit.commutator_order, ok

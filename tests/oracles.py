@@ -4,7 +4,7 @@ Everything here is deliberately slow and simple: plain-int polynomial
 arithmetic, cofactor determinants, per-pair closure scans, a per-pair
 union-find, a Mat2 and a dict lookup per element.  None of it imports
 the fast paths it is checking beyond what the test needs.  It also holds
-the few helpers (a cyclic group builder, derived length, and so on)
+the few helpers (a cyclic group builder, derived length, powers, and so on)
 that only the tests call.
 """
 
@@ -83,11 +83,44 @@ def psl_canonical(m):
     return PslElement(m if m.packed() <= n.packed() else n)
 
 
+def power(G, g: int, e: int) -> int:
+    """g^e by e table lookups (e >= 0)."""
+    acc = G.identity
+    for _ in range(e):
+        acc = int(G.mult[acc, g])
+    return acc
+
+
 def subgroup_closure(G, gens) -> set[int]:
     """The subgroup generated by gens, as a set of element indices."""
     from genlift.groupcore import closure_mask
 
     return set(int(i) for i in np.flatnonzero(closure_mask(G, gens)))
+
+
+def lemma_scan_scalar(G, bad_traces: set[int]) -> tuple[bool, dict]:
+    """The pair scan of lemmas 5 and 7 on SL(2,q), one Mat2 cube, scalar
+    commutator and closure at a time: the first generating pair (a, b), in
+    row-major order over the elements with cube +-I, whose commutator trace
+    is in bad_traces; else the counts."""
+    one = identity_mat(G.field)
+    qualifying = [g for g, m in enumerate(G.labels) if (m * m * m) in (one, one.neg())]
+    suspects = 0
+    for a in qualifying:
+        for b in qualifying:
+            tr = G.labels[G.commutator(a, b)].trace()
+            if tr in bad_traces:
+                suspects += 1
+                if len(subgroup_closure(G, (a, b))) == G.n:
+                    return False, {
+                        "violating_pair": [G.labels[a].serialize(), G.labels[b].serialize()],
+                        "trace": G.field.format_element(tr),
+                    }
+    return True, {
+        "qualifying_elements": len(qualifying),
+        "pairs_scanned": len(qualifying) ** 2,
+        "bad_trace_pairs_all_nongenerating": suspects,
+    }
 
 
 def derived_length(G) -> int:

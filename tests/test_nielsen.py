@@ -23,6 +23,7 @@ from genlift.nielsen import (
     psl_automorphism_perms,
     trace_spectrum,
 )
+from genlift.matrices import trace_invariant
 from oracles import (
     _UnionFind,
     build_cyclic,
@@ -282,6 +283,40 @@ def test_aut_and_joint_test_generation_through_nielsen(monkeypatch):
         counts[action] = len(calls)
     assert counts["nielsen"] > 0
     assert counts["aut"] <= counts["nielsen"] and counts["joint"] <= counts["nielsen"], counts
+
+
+def test_one_nielsen_base_per_group(monkeypatch):
+    # gamma_orbits, Aut and joint on one group run one Nielsen component search
+    import genlift.nielsen
+    from genlift import verify as V
+
+    rep_rows = genlift.nielsen._rep_rows
+    actions = []
+
+    def counted(G, cls, moves):
+        actions.append(moves)
+        return rep_rows(G, cls, moves)
+
+    monkeypatch.setattr(genlift.nielsen, "_rep_rows", counted)
+    monkeypatch.setattr(V, "_DECOMP", {})
+    G = build_psl2(13)
+    V.gamma_orbits(G, None)
+    aut_orbit_decomposition(G)
+    joint_orbit_decomposition(G)
+    assert actions.count(_nielsen_moves) == 1, actions
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19])
+def test_array_records_match_scalar_invariants(q):
+    # the records' tau (Fricke identity on entry arrays) and commutator orders
+    # (table lookups) against the Mat2 bracket and the scalar commutator
+    G = build_psl2(q)
+    for action, decompose in ACTIONS.items():
+        for o in decompose(G).orbits:
+            i, j = o.canonical_rep
+            case = (action, q, o.orbit_id)
+            assert o.tau == trace_invariant(G.labels[i], G.labels[j]), case
+            assert o.commutator_order == G.order_of(G.commutator(i, j)), case
 
 
 def _least_key_partition(rows: np.ndarray, keys: np.ndarray) -> list[int]:

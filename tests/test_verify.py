@@ -5,7 +5,17 @@ import pytest
 
 from genlift import cache
 from genlift import verify as V
-from genlift.nielsen import PairBudgetExceeded, higman_check, orbit_tau
+from genlift.field import field_for_q
+from genlift.groupcore import build_psl2
+from genlift.nielsen import (
+    PairBudgetExceeded,
+    aut_orbit_decomposition,
+    decompose_nielsen_orbits,
+    higman_check,
+    joint_orbit_decomposition,
+    orbit_tau,
+)
+from oracles import lemma_scan_scalar
 
 
 def check(report, claim_id):
@@ -101,6 +111,24 @@ def test_smaller_budget_refused_after_memo_hit():
     check(V.verify_dihedral(5), "dihedral")
     with pytest.raises(PairBudgetExceeded):
         V.verify_dihedral(5, pair_budget=10)
+    # nor does the Nielsen base kept on the group
+    for decompose in (aut_orbit_decomposition, joint_orbit_decomposition):
+        with pytest.raises(PairBudgetExceeded):
+            decompose(V.psl(7), pair_budget=10)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_lemma_scan_matches_scalar_scan(q):
+    # the lemma sets, plus single traces: some scans fail, and then the
+    # witness must be the first generating suspect in row-major order
+    f = field_for_q(q)
+    lemma_sets = [{f.neg(f.two)}, {f.from_int(3), f.neg(f.from_int(3))}]
+    singles = range(q) if q == 5 else (1, 3, 5, 6)  # q = 7, 0 and 2 scan thousands of closures
+    results = []
+    for bad in lemma_sets + [{t} for t in singles]:
+        results.append(V._lemma_scan(q, bad))
+        assert results[-1] == lemma_scan_scalar(V.sl(q), bad), bad
+    assert any(ok for ok, _ in results) and any(not ok for ok, _ in results)
 
 
 def test_miller():
@@ -211,3 +239,29 @@ def test_queries_leave_the_dense_labels_unbuilt(tmp_path):
         assert "labels" not in dec.__dict__
     assert _hit
     V._DECOMP.clear()
+
+
+def test_orbit_queries_leave_the_matrix_labels_unbuilt(monkeypatch):
+    monkeypatch.setattr(V, "_DECOMP", {})
+    G = build_psl2(19)
+    dec, _hit = V.gamma_orbits(G, None)
+    report = dec.report(mn_pairs=((2, 3), (3, 3)))
+    aut_orbit_decomposition(G)
+    joint_orbit_decomposition(G)
+    assert "labels" not in G.__dict__
+    # built on first read; the report's matrices, serialized from the packed entries, agree
+    for entry in report["orbits"]:
+        assert entry["rep_matrices"] == [G.labels[g].serialize() for g in entry["rep"]]
+
+
+def test_foreign_cache_entry_does_not_reach_aut_or_joint(tmp_path, monkeypatch):
+    # a well-formed PSL(2,5) entry that puts every generating pair in one class
+    monkeypatch.setattr(V, "_DECOMP", {})
+    generating = decompose_nielsen_orbits(build_psl2(5)).rep_rows >= 0
+    cache.save_labels(tmp_path, "PSL(2,5)", labels=np.where(generating, 0, -1))
+    G = build_psl2(5)
+    dec, hit = V.gamma_orbits(G, tmp_path)
+    assert hit and [o.size for o in dec.orbits] == [2280]
+    aut = aut_orbit_decomposition(G)
+    assert len(aut.orbits) == 19 and {o.size for o in aut.orbits} == {120}
+    assert sorted(o.size for o in joint_orbit_decomposition(G).orbits) == [1080, 1200]
