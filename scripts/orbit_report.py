@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from genlift.groupcore import build_psl2
+from genlift.groupcore import PairBudgetExceeded, build_psl2
 from genlift.nielsen import decompose_nielsen_orbits
 
 
@@ -27,7 +27,11 @@ def main() -> int:
     mn_pairs = [tuple(int(x) for x in s.split(",")) for s in args.mn]
 
     for q in args.q:
-        G = build_psl2(q)
+        try:
+            G = build_psl2(q)
+        except PairBudgetExceeded as exc:
+            print(f"PSL(2,{q}) refused: {exc}", file=sys.stderr)
+            return 2
         dec = decompose_nielsen_orbits(G)
         flag_cols = {mn: dec.mn_free_flags(*mn) for mn in mn_pairs}
         print(f"\nPSL(2,{q}): |G| = {G.n}, generating pairs = {dec.gamma_size()}, "

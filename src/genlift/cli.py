@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 pass, 1 claim failed, 2 pair budget exceeded, 3 coset
-enumeration overflow, 64 usage error, 65 presentation parse error.
+Exit codes: 0 pass, 1 claim failed, 2 group over the pair budget
+(refused before its table is built), 3 coset enumeration overflow,
+64 usage error, 65 presentation parse error.
+The pair budget bounds the |G|^2 entries of the table of every group a
+command builds.
 All JSON reports carry a "schema" version key.
 """
 
@@ -23,8 +26,8 @@ from .fpgroups import (
     parse_word,
     todd_coxeter,
 )
-from .groupcore import GroupSizeError
-from .nielsen import DEFAULT_PAIR_BUDGET, PairBudgetExceeded, aut_orbit_decomposition
+from .groupcore import DEFAULT_PAIR_BUDGET, PairBudgetExceeded
+from .nielsen import aut_orbit_decomposition
 
 SCHEMA = 1
 
@@ -93,9 +96,9 @@ def _render_table(report: dict, indent: str = "") -> str:
 
 def cmd_spectrum(args, cfg: Config) -> int:
     q = args.q
-    G = V.budgeted_psl(q, cfg.pair_budget)
+    G = V.psl(q, cfg.pair_budget)
     f = G.field
-    dec, hit = V.gamma_orbits(G, cfg.cache_dir, cfg.pair_budget)
+    dec, hit = V.gamma_orbits(G, cfg.cache_dir)
     spectrum = {o.tau for o in dec.orbits}
     expected = V.expected_trace_spectrum(q)
     report = {
@@ -112,8 +115,8 @@ def cmd_spectrum(args, cfg: Config) -> int:
 
 
 def cmd_orbits(args, cfg: Config) -> int:
-    G = V.budgeted_psl(args.q, cfg.pair_budget)
-    dec, hit = V.gamma_orbits(G, cfg.cache_dir, cfg.pair_budget)
+    G = V.psl(args.q, cfg.pair_budget)
+    dec, hit = V.gamma_orbits(G, cfg.cache_dir)
     mn_pairs = []
     for item in args.mn or []:
         try:
@@ -124,7 +127,7 @@ def cmd_orbits(args, cfg: Config) -> int:
     report = dec.report(mn_pairs=tuple(mn_pairs))
     report = {"schema": SCHEMA, "tool_version": TOOL_VERSION, "cache_hit": hit, **report}
     if args.aut:
-        aut = aut_orbit_decomposition(G, pair_budget=cfg.pair_budget)
+        aut = aut_orbit_decomposition(G)
         report["aut_orbits"] = {
             "count": len(aut.orbits),
             "sizes": sorted(o.size for o in aut.orbits),
@@ -213,7 +216,7 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
                         **({} if top else kw), help="disable the disk cache")
     parser.add_argument("--pair-budget", type=int,
                         **({"default": DEFAULT_PAIR_BUDGET} if top else kw),
-                        help="refuse decompositions over this many pairs")
+                        help="refuse groups whose |G|^2 table entries exceed this")
     parser.add_argument("--output", type=Path, **({"default": None} if top else kw),
                         help="write report here instead of stdout")
     parser.add_argument("--format", choices=("json", "table"),
@@ -282,7 +285,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     # ValueError last: the specific codes above subclass it
-    except (ValueError, FileNotFoundError, GroupSizeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groupcore import FiniteGroup, _cayley_table
+from .groupcore import DEFAULT_PAIR_BUDGET, FiniteGroup, _cayley_table, check_pair_budget
 
 Letter = tuple[int, int]  # (generator index, +1 or -1)
 
@@ -385,9 +385,12 @@ def _verify_table(table: CosetTable, pres: Presentation, subgroup_gens: Sequence
             raise AssertionError("subgroup generator moves coset 0")
 
 
-def group_from_coset_table(table: CosetTable) -> FiniteGroup:
+def group_from_coset_table(
+    table: CosetTable, pair_budget: int = DEFAULT_PAIR_BUDGET
+) -> FiniteGroup:
     """Regular representation from an enumeration over the trivial subgroup."""
     n = table.coset_count
+    check_pair_budget(n, pair_budget)
     # representative word per coset, by BFS over generator actions from coset 0
     rep_words: list[Word | None] = [None] * n
     rep_words[0] = Word(())

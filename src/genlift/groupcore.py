@@ -9,6 +9,11 @@ few generators directly and compose every other row from them
 (`_cayley_table`), so a build costs a few field-table rows plus |G|
 row gathers.
 
+The pair budget is the one size limit: the n x n table holds one entry
+per pair, and every builder of a table (these three and
+`fpgroups.group_from_coset_table`) passes its predicted order to
+`check_pair_budget` before it lists any element.
+
 Element indexing is by lex order of canonical matrix entries (matrix
 groups) or by the obvious shift/reflection layout (dihedral), so element
 indices, orbit representatives and reports are reproducible across runs.
@@ -30,12 +35,20 @@ import numpy as np
 from .field import GF, field_for_q
 from .matrices import Mat2, PslElement
 
-# Dense n x n tables stay reasonable up to here (PSL(2,19) has n = 3420).
-MAX_GROUP_ORDER = 8000
+DEFAULT_PAIR_BUDGET = 2 * 10**7
 
 
-class GroupSizeError(ValueError):
-    """Requested group exceeds the dense-table size bound."""
+class PairBudgetExceeded(ValueError):
+    """A group's n x n table would exceed the pair budget."""
+
+
+def check_pair_budget(order: int, pair_budget: int) -> None:
+    """Refuse a group of this order whose order^2 table entries, one per
+    pair, exceed the budget."""
+    if order * order > pair_budget:
+        raise PairBudgetExceeded(
+            f"group order {order} needs {order * order} table entries; budget is {pair_budget}"
+        )
 
 
 class FiniteGroup:
@@ -156,11 +169,6 @@ class ConjugacyClasses:
 # ---------------------------------------------------------------------------
 
 
-def _check_order(n: int) -> None:
-    if n > MAX_GROUP_ORDER:
-        raise GroupSizeError(f"group of order {n} exceeds bound {MAX_GROUP_ORDER}")
-
-
 def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) -> np.ndarray:
     """The n x n multiplication table from the rows of a few generators.
 
@@ -272,10 +280,10 @@ def _matrix_labels(f: GF, a, b, c, d, kind: str) -> list:
     return mats
 
 
-def build_sl2(q: int) -> FiniteGroup:
+def build_sl2(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
     """SL(2,q); order q(q^2-1); elements indexed in lex order of entries."""
     f = field_for_q(q)
-    _check_order(q * (q * q - 1))
+    check_pair_budget(q * (q * q - 1), pair_budget)
     return _matrix_group(f"SL(2,{q})", f, _sl2_matrices(f), "sl2")
 
 
@@ -285,21 +293,21 @@ def psl2_order(q: int) -> int:
     return q * (q * q - 1) // (2 if q % 2 else 1)
 
 
-def build_psl2(q: int) -> FiniteGroup:
+def build_psl2(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
     """PSL(2,q) via canonical sign representatives min(M, -M) of SL(2,q)."""
-    _check_order(psl2_order(q))
+    check_pair_budget(psl2_order(q), pair_budget)
     f = field_for_q(q)
     sl = _sl2_matrices(f)
     # the sign representatives M <= -M of the sorted list stay sorted and distinct
     return _matrix_group(f"PSL(2,{q})", f, sl[sl <= _negated(f, sl)], "psl2")
 
 
-def build_dihedral(m: int) -> FiniteGroup:
+def build_dihedral(m: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
     """Dihedral group of order 2m: indices 0..m-1 shifts, m..2m-1 reflections."""
     if m < 1:
         raise ValueError("m must be >= 1")
     n = 2 * m
-    _check_order(n)
+    check_pair_budget(n, pair_budget)
     j = np.arange(m)
 
     def row_of(g: int) -> np.ndarray:

@@ -49,21 +49,7 @@ from .groupcore import (
 )
 from .matrices import trace_invariant
 
-DEFAULT_PAIR_BUDGET = 2 * 10**7
-
 Pair = tuple[int, int]
-
-
-class PairBudgetExceeded(ValueError):
-    """|G|^2 exceeds the configured pair budget."""
-
-
-def check_pair_budget(order: int, pair_budget: int) -> None:
-    """Refuse a host of this order whose order^2 pairs exceed the budget."""
-    if order * order > pair_budget:
-        raise PairBudgetExceeded(
-            f"group order {order} needs {order * order} pairs; budget is {pair_budget}"
-        )
 
 
 @dataclass
@@ -291,18 +277,15 @@ def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> Orbit
 
 
 def decompose_nielsen_orbits(
-    G: FiniteGroup,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    rep_rows: Optional[np.ndarray] = None,
+    G: FiniteGroup, rep_rows: Optional[np.ndarray] = None
 ) -> OrbitDecomposition:
     """Orbits of the generating pairs under the three Nielsen moves.
 
     `rep_rows` short-circuits the component search with cached rep rows;
     classes are renumbered canonically, so any run's rep rows are
     acceptable input.  Without them, the decomposition is computed once
-    per group and kept on it; the budget is checked on every call.
+    per group and kept on it.
     """
-    check_pair_budget(G.n, pair_budget)
     if rep_rows is None and G._nielsen is not None:
         return OrbitDecomposition(G, *G._nielsen)
     n, cls = G.n, conjugacy_classes(G)
@@ -388,21 +371,17 @@ def _aut_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
     return [(perm[i], perm[j]) for perm in psl_automorphism_perms(G)]
 
 
-def aut_orbit_decomposition(
-    G: FiniteGroup, pair_budget: int = DEFAULT_PAIR_BUDGET
-) -> OrbitDecomposition:
+def aut_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
     """Orbits of the generating pairs under the diagonal PGammaL(2,q) action."""
-    generating = decompose_nielsen_orbits(G, pair_budget).rep_rows >= 0
+    generating = decompose_nielsen_orbits(G).rep_rows >= 0
     cls = conjugacy_classes(G)
     return _decompose(G, cls, np.where(generating, _rep_rows(G, cls, _aut_moves), -1))
 
 
-def joint_orbit_decomposition(
-    G: FiniteGroup, pair_budget: int = DEFAULT_PAIR_BUDGET
-) -> OrbitDecomposition:
+def joint_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
     """Orbits of the generating pairs under Nielsen moves and automorphisms:
     each Nielsen orbit o merged with that of phi(rep(o)), phi an outer generator."""
-    nielsen = decompose_nielsen_orbits(G, pair_budget)
+    nielsen = decompose_nielsen_orbits(G)
     edges = [
         (o.orbit_id, nielsen.orbit_of(tuple(int(perm[g]) for g in o.canonical_rep)).orbit_id)
         for perm in psl_automorphism_perms(G)

@@ -21,6 +21,7 @@ from . import cache as cache_mod
 from .field import field_for_q
 from .fpgroups import abelianization, group_from_coset_table, parse_presentation, todd_coxeter
 from .groupcore import (
+    DEFAULT_PAIR_BUDGET,
     FiniteGroup,
     build_dihedral,
     build_psl2,
@@ -29,14 +30,11 @@ from .groupcore import (
     conjugacy_classes,
     derived_series,
     generates,
-    psl2_order,
 )
 from .matrices import mat_from_ints
 from .nielsen import (
-    DEFAULT_PAIR_BUDGET,
     OrbitDecomposition,
     aut_orbit_decomposition,
-    check_pair_budget,
     decompose_nielsen_orbits,
     joint_orbit_decomposition,
 )
@@ -61,49 +59,41 @@ class ClaimReport:
 
 
 # ---------------------------------------------------------------------------
-# shared builders (memoized per process; orbit rep rows optionally disk-cached)
+# shared builders (memoized per process and budget, so a smaller budget
+# meets the builder's check again; orbit rep rows optionally disk-cached)
 # ---------------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
-def psl(q: int) -> FiniteGroup:
-    return build_psl2(q)
+def psl(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
+    return build_psl2(q, pair_budget)
 
 
 @functools.lru_cache(maxsize=None)
-def sl(q: int) -> FiniteGroup:
-    return build_sl2(q)
+def sl(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
+    return build_sl2(q, pair_budget)
 
 
-def budgeted_psl(q: int, pair_budget: int) -> FiniteGroup:
-    """PSL(2,q), refused before its table is built if its pairs exceed the budget."""
-    check_pair_budget(psl2_order(q), pair_budget)
-    return psl(q)
-
-
-# (group name, pair budget) -> (decomposition, disk cache hit)
-_DECOMP: dict[tuple[str, int], tuple[OrbitDecomposition, bool]] = {}
+# group name -> (decomposition, disk cache hit); a rebuilt group of the
+# same name reuses the first decomposition
+_DECOMP: dict[str, tuple[OrbitDecomposition, bool]] = {}
 
 
 def gamma_orbits(
-    G: FiniteGroup,
-    cache_dir: Optional[Path] = None,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
+    G: FiniteGroup, cache_dir: Optional[Path] = None
 ) -> tuple[OrbitDecomposition, bool]:
     """Nielsen decomposition of the generating pairs, with caching."""
-    key = (G.name, pair_budget)
-    if key in _DECOMP:
-        return _DECOMP[key]
-    check_pair_budget(G.n, pair_budget)
+    if G.name in _DECOMP:
+        return _DECOMP[G.name]
     rows = None
     if cache_dir is not None:
         shape = (len(conjugacy_classes(G).representatives), G.n)
         rows = cache_mod.load_labels(cache_dir, G.name, shape)
     hit = rows is not None
-    dec = decompose_nielsen_orbits(G, pair_budget=pair_budget, rep_rows=rows)
+    dec = decompose_nielsen_orbits(G, rep_rows=rows)
     if cache_dir is not None and not hit:
         cache_mod.save_labels(cache_dir, G.name, labels=dec.rep_rows)
-    _DECOMP[key] = (dec, hit)
+    _DECOMP[G.name] = (dec, hit)
     return dec, hit
 
 
@@ -156,8 +146,8 @@ def _timed(claim_id: str, parameters: dict, t0: float, passed: bool, evidence: d
 def verify_trace_table(q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """Spectrum of trace invariants over generating pairs matches the table."""
     t0 = time.perf_counter()
-    G = budgeted_psl(q, pair_budget)
-    dec, hit = gamma_orbits(G, cache_dir, pair_budget)
+    G = psl(q, pair_budget)
+    dec, hit = gamma_orbits(G, cache_dir)
     spectrum = {o.tau for o in dec.orbits}
     expected = expected_trace_spectrum(q)
     f = G.field
@@ -170,13 +160,13 @@ def verify_trace_table(q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) 
     return _timed("trace-table", {"q": q}, t0, spectrum == expected, evidence, hit)
 
 
-def verify_prop_key(q: int, **_) -> ClaimReport:
+def verify_prop_key(q: int, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
     """No generating pair (A,B) of SL(2,q), q = 3 mod 4, with A^4 = I has
     tr([A,B]) = -2.  One A per conjugacy class; B exhaustive."""
     t0 = time.perf_counter()
     if q % 4 != 3:
         raise PreconditionError(f"q = {q} is not congruent to 3 mod 4")
-    G = sl(q)
+    G = sl(q, pair_budget)
     f = G.field
     minus_two = f.neg(f.two)
     traces = np.array([m.trace() for m in G.labels], dtype=np.int64)
@@ -210,11 +200,11 @@ def _cube_in_center(G: FiniteGroup) -> np.ndarray:
     return np.flatnonzero(np.isin(G.mult[G.mult[g, g], g], (e, minus_e)))
 
 
-def _lemma_scan(q: int, bad_traces: set[int]) -> tuple[bool, dict]:
+def _lemma_scan(q: int, bad_traces: set[int], pair_budget: int) -> tuple[bool, dict]:
     """Every pair (a, b) of elements with cube +-I whose commutator trace is
     in bad_traces must not generate SL(2,q); on failure, the first such
     generating pair in row-major (a, b) order is the witness."""
-    G = sl(q)
+    G = sl(q, pair_budget)
     f = G.field
     qualifying = _cube_in_center(G)
     traces = np.array([m.trace() for m in G.labels], dtype=np.int64)
@@ -234,14 +224,14 @@ def _lemma_scan(q: int, bad_traces: set[int]) -> tuple[bool, dict]:
     }
 
 
-def verify_lemma5(**_) -> ClaimReport:
+def verify_lemma5(pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
     """Generating pairs of SL(2,5) with A^3, B^3 in {I,-I} avoid trace -2."""
     t0 = time.perf_counter()
     f5 = field_for_q(5)
-    ok, evidence = _lemma_scan(5, {f5.neg(f5.two)})
+    ok, evidence = _lemma_scan(5, {f5.neg(f5.two)}, pair_budget)
     # the permutation-level fact behind the lemma: in PSL(2,5) = Alt(5),
     # no commutator of two order-3 elements has order 5
-    G = psl(5)
+    G = psl(5, pair_budget)
     order3 = np.flatnonzero(G.orders == 3)
     comm5 = int(np.count_nonzero(G.orders[commutators(G, order3[:, None], order3)] == 5))
     evidence["order3_commutators_of_order5"] = comm5
@@ -249,17 +239,17 @@ def verify_lemma5(**_) -> ClaimReport:
     return _timed("lemma5", {"q": 5}, t0, ok, evidence)
 
 
-def verify_lemma7(**_) -> ClaimReport:
+def verify_lemma7(pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
     """Generating pairs of SL(2,7) with A^3, B^3 in {I,-I} avoid traces +-3."""
     t0 = time.perf_counter()
     f7 = field_for_q(7)
-    ok, evidence = _lemma_scan(7, {f7.from_int(3), f7.neg(f7.from_int(3))})
+    ok, evidence = _lemma_scan(7, {f7.from_int(3), f7.neg(f7.from_int(3))}, pair_budget)
     # supporting facts used in the proof
-    G = sl(7)
+    G = sl(7, pair_budget)
     tr = {f7.from_int(3), f7.from_int(4)}
     orders8 = {G.order_of(g) for g in range(G.n) if G.labels[g].trace() in tr}
     evidence["orders_of_trace_pm3_elements"] = sorted(orders8)
-    P = psl(7)
+    P = psl(7, pair_budget)
     psl_orders = {
         P.order_of(P.index_of_matrix(G.labels[g]))
         for g in range(G.n)
@@ -311,8 +301,8 @@ def verify_theorem(
     Nielsen orbit of its generating pairs is (m,n)-free."""
     t0 = time.perf_counter()
     mn = _theorem_mn(case, q, m)
-    G = budgeted_psl(q, pair_budget)
-    dec, hit = gamma_orbits(G, cache_dir, pair_budget)
+    G = psl(q, pair_budget)
+    dec, hit = gamma_orbits(G, cache_dir)
     flags = dec.mn_free_flags(*mn)
     free = [o for o in dec.orbits if flags[o.orbit_id]]
     witnessed = [o for o in dec.orbits if not flags[o.orbit_id]]
@@ -353,8 +343,8 @@ def verify_s2p2(q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> Clai
     f = field_for_q(q)
     if q % 2 == 0 or not (q % 4 == 1 or q >= 11):
         raise PreconditionError("needs odd q with q = 1 mod 4 or q >= 11")
-    G = budgeted_psl(q, pair_budget)
-    dec, hit = gamma_orbits(G, cache_dir, pair_budget)
+    G = psl(q, pair_budget)
+    dec, hit = gamma_orbits(G, cache_dir)
     s2p2 = f.squares_plus_two()
     flags = dec.mn_free_flags(2, f.p)
     inside = all(o.tau in s2p2 for o in dec.orbits if not flags[o.orbit_id])
@@ -373,8 +363,8 @@ def verify_psl25_lift(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> C
     Nielsen orbits contain a (2,5)-generating pair; plus the published
     representatives land in three distinct orbits."""
     t0 = time.perf_counter()
-    G = budgeted_psl(5, pair_budget)
-    dec, hit = gamma_orbits(G, cache_dir, pair_budget)
+    G = psl(5, pair_budget)
+    dec, hit = gamma_orbits(G, cache_dir)
     flags = dec.mn_free_flags(2, 5)
     all_liftable = not any(flags.values())
     f = G.field
@@ -387,7 +377,7 @@ def verify_psl25_lift(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> C
     orbit_ids = [dec.orbit_of(p).orbit_id for p in pair_ids]
     taus = [dec.orbit_of(p).tau for p in pair_ids]
     # the two tau=3 orbits are separated by SL(2,5) conjugacy of commutators
-    S = sl(5)
+    S = sl(5, pair_budget)
     classes = conjugacy_classes(S)
     AC = S.index_of_matrix((A.inverse() * C.inverse()) * (A * C))
     BD = S.index_of_matrix((B.inverse() * D.inverse()) * (B * D))
@@ -414,9 +404,9 @@ def verify_psl25_lift(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> C
 def verify_remark(m: int, q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """Traces over (2,m)-generating pairs hit every value except 2."""
     t0 = time.perf_counter()
-    G = budgeted_psl(q, pair_budget)
+    G = psl(q, pair_budget)
     f = G.field
-    dec, hit = gamma_orbits(G, cache_dir, pair_budget)
+    dec, hit = gamma_orbits(G, cache_dir)
     flags = dec.mn_free_flags(2, m)
     values = {o.tau for o in dec.orbits if not flags[o.orbit_id]}
     expected = set(range(f.q)) - {f.two}
@@ -427,13 +417,13 @@ def verify_remark(m: int, q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGE
     return _timed("remark", {"m": m, "q": q}, t0, values == expected, evidence, hit)
 
 
-def verify_miller_332(**_) -> ClaimReport:
+def verify_miller_332(pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
     """The (3,3,2) Miller group: order 288, derived length 3,
     abelianization C3 x C3, second derived subgroup C2."""
     t0 = time.perf_counter()
     pres = parse_presentation("gens: x y\nrels: x^3 y^3 [x,y]^2")
     table = todd_coxeter(pres, max_cosets=10**5)
-    K = group_from_coset_table(table)
+    K = group_from_coset_table(table, pair_budget)
     series = derived_series(K)
     lengths = [len(s) for s in series]
     ab = abelianization(pres)
@@ -460,9 +450,8 @@ def verify_dihedral(m: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> 
     t0 = time.perf_counter()
     if m < 3:
         raise PreconditionError("dihedral claim stated for m >= 3")
-    check_pair_budget(2 * m, pair_budget)
-    G = build_dihedral(m)
-    dec, hit = gamma_orbits(G, cache_dir, pair_budget)
+    G = build_dihedral(m, pair_budget)
+    dec, hit = gamma_orbits(G, cache_dir)
     flags = dec.mn_free_flags(2, 2)
     stuck = [o.orbit_id for o in dec.orbits if flags[o.orbit_id]]
     witnesses = []
@@ -486,12 +475,12 @@ def verify_example_alt5(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) ->
     sizes {600,600,1080}; 19 automorphism orbits of size 120; joint
     orbits of sizes {1080,1200}."""
     t0 = time.perf_counter()
-    G = budgeted_psl(5, pair_budget)
-    dec, hit = gamma_orbits(G, cache_dir, pair_budget)
+    G = psl(5, pair_budget)
+    dec, hit = gamma_orbits(G, cache_dir)
     nielsen_sizes = sorted(o.size for o in dec.orbits)
-    aut = aut_orbit_decomposition(G, pair_budget=pair_budget)
+    aut = aut_orbit_decomposition(G)
     aut_sizes = [o.size for o in aut.orbits]
-    joint = joint_orbit_decomposition(G, pair_budget=pair_budget)
+    joint = joint_orbit_decomposition(G)
     joint_sizes = sorted(o.size for o in joint.orbits)
     pgl_order = 120  # |PGammaL(2,5)| = |PGL(2,5)|
     passed = (
@@ -516,8 +505,8 @@ def verify_small_q_lifting(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_)
     t0 = time.perf_counter()
     results = {}
     for q in (2, 3):
-        G = budgeted_psl(q, pair_budget)
-        dec, _hit = gamma_orbits(G, cache_dir, pair_budget)
+        G = psl(q, pair_budget)
+        dec, _hit = gamma_orbits(G, cache_dir)
         flags = dec.mn_free_flags(2, 3)
         results[q] = {
             "orbit_count": len(dec.orbits),
@@ -536,9 +525,9 @@ def verify_all(max_q: int = 11, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET)
             reports.append(verify_trace_table(q, **kw))
     for q in (7, 11):
         if q <= max_q:
-            reports.append(verify_prop_key(q))
-    reports.append(verify_lemma5())
-    reports.append(verify_lemma7())
+            reports.append(verify_prop_key(q, **kw))
+    reports.append(verify_lemma5(**kw))
+    reports.append(verify_lemma7(**kw))
     for q in (4, 5, 7, 8, 11, 13):
         if q <= max_q:
             reports.append(verify_theorem("i", q, **kw))
@@ -555,7 +544,7 @@ def verify_all(max_q: int = 11, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET)
         reports.append(verify_s2p2(13, **kw))
         reports.append(verify_remark(7, 13, **kw))
     reports.append(verify_psl25_lift(**kw))
-    reports.append(verify_miller_332())
+    reports.append(verify_miller_332(**kw))
     for m in range(3, 13):
         reports.append(verify_dihedral(m, **kw))
     reports.append(verify_example_alt5(**kw))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genlift import groupcore
+from genlift import cli, fpgroups, groupcore
 from genlift import verify as V
 from genlift.cli import (
     EXIT_BUDGET,
@@ -104,25 +104,50 @@ def test_budget_exit(capsys):
     assert code == EXIT_BUDGET
 
 
-@pytest.mark.parametrize("q", [23, 37])
 @pytest.mark.parametrize(
-    "command", [("spectrum",), ("orbits",), ("verify", "thm-i")], ids="-".join
+    "argv",
+    [
+        (*command, "--q", q)
+        for command in (("spectrum",), ("orbits",), ("verify", "thm-i"))
+        for q in ("23", "37")
+    ]
+    + [
+        ("verify", "prop-key", "--q", "23"),  # SL(2,23), order 12144
+        ("--pair-budget", "100000000", "verify", "prop-key", "--q", "27"),
+        ("verify", "dihedral", "--m", "3000"),
+    ]
+    + [("--pair-budget", "10", "verify", *claim)
+       for claim in (("prop-key", "--q", "7"), ("lemma5",), ("lemma7",), ("miller-332",))],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a not in ("--q", "--m")),
 )
-def test_budget_refused_before_build(capsys, monkeypatch, command, q):
+def test_budget_refused_before_build(capsys, monkeypatch, argv):
     def no_build(*args):
-        raise AssertionError("PSL table built before the budget check")
+        raise AssertionError("group listed before the budget check")
 
-    # every SL(2,q) and PSL(2,q) build starts by listing the SL matrices
+    # every SL(2,q) and PSL(2,q) build starts by listing the SL matrices,
+    # and every dihedral and coset-table build by composing its table
     monkeypatch.setattr(groupcore, "_sl2_matrices", no_build)
-    assert run(capsys, *command, "--q", str(q))[0] == EXIT_BUDGET
+    monkeypatch.setattr(groupcore, "_cayley_table", no_build)
+    monkeypatch.setattr(fpgroups, "_cayley_table", no_build)
+    assert run(capsys, *argv)[0] == EXIT_BUDGET
 
 
-def test_dihedral_budget_refused_before_build(capsys, monkeypatch):
-    def no_build(*args):
-        raise AssertionError("dihedral table built before the budget check")
+def _documented_exit_codes(text: str) -> dict[int, str]:
+    """{code: meaning} from an "Exit codes: 0 pass, 1 ..., 65 ...." sentence."""
+    sentence = " ".join(re.search(r"Exit codes:(.*?)\.", text, re.S).group(1).split())
+    return {int(code): meaning for code, meaning in
+            (re.fullmatch(r"(\d+) (.+)", item.strip()).groups() for item in sentence.split(","))}
 
-    monkeypatch.setattr(V, "build_dihedral", no_build)
-    assert run(capsys, "verify", "dihedral", "--m", "3000")[0] == EXIT_BUDGET
+
+def test_exit_codes_documented():
+    # each EXIT_<NAME> constant, named by its meaning, in the README and the CLI help
+    constants = {getattr(cli, name): name[5:].lower() for name in dir(cli) if name.startswith("EXIT_")}
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    documented = _documented_exit_codes(readme.read_text(encoding="utf-8"))
+    assert documented == _documented_exit_codes(cli.__doc__)
+    assert set(documented) == set(constants)
+    for code, word in constants.items():
+        assert word in documented[code], (code, documented[code])
 
 
 def test_coset_enum(capsys, tmp_path):
@@ -251,3 +276,5 @@ def test_orbit_report_script():
     assert proc.returncode == 0, proc.stderr
     spectra = [line for line in proc.stdout.splitlines() if line.strip().startswith("spectrum:")]
     assert len(spectra) == 2  # one per q
+    proc = subprocess.run([sys.executable, str(script), "23"], capture_output=True, text=True)
+    assert proc.returncode == EXIT_BUDGET and "PSL(2,23) refused" in proc.stderr

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from genlift import fpgroups
 from genlift.fpgroups import (
     CosetEnumerationOverflow,
     PresentationParseError,
@@ -14,6 +15,7 @@ from genlift.fpgroups import (
     smith_normal_form,
     todd_coxeter,
 )
+from genlift.groupcore import PairBudgetExceeded
 from oracles import coset_cayley_table, invariant_factors_via_minors
 
 
@@ -50,6 +52,18 @@ def test_non_regular_coset_table_refused():
     table = todd_coxeter(pres, subgroup_gens=[parse_word("x", pres.generators)])
     with pytest.raises(ValueError, match="regular representation"):
         group_from_coset_table(table)
+
+
+def test_coset_table_group_refused_over_budget(monkeypatch):
+    table = todd_coxeter(parse_presentation("gens: x\nrels: x^4"))
+    assert group_from_coset_table(table, pair_budget=16).n == 4  # 4^2 = 16 entries, at the bound
+
+    def no_table(*args):
+        raise AssertionError("table built before the budget check")
+
+    monkeypatch.setattr(fpgroups, "_cayley_table", no_table)
+    with pytest.raises(PairBudgetExceeded):
+        group_from_coset_table(table, pair_budget=10)
 
 
 @pytest.mark.parametrize("m", range(3, 9))

@@ -7,9 +7,8 @@ import pytest
 
 from genlift import groupcore
 from genlift.groupcore import (
-    MAX_GROUP_ORDER,
     FiniteGroup,
-    GroupSizeError,
+    PairBudgetExceeded,
     build_dihedral,
     build_psl2,
     build_sl2,
@@ -156,10 +155,11 @@ def test_mn_generation_small():
 
 
 def test_size_guard():
-    with pytest.raises(GroupSizeError):
+    with pytest.raises(PairBudgetExceeded):
         build_sl2(32)
-    with pytest.raises(GroupSizeError):
-        build_dihedral(MAX_GROUP_ORDER // 2 + 1)
+    assert build_dihedral(5, pair_budget=100).n == 10  # 10^2 = 100 entries, at the bound
+    with pytest.raises(PairBudgetExceeded):
+        build_dihedral(6, pair_budget=100)
 
 
 def test_size_refused_before_listing(monkeypatch):
@@ -168,10 +168,12 @@ def test_size_refused_before_listing(monkeypatch):
 
     # the q^4 grid of the listing takes 32 q^4 bytes
     monkeypatch.setattr(groupcore, "_sl2_matrices", no_listing)
-    with pytest.raises(GroupSizeError):
-        build_sl2(43)
-    with pytest.raises(GroupSizeError):
-        build_psl2(97)
+    # the least SL and PSL hosts over the default budget, and two far over it
+    for build, q in ((build_sl2, 17), (build_sl2, 43), (build_psl2, 23), (build_psl2, 97)):
+        with pytest.raises(PairBudgetExceeded):
+            build(q)
+    with pytest.raises(PairBudgetExceeded):
+        build_psl2(5, pair_budget=60 * 60 - 1)
 
 
 def test_index_of_matrix_round_trip():

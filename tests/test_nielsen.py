@@ -11,7 +11,6 @@ from genlift.groupcore import (
     conjugacy_classes,
 )
 from genlift.nielsen import (
-    PairBudgetExceeded,
     _centralizer_generators,
     _components,
     _nielsen_moves,
@@ -216,16 +215,6 @@ def test_mn_flags_match_full_scan():
             for dec in (fresh, *cached):
                 for (m, n), expected in mn_free_flags_scan(dec, mn_pairs).items():
                     assert dec.mn_free_flags(m, n) == expected, (action, G.name, m, n)
-
-
-def test_pair_budget():
-    G = build_psl2(5)
-    with pytest.raises(PairBudgetExceeded):
-        decompose_nielsen_orbits(G, pair_budget=100)
-    with pytest.raises(PairBudgetExceeded):
-        aut_orbit_decomposition(G, pair_budget=100)
-    with pytest.raises(PairBudgetExceeded):
-        joint_orbit_decomposition(G, pair_budget=100)
 
 
 def test_trace_spectrum_psl25():

@@ -6,9 +6,8 @@ import pytest
 from genlift import cache
 from genlift import verify as V
 from genlift.field import field_for_q
-from genlift.groupcore import build_psl2
+from genlift.groupcore import PairBudgetExceeded, build_psl2
 from genlift.nielsen import (
-    PairBudgetExceeded,
     aut_orbit_decomposition,
     decompose_nielsen_orbits,
     higman_check,
@@ -103,18 +102,23 @@ def test_remark_budget():
 
 
 def test_smaller_budget_refused_after_memo_hit():
-    # the memo is keyed on the budget, so an earlier default-budget run
-    # must not let a smaller budget through
+    # the group memos are keyed on the budget, so an earlier default-budget
+    # build must not let a smaller budget through
     V.gamma_orbits(V.psl(7), None)
     with pytest.raises(PairBudgetExceeded):
-        V.gamma_orbits(V.psl(7), None, pair_budget=10)
+        V.psl(7, pair_budget=10)
+    V.sl(7)
+    with pytest.raises(PairBudgetExceeded):
+        V.sl(7, pair_budget=10)
     check(V.verify_dihedral(5), "dihedral")
     with pytest.raises(PairBudgetExceeded):
         V.verify_dihedral(5, pair_budget=10)
-    # nor does the Nielsen base kept on the group
-    for decompose in (aut_orbit_decomposition, joint_orbit_decomposition):
-        with pytest.raises(PairBudgetExceeded):
-            decompose(V.psl(7), pair_budget=10)
+
+
+def test_verify_all_passes_the_budget_to_sl_drivers():
+    # every group up to PSL(2,5) and SL(2,5) (order 120) fits; lemma7's SL(2,7) does not
+    with pytest.raises(PairBudgetExceeded, match="order 336"):
+        V.verify_all(max_q=5, pair_budget=120**2)
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -126,7 +130,7 @@ def test_lemma_scan_matches_scalar_scan(q):
     singles = range(q) if q == 5 else (1, 3, 5, 6)  # q = 7, 0 and 2 scan thousands of closures
     results = []
     for bad in lemma_sets + [{t} for t in singles]:
-        results.append(V._lemma_scan(q, bad))
+        results.append(V._lemma_scan(q, bad, V.DEFAULT_PAIR_BUDGET))
         assert results[-1] == lemma_scan_scalar(V.sl(q), bad), bad
     assert any(ok for ok, _ in results) and any(not ok for ok, _ in results)
 
@@ -222,7 +226,7 @@ def test_budget_checked_before_cache_read(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cache, "load_labels", read)
     with pytest.raises(PairBudgetExceeded):
-        V.gamma_orbits(V.psl(7), tmp_path, pair_budget=10)
+        V.verify_trace_table(7, cache_dir=tmp_path, pair_budget=10)
 
 
 def test_queries_leave_the_dense_labels_unbuilt(tmp_path):
