@@ -7,7 +7,10 @@ testing, conjugacy classes, derived series.
 The SL/PSL, dihedral and coset-table builders compute only the rows of a
 few generators directly and compose every other row from them
 (`_cayley_table`), so a build costs a few field-table rows plus |G|
-row gathers.
+row gathers, made a bounded block of rows at a time.  Table entries are
+int16 up to 2^15 elements, int32 beyond (`_table_dtype`).  SL(2,q) is
+listed directly, q^3 - q matrices from the field tables, not filtered
+from the q^4 grid of entries.
 
 The pair budget is the one size limit: the n x n table holds one entry
 per pair, and every builder of a table (these three and
@@ -53,6 +56,10 @@ def check_pair_budget(order: int, pair_budget: int) -> None:
 
 class FiniteGroup:
     """Indexed finite group with dense multiplication/inverse/order tables.
+
+    `mult` is n x n; `inv` has its dtype (int16 from the builders up to
+    2^15 elements), so a value read from either must be widened before
+    it is packed into a pair id such as first * n + second.
 
     A matrix group (SL/PSL) also keeps `elements`, its sorted packed
     matrices; its `labels`, a Mat2 (SL) or PslElement (PSL) per element,
@@ -169,17 +176,30 @@ class ConjugacyClasses:
 # ---------------------------------------------------------------------------
 
 
+# rows composed per block: _BLOCK_ENTRIES // n, so no step allocates an n x n temporary
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _table_dtype(n: int) -> type:
+    """The entry type of an n x n table: int16 while every index
+    0..n-1 fits (n <= 2^15), int32 beyond."""
+    return np.int16 if n <= 1 << 15 else np.int32
+
+
 def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) -> np.ndarray:
     """The n x n multiplication table from the rows of a few generators.
 
     Each generator is the least element that has no row yet, and
     `row_of(g)` computes its row directly.  Every other row is composed
-    breadth-first: (s p) x = s (p x), so mult[s p] = mult[s][mult[p]].
+    breadth-first: (s p) x = s (p x), so mult[s p] = mult[s][mult[p]],
+    a block of rows at a time through one reused buffer.
     """
-    mult = np.empty((n, n), dtype=np.int32)
+    mult = np.empty((n, n), dtype=_table_dtype(n))
     mult[identity] = np.arange(n)
     done = np.zeros(n, dtype=bool)
     done[identity] = True
+    block = max(1, _BLOCK_ENTRIES // n)
+    buf = np.empty((block, n), dtype=mult.dtype)
     gens: list[int] = []
     while not done.all():
         s = int(np.argmin(done))
@@ -194,7 +214,12 @@ def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) ->
                 new = ~done[prod]
                 # p -> g p is injective, so the new products are distinct
                 targets, sources = prod[new], frontier[new]
-                mult[targets] = mult[g][mult[sources]]
+                for k in range(0, len(targets), block):
+                    t = targets[k : k + block]
+                    out = buf[: len(t)]
+                    # every index is in range; mode "raise" would buffer the output
+                    np.take(mult[g], mult[sources[k : k + block]], out=out, mode="clip")
+                    mult[t] = out
                 done[targets] = True
                 reached.append(targets)
             frontier = np.concatenate(reached)
@@ -202,12 +227,17 @@ def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) ->
 
 
 def _sl2_matrices(f: GF) -> np.ndarray:
-    """All det-1 matrices as packed ints, sorted (= lex order of entries,
-    the order in which the grid runs)."""
-    a, b, c, d = np.indices((f.q,) * 4).reshape(4, -1)
-    mulT, negT, addT = f.mul_table, f.neg_table, f.add_table
-    keep = addT[mulT[a, d], negT[mulT[b, c]]] == f.one
-    return _pack(f.q, a[keep], b[keep], c[keep], d[keep])
+    """All q^3 - q det-1 matrices as packed ints, sorted (= lex order of
+    entries): for a = 0, any b != 0, c = -1/b and any d; for a != 0, any
+    b, c and d = (1 + bc)/a.  Both blocks are listed in lex order, the
+    first below the second."""
+    q, mulT, addT, invT = f.q, f.mul_table, f.add_table, f.inv_table
+    b0, d0 = np.indices((q - 1, q)).reshape(2, -1)
+    b0 += 1
+    a, b, c = np.indices((q - 1, q, q)).reshape(3, -1)
+    a += 1
+    d = mulT[addT[f.one, mulT[b, c]], invT[a]]
+    return np.concatenate([_pack(q, 0, b0, f.neg_table[invT[b0]], d0), _pack(q, a, b, c, d)])
 
 
 def _pack(q: int, a, b, c, d) -> np.ndarray:

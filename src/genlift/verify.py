@@ -64,14 +64,18 @@ class ClaimReport:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def psl(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
-    return build_psl2(q, pair_budget)
+    return _built(build_psl2, q, pair_budget)
+
+
+def sl(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
+    return _built(build_sl2, q, pair_budget)
 
 
 @functools.lru_cache(maxsize=None)
-def sl(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
-    return build_sl2(q, pair_budget)
+def _built(build, q: int, pair_budget: int) -> FiniteGroup:
+    # positional only, so every spelling of a psl/sl call shares one entry
+    return build(q, pair_budget)
 
 
 # group name -> (decomposition, disk cache hit); a rebuilt group of the

@@ -173,6 +173,18 @@ def _label_index(G) -> dict:
     return index
 
 
+def sl2_matrices_grid(q: int) -> np.ndarray:
+    """The det-1 matrices of SL(2,q), packed to ((a q + b) q + c) q + d, by
+    filtering the whole q^4 grid of entries in lex order."""
+    from genlift.field import field_for_q
+
+    f = field_for_q(q)
+    a, b, c, d = np.indices((q,) * 4).reshape(4, -1)
+    mulT, negT, addT = f.mul_table, f.neg_table, f.add_table
+    keep = addT[mulT[a, d], negT[mulT[b, c]]] == f.one
+    return (((a * q + b) * q + c) * q + d)[keep]
+
+
 def matrix_cayley_table(G) -> list[list[int]]:
     """SL(2,q) / PSL(2,q) table: every product of two element matrices in
     plain ints over the field's scalar tables, indexed by `_label_index`."""
@@ -279,14 +291,16 @@ def _pair_space_targets(G, action: str) -> list:
     from genlift.groupcore import closure_size
 
     n = G.n
+    # widened first: a pair id outgrows the table's entry type
+    mult, inv = G.mult.astype(np.int64), G.inv.astype(np.int64)
     ids = np.arange(n * n, dtype=np.int64)
     i, j = ids // n, ids % n
     targets = []
     if action in ("nielsen", "joint"):
-        targets += [G.inv[i] * n + j, G.mult[i, G.inv[j]] * n + j, j * n + i]
+        targets += [inv[i] * n + j, mult[i, inv[j]] * n + j, j * n + i]
     if action in ("aut", "joint"):
         gens = next(divmod(p, n) for p in range(n * n) if closure_size(G, divmod(p, n)) == n)
-        inner = [G.mult[G.mult[G.inv[g]], g] for g in gens]  # x -> g^-1 x g
+        inner = [mult[mult[inv[g]], g] for g in gens]  # x -> g^-1 x g
         outer = [np.array(perm) for perm in psl_automorphism_perms_scan(G)]
         targets += [perm[i] * n + perm[j] for perm in inner + outer]
     return targets

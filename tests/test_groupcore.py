@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from genlift import groupcore
+from genlift.field import field_for_q
+from genlift.fpgroups import group_from_coset_table, parse_presentation, todd_coxeter
 from genlift.groupcore import (
     FiniteGroup,
     PairBudgetExceeded,
@@ -26,6 +28,7 @@ from oracles import (
     matrix_cayley_table,
     possible_psl_orders,
     power,
+    sl2_matrices_grid,
     subgroup_closure,
 )
 
@@ -62,6 +65,16 @@ def test_matrix_tables_entry_for_entry(q):
 def test_dihedral_tables_entry_for_entry():
     for m in range(3, 13):
         assert build_dihedral(m).mult.tolist() == dihedral_cayley_table(m), m
+
+
+def test_table_entries_are_16_bit_up_to_2_15_elements():
+    # every index 0..n-1 fits int16 exactly while n <= 2^15; no table is allocated here
+    assert groupcore._table_dtype(1 << 15) == np.int16
+    assert groupcore._table_dtype((1 << 15) + 1) == np.int32
+    miller = parse_presentation("gens: x y\nrels: x^3 y^3 [x,y]^2")
+    miller = group_from_coset_table(todd_coxeter(miller))
+    for G in (build_sl2(5), build_psl2(7), build_dihedral(5), miller):
+        assert G.mult.dtype == np.int16 and G.inv.dtype == np.int16, G.name
 
 
 def test_non_group_table_refused():
@@ -154,6 +167,11 @@ def test_mn_generation_small():
     assert not is_mn_generated(build_cyclic(4), 2, 2)  # only reaches the subgroup of order 2
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
+def test_sl2_listing_matches_grid_filter(q):
+    assert np.array_equal(groupcore._sl2_matrices(field_for_q(q)), sl2_matrices_grid(q))
+
+
 def test_size_guard():
     with pytest.raises(PairBudgetExceeded):
         build_sl2(32)
@@ -166,7 +184,7 @@ def test_size_refused_before_listing(monkeypatch):
     def no_listing(*args):
         raise AssertionError("SL matrices listed before the order check")
 
-    # the q^4 grid of the listing takes 32 q^4 bytes
+    # the listing holds several arrays of q^3 entries
     monkeypatch.setattr(groupcore, "_sl2_matrices", no_listing)
     # the least SL and PSL hosts over the default budget, and two far over it
     for build, q in ((build_sl2, 17), (build_sl2, 43), (build_psl2, 23), (build_psl2, 97)):
@@ -202,13 +220,15 @@ def test_psl_build_and_derived_series_skip_numpy_ma():
     # numpy 2.x imports numpy.ma on the first np.unique call, a cost every cold pass would pay
     script = (
         "import sys\n"
-        "from genlift.groupcore import build_psl2, derived_series\n"
+        "from genlift.groupcore import build_psl2, build_sl2, derived_series\n"
         "from genlift.nielsen import decompose_nielsen_orbits\n"
+        "build_sl2(13)\n"
         "G = build_psl2(13)\n"
+        "print('numpy.ma' in sys.modules)\n"  # a cold build: listing and table
         "decompose_nielsen_orbits(G)\n"
         "derived_series(G)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

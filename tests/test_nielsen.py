@@ -360,3 +360,16 @@ def test_orbit_of_refuses_entries_outside_the_group():
     for pair in [(-1, 61), (-1, 1), (0, -1), (60, 0), (0, 60), (1, 60 * 60 + 1)]:
         with pytest.raises(KeyError):
             dec.orbit_of(pair)
+
+
+def test_member_ids_round_trip_past_16_bits():
+    # 16-bit table entries, pair ids up to 3420^2: member_ids must widen
+    # before packing, and orbit_of must take every sampled member back
+    G = build_psl2(19)
+    assert G.mult.dtype == np.int16
+    dec = decompose_nielsen_orbits(G)
+    for o in dec.orbits:
+        ids = dec.member_ids(o.orbit_id)
+        assert len(ids) == o.size and ids[0] >= 0 and ids[-1] < G.n * G.n
+        for p in ids[:: len(ids) // 32].tolist() + [int(ids[-1])]:
+            assert dec.orbit_of(divmod(p, G.n)) is o, (o.orbit_id, p)

@@ -115,6 +115,13 @@ def test_smaller_budget_refused_after_memo_hit():
         V.verify_dihedral(5, pair_budget=10)
 
 
+def test_group_memo_shares_one_build_per_spelling():
+    for memo in (V.psl, V.sl):
+        G = memo(7)
+        assert memo(7, V.DEFAULT_PAIR_BUDGET) is G
+        assert memo(7, pair_budget=V.DEFAULT_PAIR_BUDGET) is G
+
+
 def test_verify_all_passes_the_budget_to_sl_drivers():
     # every group up to PSL(2,5) and SL(2,5) (order 120) fits; lemma7's SL(2,7) does not
     with pytest.raises(PairBudgetExceeded, match="order 336"):
