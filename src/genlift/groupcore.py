@@ -118,19 +118,6 @@ class FiniteGroup:
 
     # -- element access --
 
-    def mul(self, i: int, j: int) -> int:
-        return int(self.mult[i, j])
-
-    def inv_of(self, i: int) -> int:
-        return int(self.inv[i])
-
-    def order_of(self, i: int) -> int:
-        return int(self.orders[i])
-
-    def commutator(self, i: int, j: int) -> int:
-        m = self.mult
-        return int(m[m[self.inv[i], self.inv[j]], m[i, j]])
-
     def matrix(self, i: int) -> Mat2:
         """The matrix of element i (its sign representative in PSL), from its packed entries."""
         return Mat2(self.field, *(int(e) for e in _unpack(self.elements[i], self.field.q)))
@@ -439,8 +426,8 @@ def is_mn_generated(G: FiniteGroup, m: int, n: int) -> bool:
     invariant under simultaneous conjugation and g2 runs over everything.
     """
     classes = conjugacy_classes(G)
-    cands1 = [g for g in classes.representatives if m % G.order_of(g) == 0]
-    cands2 = [g for g in range(G.n) if n % G.order_of(g) == 0]
+    cands1 = [g for g in classes.representatives if m % G.orders[g] == 0]
+    cands2 = np.flatnonzero(n % G.orders == 0).tolist()
     for g1 in cands1:
         for g2 in cands2:
             if generates(G, g1, g2):

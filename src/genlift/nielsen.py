@@ -26,7 +26,10 @@ A group's Nielsen decomposition is computed once: the records and rep
 rows of a fresh one are kept on the group (`G._nielsen`), and later
 calls, the Aut and joint decompositions among them, start from them.
 One built from cached rep rows is never kept, so Aut and joint never see
-the disk cache.  The K x n rep rows are the only labelling kept.
+the disk cache.  The K x n rep rows are the only labelling kept; one
+vectorized map from pairs to their keys (`_pair_keys`) serves the move
+edges and `orbit_ids`, and through it `orbit_of`, `labels` and the joint
+merge edges.
 
 Orbit records come from arrays: the commutator orders of all
 representative pairs by table lookups, and for PSL(2,q) their trace
@@ -69,8 +72,9 @@ class OrbitDecomposition:
     conjugacy class representatives of G, and -1 if that pair does not
     generate G.  Orbit ids increase with the lex-least member pair, so the
     numbering is reproducible; `orbits[k]` is the record of orbit id k.
-    `labels[first * n + second]`, the same labelling with one entry per
-    pair, is expanded from the rep rows on first read.
+    `orbit_ids` reads the orbit of any pairs off the rep rows, and
+    `labels[first * n + second]`, one entry per pair, is built from it
+    on first read.
     """
 
     restricted = True  # generating pairs only; read by perfbench's span counters
@@ -82,18 +86,27 @@ class OrbitDecomposition:
 
     @functools.cached_property
     def labels(self) -> np.ndarray:
-        return _expand(self.group, conjugacy_classes(self.group), self.rep_rows)
+        n = self.group.n
+        labels, g = np.empty((n, n), dtype=self.rep_rows.dtype), np.arange(n)
+        block = max(1, (1 << 16) // n)  # rows per call: int64 temporaries of at most 512 KB
+        for first in range(0, n, block):
+            labels[first : first + block] = self.orbit_ids(g[first : first + block, None], g)
+        return labels.reshape(-1)
 
     # -- queries --
 
-    def orbit_of(self, pair: Pair) -> OrbitRecord:
+    def orbit_ids(self, a, b) -> np.ndarray:
+        """Orbit ids of the pairs (a, b), elementwise over broadcast index
+        arrays; -1 where a pair does not generate G.  KeyError if some
+        entry is not an element index."""
         G = self.group
-        a, b = pair
-        if not (0 <= a < G.n and 0 <= b < G.n):
-            raise KeyError(f"pair {pair} is not a pair of elements of {G.name}")
-        cls = conjugacy_classes(G)
-        x = cls.conjugator[a]
-        lab = int(self.rep_rows[cls.class_of[a], G.mult[G.mult[x, b], G.inv[x]]])
+        a, b = np.asarray(a), np.asarray(b)
+        if any(e.size and (e.min() < 0 or e.max() >= G.n) for e in (a, b)):
+            raise KeyError(f"some pair is not a pair of elements of {G.name}")
+        return self.rep_rows.reshape(-1).take(_pair_keys(G, conjugacy_classes(G), a, b))
+
+    def orbit_of(self, pair: Pair) -> OrbitRecord:
+        lab = int(self.orbit_ids(*pair))
         if lab < 0:
             raise KeyError(f"pair {pair} not in decomposition")
         return self.orbits[lab]
@@ -102,19 +115,17 @@ class OrbitDecomposition:
         """Sorted ids first * n + second of the orbit's pairs: (g, x^-1 y x)
         for g in class k, x = conjugator[g] and rep_rows[k, y] == orbit_id."""
         G = self.group
-        cls = conjugacy_classes(G)
+        cls, flat = conjugacy_classes(G), G.mult.reshape(-1)
         ids = []
         for k, row in enumerate(self.rep_rows == orbit_id):
             if row.any():
                 g = np.flatnonzero(cls.class_of == k)[:, None]
-                x = cls.conjugator[g]
-                second = G.mult[G.mult[G.inv[x], np.flatnonzero(row)], x]
+                x_row = G.inv[cls.conjugator[g]] * np.int64(G.n)
+                # x^-1 y x = x^-1 (x^-1 y^-1)^-1, by flat gathers from row x^-1
+                y_inv = G.inv.take(np.flatnonzero(row))
+                second = flat.take(x_row + G.inv.take(flat.take(x_row + y_inv)))
                 ids.append((g * G.n + second).ravel())
         return np.sort(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
-
-    def members(self, orbit_id: int) -> list[Pair]:
-        n = self.group.n
-        return [(int(p) // n, int(p) % n) for p in self.member_ids(orbit_id)]
 
     def gamma_size(self) -> int:
         return sum(o.size for o in self.orbits)
@@ -211,9 +222,8 @@ def _rep_rows(G: FiniteGroup, cls: ConjugacyClasses, moves: Callable) -> np.ndar
     i, j = reps[keys // n], keys % n
     src, dst = [], []
     for a, b in moves(G, i, j):
-        x = cls.conjugator[a]
         src.append(keys)
-        dst.append(cls.class_of[a].astype(np.int64) * n + G.mult[G.mult[x, b], G.inv[x]])
+        dst.append(_pair_keys(G, cls, a, b))
     for k, r in enumerate(reps):
         for z in _centralizer_generators(G, int(r)):
             src.append(keys[k * n : (k + 1) * n])
@@ -221,16 +231,14 @@ def _rep_rows(G: FiniteGroup, cls: ConjugacyClasses, moves: Callable) -> np.ndar
     return _components(len(keys), np.concatenate(src), np.concatenate(dst)).reshape(len(reps), n)
 
 
-def _expand(G: FiniteGroup, cls: ConjugacyClasses, rep_rows: np.ndarray) -> np.ndarray:
-    """The |G|^2 labels, one entry per pair: the pair (g, j) is conjugate
-    by x = conjugator[g] to (reps[k], x j x^-1), k the class of g."""
-    inv = G.inv.astype(np.intp)
-    labels = np.empty((G.n, G.n), dtype=rep_rows.dtype)
-    for g in range(G.n):
-        row = G.mult[cls.conjugator[g]].astype(np.intp)  # j -> x j
-        # x j x^-1 = x (x j^-1)^-1, by row gathers only
-        np.take(rep_rows[cls.class_of[g]], row.take(inv.take(row.take(inv))), out=labels[g])
-    return labels.reshape(-1)
+def _pair_keys(G: FiniteGroup, cls: ConjugacyClasses, a, b) -> np.ndarray:
+    """Keys k * n + y of the pairs (a, b), elementwise: k the class of a and
+    y = x b x^-1, x = conjugator[a], so (reps[k], y) is conjugate to (a, b).
+    Widened to int64 before packing, as the table entries may be int16."""
+    x_row, flat = cls.conjugator[a] * G.n, G.mult.reshape(-1)
+    # x b x^-1 = x (x b^-1)^-1: flat gathers from row x only, not from column x^-1
+    y = flat.take(x_row + G.inv.take(flat.take(x_row + G.inv.take(b))))
+    return np.multiply(cls.class_of[a], G.n, dtype=np.int64) + y
 
 
 def _least_keys(rows: np.ndarray) -> np.ndarray:
@@ -331,9 +339,9 @@ def higman_check(dec: OrbitDecomposition, orbit: OrbitRecord) -> tuple[int, bool
     G = dec.group
     n = G.n
     i, j = orbit.canonical_rep
-    c0 = G.commutator(i, j)
+    c0 = commutators(G, i, j)
     classes = conjugacy_classes(G)
-    allowed = {int(classes.class_of[c0]), int(classes.class_of[G.inv_of(c0)])}
+    allowed = {int(classes.class_of[c0]), int(classes.class_of[G.inv[c0]])}
     ids = dec.member_ids(orbit.orbit_id)
     comms = commutators(G, ids // n, ids % n)
     ok = bool(np.all(np.isin(classes.class_of[comms], list(allowed))))
@@ -382,12 +390,10 @@ def joint_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
     """Orbits of the generating pairs under Nielsen moves and automorphisms:
     each Nielsen orbit o merged with that of phi(rep(o)), phi an outer generator."""
     nielsen = decompose_nielsen_orbits(G)
-    edges = [
-        (o.orbit_id, nielsen.orbit_of(tuple(int(perm[g]) for g in o.canonical_rep)).orbit_id)
-        for perm in psl_automorphism_perms(G)
-        for o in nielsen.orbits
-    ]
-    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    i, j = np.array([o.canonical_rep for o in nielsen.orbits], dtype=np.int64).reshape(-1, 2).T
+    perms = psl_automorphism_perms(G)
+    src = np.tile(np.arange(len(nielsen.orbits)), len(perms))
+    dst = np.array([nielsen.orbit_ids(perm[i], perm[j]) for perm in perms], np.int64).reshape(-1)
     merged = np.append(_components(len(nielsen.orbits), src, dst), -1)  # -1 stays -1
     return _decompose(G, conjugacy_classes(G), merged[nielsen.rep_rows])
 

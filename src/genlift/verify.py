@@ -30,6 +30,8 @@ from .groupcore import (
     conjugacy_classes,
     derived_series,
     generates,
+    matrix_entries,
+    _matrix_indices,
 )
 from .matrices import mat_from_ints
 from .nielsen import (
@@ -164,6 +166,12 @@ def verify_trace_table(q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) 
     return _timed("trace-table", {"q": q}, t0, spectrum == expected, evidence, hit)
 
 
+def _traces(G: FiniteGroup) -> np.ndarray:
+    """The trace a + d of every element of a matrix group, by index."""
+    a, _b, _c, d = matrix_entries(G)
+    return G.field.add_table[a, d]
+
+
 def verify_prop_key(q: int, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
     """No generating pair (A,B) of SL(2,q), q = 3 mod 4, with A^4 = I has
     tr([A,B]) = -2.  One A per conjugacy class; B exhaustive."""
@@ -173,9 +181,9 @@ def verify_prop_key(q: int, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport
     G = sl(q, pair_budget)
     f = G.field
     minus_two = f.neg(f.two)
-    traces = np.array([m.trace() for m in G.labels], dtype=np.int64)
+    traces = _traces(G)
     classes = conjugacy_classes(G)
-    reps4 = [g for g in classes.representatives if 4 % G.order_of(g) == 0]
+    reps4 = [g for g in classes.representatives if 4 % G.orders[g] == 0]
     allb = np.arange(G.n)
     suspects = 0
     checked_b = 0
@@ -186,7 +194,7 @@ def verify_prop_key(q: int, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport
             suspects += 1
             if generates(G, a, int(b)):
                 evidence = {
-                    "violating_pair": [G.labels[a].serialize(), G.labels[int(b)].serialize()],
+                    "violating_pair": [G.matrix(a).serialize(), G.matrix(int(b)).serialize()],
                 }
                 return _timed("prop-key", {"q": q}, t0, False, evidence)
     evidence = {
@@ -199,7 +207,7 @@ def verify_prop_key(q: int, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport
 
 def _cube_in_center(G: FiniteGroup) -> np.ndarray:
     e = G.identity
-    minus_e = G.index_of_matrix(G.labels[e].neg())
+    minus_e = G.index_of_matrix(G.matrix(e).neg())
     g = np.arange(G.n)
     return np.flatnonzero(np.isin(G.mult[G.mult[g, g], g], (e, minus_e)))
 
@@ -211,14 +219,14 @@ def _lemma_scan(q: int, bad_traces: set[int], pair_budget: int) -> tuple[bool, d
     G = sl(q, pair_budget)
     f = G.field
     qualifying = _cube_in_center(G)
-    traces = np.array([m.trace() for m in G.labels], dtype=np.int64)
+    traces = _traces(G)
     comms = commutators(G, qualifying[:, None], qualifying[None, :])
     suspects = np.isin(traces[comms], list(bad_traces))
     for x, y in np.argwhere(suspects).tolist():
         a, b = int(qualifying[x]), int(qualifying[y])
         if generates(G, a, b):
             return False, {
-                "violating_pair": [G.labels[a].serialize(), G.labels[b].serialize()],
+                "violating_pair": [G.matrix(a).serialize(), G.matrix(b).serialize()],
                 "trace": f.format_element(int(traces[comms[x, y]])),
             }
     return True, {
@@ -250,15 +258,12 @@ def verify_lemma7(pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
     ok, evidence = _lemma_scan(7, {f7.from_int(3), f7.neg(f7.from_int(3))}, pair_budget)
     # supporting facts used in the proof
     G = sl(7, pair_budget)
-    tr = {f7.from_int(3), f7.from_int(4)}
-    orders8 = {G.order_of(g) for g in range(G.n) if G.labels[g].trace() in tr}
+    pm3 = np.isin(_traces(G), [f7.from_int(3), f7.from_int(4)])
+    orders8 = set(G.orders[pm3].tolist())
     evidence["orders_of_trace_pm3_elements"] = sorted(orders8)
     P = psl(7, pair_budget)
-    psl_orders = {
-        P.order_of(P.index_of_matrix(G.labels[g]))
-        for g in range(G.n)
-        if G.labels[g].trace() in tr
-    }
+    images = _matrix_indices(P.field, P.elements, P.kind, G.elements[pm3])
+    psl_orders = set(P.orders[images].tolist())
     evidence["psl_image_orders"] = sorted(psl_orders)
     ok = ok and orders8 == {8} and psl_orders == {4}
     return _timed("lemma7", {"q": 7}, t0, ok, evidence)
@@ -385,8 +390,8 @@ def verify_psl25_lift(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> C
     classes = conjugacy_classes(S)
     AC = S.index_of_matrix((A.inverse() * C.inverse()) * (A * C))
     BD = S.index_of_matrix((B.inverse() * D.inverse()) * (B * D))
-    rivals = [BD, S.inv_of(BD), S.index_of_matrix(S.labels[BD].neg()),
-              S.index_of_matrix(S.labels[S.inv_of(BD)].neg())]
+    rivals = [BD, int(S.inv[BD]), S.index_of_matrix(S.matrix(BD).neg()),
+              S.index_of_matrix(S.matrix(int(S.inv[BD])).neg())]
     separated = all(classes.class_of[AC] != classes.class_of[r] for r in rivals)
     passed = (
         len(dec.orbits) == 3
@@ -458,14 +463,14 @@ def verify_dihedral(m: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> 
     dec, hit = gamma_orbits(G, cache_dir)
     flags = dec.mn_free_flags(2, 2)
     stuck = [o.orbit_id for o in dec.orbits if flags[o.orbit_id]]
+    squares_to_one = 2 % G.orders == 0
     witnesses = []
     for o in dec.orbits:
         if flags[o.orbit_id]:
             continue
-        for (i, j) in dec.members(o.orbit_id):
-            if 2 % G.order_of(i) == 0 and 2 % G.order_of(j) == 0:
-                witnesses.append({"orbit": o.orbit_id, "pair": [G.labels[i], G.labels[j]]})
-                break
+        ids = dec.member_ids(o.orbit_id)  # sorted, so the least (2,2) member comes first
+        i, j = divmod(int(ids[squares_to_one[ids // G.n] & squares_to_one[ids % G.n]][0]), G.n)
+        witnesses.append({"orbit": o.orbit_id, "pair": [G.labels[i], G.labels[j]]})
     evidence = {
         "orbit_count": len(dec.orbits),
         "orbits_without_22_pair": stuck,

@@ -91,6 +91,20 @@ def power(G, g: int, e: int) -> int:
     return acc
 
 
+def commutator(G, i: int, j: int) -> int:
+    """[i, j] = i^-1 j^-1 i j by four table lookups."""
+    m, inv = G.mult, G.inv
+    return int(m[m[inv[i], inv[j]], m[i, j]])
+
+
+def element_order(G, g: int) -> int:
+    """The least e >= 1 with g^e = 1, by successive table lookups."""
+    acc, e = int(g), 1
+    while acc != G.identity:
+        acc, e = int(G.mult[acc, g]), e + 1
+    return e
+
+
 def subgroup_closure(G, gens) -> set[int]:
     """The subgroup generated by gens, as a set of element indices."""
     from genlift.groupcore import closure_mask
@@ -108,7 +122,7 @@ def lemma_scan_scalar(G, bad_traces: set[int]) -> tuple[bool, dict]:
     suspects = 0
     for a in qualifying:
         for b in qualifying:
-            tr = G.labels[G.commutator(a, b)].trace()
+            tr = G.labels[commutator(G, a, b)].trace()
             if tr in bad_traces:
                 suspects += 1
                 if len(subgroup_closure(G, (a, b))) == G.n:
@@ -268,7 +282,8 @@ def mn_free_flags_scan(dec, mn_pairs) -> dict:
     ids = np.flatnonzero(dec.labels >= 0)
     orders = G.orders.astype(np.int64)
     base = int(orders.max()) + 1
-    codes = np.unique((dec.labels[ids] * base + orders[ids // G.n]) * base + orders[ids % G.n])
+    codes = (dec.labels[ids] * base + orders[ids // G.n]) * base + orders[ids % G.n]
+    codes = np.flatnonzero(np.bincount(codes))  # the distinct codes, in increasing order
     seen: dict[int, list] = {}
     for code in codes.tolist():
         seen.setdefault(code // base // base, []).append((code // base % base, code % base))
@@ -311,7 +326,7 @@ def pair_space_orbits(G, action: str = "nielsen"):
     all |G|^2 pairs: (labels, records) in the library's layout, labels -1
     off the generating pairs, ids by least member, records as tuples
     (orbit_id, size, canonical_rep, tau, commutator_order)."""
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     from genlift.groupcore import closure_size
@@ -319,32 +334,31 @@ def pair_space_orbits(G, action: str = "nielsen"):
 
     n = G.n
     targets = _pair_space_targets(G, action)
-    ids = np.arange(n * n, dtype=np.int64)
-    rows = np.concatenate([ids] * len(targets))
-    graph = coo_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, np.concatenate(targets))), shape=(n * n, n * n)
-    )
+    # row p of the adjacency matrix lists the targets of pair p, one per generator
+    edges = np.stack(targets, axis=1).reshape(-1)
+    starts = np.arange(0, len(edges) + 1, len(targets))
+    graph = csr_matrix((np.ones(len(edges)), edges, starts), shape=(n * n, n * n))
     _, raw = connected_components(graph, directed=False)
     _, first = np.unique(raw, return_index=True)  # least member of each component
-    labels = np.full(n * n, -1, dtype=np.int64)
+    sizes = np.bincount(raw)
+    label_of = np.full(len(first), -1, dtype=np.int64)  # component -> orbit id
     records = []
     for comp in np.argsort(first):
         i, j = divmod(int(first[comp]), n)
         if closure_size(G, (i, j)) != n:
             continue
-        members = raw == comp
-        labels[members] = len(records)
+        label_of[comp] = len(records)
         tau = trace_invariant(G.labels[i], G.labels[j]) if G.kind == "psl2" else None
-        records.append((len(records), int(members.sum()), (i, j), tau,
-                        G.order_of(G.commutator(i, j))))
-    return labels, records
+        records.append((len(records), int(sizes[comp]), (i, j), tau,
+                        element_order(G, commutator(G, i, j))))
+    return label_of[raw], records
 
 
 def orbit_partition_fast(G) -> set[frozenset]:
     from genlift.nielsen import decompose_nielsen_orbits
 
     dec = decompose_nielsen_orbits(G)
-    return {frozenset(dec.members(o.orbit_id)) for o in dec.orbits}
+    return {frozenset(divmod(int(p), G.n) for p in dec.member_ids(o.orbit_id)) for o in dec.orbits}
 
 
 class _UnionFind:
@@ -367,8 +381,8 @@ def nielsen_moves(G, pair):
     """The three basic moves (g1^-1, g2), (g1 g2^-1, g2), (g2, g1) of one pair."""
     g1, g2 = pair
     return (
-        (G.inv_of(g1), g2),
-        (G.mul(g1, G.inv_of(g2)), g2),
+        (int(G.inv[g1]), g2),
+        (int(G.mult[g1, G.inv[g2]]), g2),
         (g2, g1),
     )
 

@@ -39,7 +39,7 @@ def test_quaternion_8():
     assert enumerate_order(pres) == 8
     G = group_from_coset_table(todd_coxeter(parse_presentation(pres)))
     G.validate()
-    assert sorted(G.order_of(g) for g in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]
+    assert sorted(G.orders.tolist()) == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
 def test_miller_table_entry_for_entry():

@@ -46,8 +46,8 @@ def test_trace_order_dichotomy():
             if g in (e, minus_e):
                 continue
             m = G.labels[g]
-            assert (m.trace() == two) == (G.order_of(g) == f.p)
-            assert (m.trace() == minus_two) == (G.order_of(g) == 2 * f.p)
+            assert (m.trace() == two) == (G.orders[g] == f.p)
+            assert (m.trace() == minus_two) == (G.orders[g] == 2 * f.p)
 
 
 @pytest.mark.parametrize("q", [5, 7, 9])

@@ -26,7 +26,9 @@ from genlift.matrices import trace_invariant
 from oracles import (
     _UnionFind,
     build_cyclic,
+    commutator,
     count_generating_pairs,
+    element_order,
     mn_free_flags_scan,
     orbit_partition_fast,
     orbit_partition_naive,
@@ -185,12 +187,15 @@ def test_labels_match_pair_space_reference():
                 for o in dec.orbits
             ] == records, case
             assert dec.restricted and (dec.labels >= 0).sum() == dec.gamma_size(), case
-            # the on-demand queries, orbit for orbit and pair for pair
+            # the on-demand queries, orbit for orbit and pair for pair; a stable
+            # argsort lists each label's pair ids in increasing order
+            by_label = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels + 1)))
             for oid in range(len(dec.orbits)):
-                assert np.array_equal(dec.member_ids(oid), np.flatnonzero(labels == oid)), case
+                assert np.array_equal(dec.member_ids(oid), by_label[oid + 1]), case
             gamma = np.flatnonzero(labels >= 0)
-            found = [dec.orbit_of(divmod(p, G.n)).orbit_id for p in gamma.tolist()]
-            assert np.array_equal(found, labels[gamma]), case
+            assert np.array_equal(dec.orbit_ids(gamma // G.n, gamma % G.n), labels[gamma]), case
+            for o in dec.orbits:
+                assert dec.orbit_of(o.canonical_rep) is o, case
         if G.n <= 120:
             assert dec.gamma_size() == count_generating_pairs(G), G.name
         if G.n <= 60:
@@ -231,7 +236,7 @@ def test_automorphisms_are_automorphisms():
             assert sorted(perm) == list(range(G.n))
             sample = np.random.default_rng(q).integers(0, G.n, size=(200, 2))
             for i, j in sample:
-                assert perm[G.mul(int(i), int(j))] == G.mul(int(perm[i]), int(perm[j]))
+                assert perm[G.mult[i, j]] == G.mult[perm[i], perm[j]]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16, 19])
@@ -305,7 +310,7 @@ def test_array_records_match_scalar_invariants(q):
             i, j = o.canonical_rep
             case = (action, q, o.orbit_id)
             assert o.tau == trace_invariant(G.labels[i], G.labels[j]), case
-            assert o.commutator_order == G.order_of(G.commutator(i, j)), case
+            assert o.commutator_order == element_order(G, commutator(G, i, j)), case
 
 
 def _least_key_partition(rows: np.ndarray, keys: np.ndarray) -> list[int]:
@@ -357,19 +362,44 @@ def test_cached_labels_round_trip():
 def test_orbit_of_refuses_entries_outside_the_group():
     G = build_psl2(5)
     dec = decompose_nielsen_orbits(G)
-    for pair in [(-1, 61), (-1, 1), (0, -1), (60, 0), (0, 60), (1, 60 * 60 + 1)]:
+    a, b = dec.orbits[0].canonical_rep
+    for bad_a, bad_b in [(-1, 61), (-1, 1), (0, -1), (60, 0), (0, 60), (1, 60 * 60 + 1)]:
         with pytest.raises(KeyError):
-            dec.orbit_of(pair)
+            dec.orbit_of((bad_a, bad_b))
+        # orbit_ids refuses a bad pair among good ones, and alone
+        for args in (([a, bad_a, a], [b, bad_b, b]), ([bad_a], [bad_b]), (bad_a, bad_b)):
+            with pytest.raises(KeyError):
+                dec.orbit_ids(*args)
+
+
+def test_orbit_ids_are_minus_one_off_the_generating_pairs():
+    G = build_psl2(5)
+    dec = decompose_nielsen_orbits(G)
+    i, j = np.divmod(np.arange(G.n * G.n), G.n)
+    ids = dec.orbit_ids(i, j)
+    generating = np.array([closure_mask(G, p).all() for p in zip(i.tolist(), j.tolist())])
+    assert np.array_equal(ids >= 0, generating)
+    assert (ids == -1).sum() == G.n * G.n - dec.gamma_size()
+    with pytest.raises(KeyError):
+        dec.orbit_of((G.identity, 1))
 
 
 def test_member_ids_round_trip_past_16_bits():
-    # 16-bit table entries, pair ids up to 3420^2: member_ids must widen
-    # before packing, and orbit_of must take every sampled member back
-    G = build_psl2(19)
-    assert G.mult.dtype == np.int16
-    dec = decompose_nielsen_orbits(G)
-    for o in dec.orbits:
-        ids = dec.member_ids(o.orbit_id)
-        assert len(ids) == o.size and ids[0] >= 0 and ids[-1] < G.n * G.n
-        for p in ids[:: len(ids) // 32].tolist() + [int(ids[-1])]:
-            assert dec.orbit_of(divmod(p, G.n)) is o, (o.orbit_id, p)
+    # 16-bit table entries, pair ids up to |G|^2, past the pair-space reference's
+    # range: member_ids must widen before packing, and orbit_ids must take every
+    # member of every orbit back
+    for q in (16, 17, 19):
+        G = build_psl2(q)
+        assert G.mult.dtype == np.int16
+        gamma = decompose_nielsen_orbits(G).gamma_size()
+        assert gamma > 0 and gamma % (q * (q * q - 1)) == 0  # PGL(2,q) acts freely
+        for action, decompose in ACTIONS.items():
+            dec = decompose(G)
+            counted = 0
+            for o in dec.orbits:
+                ids = dec.member_ids(o.orbit_id)
+                case = (action, q, o.orbit_id)
+                assert len(ids) == o.size and ids[0] >= 0 and ids[-1] < G.n * G.n, case
+                assert np.all(dec.orbit_ids(ids // G.n, ids % G.n) == o.orbit_id), case
+                counted += len(ids)
+            assert counted == dec.gamma_size() == gamma, (action, q)

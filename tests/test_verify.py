@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from genlift import cache
 from genlift import verify as V
 from genlift.field import field_for_q
-from genlift.groupcore import PairBudgetExceeded, build_psl2
+from genlift.groupcore import PairBudgetExceeded, build_dihedral, build_psl2
 from genlift.nielsen import (
     aut_orbit_decomposition,
     decompose_nielsen_orbits,
@@ -14,7 +15,7 @@ from genlift.nielsen import (
     joint_orbit_decomposition,
     orbit_tau,
 )
-from oracles import lemma_scan_scalar
+from oracles import decompose_nielsen_orbits_naive, lemma_scan_scalar, power
 
 
 def check(report, claim_id):
@@ -122,6 +123,18 @@ def test_group_memo_shares_one_build_per_spelling():
         assert memo(7, pair_budget=V.DEFAULT_PAIR_BUDGET) is G
 
 
+def test_sl_drivers_leave_the_matrix_labels_unbuilt(monkeypatch):
+    # the SL drivers compute on entry arrays, not on one matrix object per element;
+    # a fresh group memo, as other tests read the labels of the shared groups
+    monkeypatch.setattr(V, "_built", functools.lru_cache(maxsize=None)(V._built.__wrapped__))
+    check(V.verify_prop_key(7), "prop-key")
+    check(V.verify_prop_key(11), "prop-key")
+    check(V.verify_lemma5(), "lemma5")
+    check(V.verify_lemma7(), "lemma7")
+    for G in (V.sl(5), V.sl(7), V.sl(11), V.psl(5), V.psl(7)):
+        assert "labels" not in G.__dict__, G.name
+
+
 def test_verify_all_passes_the_budget_to_sl_drivers():
     # every group up to PSL(2,5) and SL(2,5) (order 120) fits; lemma7's SL(2,7) does not
     with pytest.raises(PairBudgetExceeded, match="order 336"):
@@ -153,6 +166,20 @@ def test_miller():
 @pytest.mark.parametrize("m", range(3, 13))
 def test_dihedral(m):
     check(V.verify_dihedral(m), "dihedral")
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_dihedral_witness_is_the_least_22_member(m):
+    # each orbit's witness is its least member pair with both squares trivial,
+    # orbits taken from the per-pair union-find in least-member order
+    G = build_dihedral(m)
+    expected = []
+    orbits = [members for members, generating in decompose_nielsen_orbits_naive(G) if generating]
+    for oid, members in enumerate(orbits):
+        pairs = sorted(p for p in members if all(power(G, g, 2) == G.identity for g in p))
+        if pairs:
+            expected.append({"orbit": oid, "pair": [G.labels[g] for g in pairs[0]]})
+    assert V.verify_dihedral(m).evidence["witnesses"] == expected
 
 
 def test_dihedral_precondition():
