@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Time and size the PSL(2,q) table build and Nielsen decomposition.
+
+Usage:
+    python3 scripts/scale_probe.py 19 23 27 31 32 --pair-budget 2000000000
+
+Each q runs in a fresh interpreter, so its memos and ru_maxrss start
+clean.  One line per q:
+
+    q=19 order=3420 build_s=0.052 decompose_s=0.041 table_mb=22.3 peak_rss_mb=66.1
+
+build_s is `build_psl2`, decompose_s is `decompose_nielsen_orbits` on
+that group, table_mb the size of its multiplication table and
+peak_rss_mb the process's peak resident set (MB = 2^20 bytes).  A q
+whose table exceeds the pair budget is refused, exit 2, before any
+probe runs.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from genlift.groupcore import DEFAULT_PAIR_BUDGET, PairBudgetExceeded, check_pair_budget, psl2_order
+
+# one probe: argv = [q, pair budget]; prints the line for q
+PROBE = """
+import resource, sys, time
+from genlift.groupcore import build_psl2
+from genlift.nielsen import decompose_nielsen_orbits
+q, budget = int(sys.argv[1]), int(sys.argv[2])
+t0 = time.perf_counter()
+G = build_psl2(q, pair_budget=budget)
+t1 = time.perf_counter()
+decompose_nielsen_orbits(G)
+t2 = time.perf_counter()
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
+print(f"q={q} order={G.n} build_s={t1 - t0:.3f} decompose_s={t2 - t1:.3f} "
+      f"table_mb={G.mult.nbytes / 2**20:.1f} peak_rss_mb={rss:.1f}")
+"""
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("q", type=int, nargs="+")
+    ap.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    args = ap.parse_args()
+
+    for q in args.q:  # every q is checked before any probe runs
+        try:
+            order = psl2_order(q)
+        except ValueError as exc:
+            ap.error(str(exc))
+        try:
+            check_pair_budget(order, args.pair_budget)
+        except PairBudgetExceeded as exc:
+            print(f"PSL(2,{q}) refused: {exc}", file=sys.stderr)
+            return 2
+    for q in args.q:
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE, str(q), str(args.pair_budget)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        if proc.returncode:
+            return proc.returncode
+        print(proc.stdout, end="", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,12 +5,14 @@ generic queries the orbit machinery needs: subgroup closure, generation
 testing, conjugacy classes, derived series.
 
 The SL/PSL, dihedral and coset-table builders compute only the rows of a
-few generators directly and compose every other row from them
-(`_cayley_table`), so a build costs a few field-table rows plus |G|
-row gathers, made a bounded block of rows at a time.  Table entries are
-int16 up to 2^15 elements, int32 beyond (`_table_dtype`).  SL(2,q) is
-listed directly, q^3 - q matrices from the field tables, not filtered
-from the q^4 grid of entries.
+few generators directly and compose every other row from them by right
+multiplication (`_cayley_table`): mult[p s] = mult[p][mult[s]], row p
+read through the row of generator s.  That index is each generator's
+row, widened once, so a build costs a few field-table rows plus |G| row
+gathers at fixed indices, made a bounded block of rows at a time.
+Table entries are int16 up to 2^15 elements, int32 beyond
+(`_table_dtype`).  SL(2,q) is listed directly, q^3 - q matrices from
+the field tables, not filtered from the q^4 grid of entries.
 
 The pair budget is the one size limit: the n x n table holds one entry
 per pair, and every builder of a table (these three and
@@ -163,7 +165,8 @@ class ConjugacyClasses:
 # ---------------------------------------------------------------------------
 
 
-# rows composed per block: _BLOCK_ENTRIES // n, so no step allocates an n x n temporary
+# entries per block: table composition and `derived_series` work _BLOCK_ENTRIES // n
+# rows at a time, so no step allocates an n x n temporary
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -178,8 +181,10 @@ def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) ->
 
     Each generator is the least element that has no row yet, and
     `row_of(g)` computes its row directly.  Every other row is composed
-    breadth-first: (s p) x = s (p x), so mult[s p] = mult[s][mult[p]],
-    a block of rows at a time through one reused buffer.
+    breadth-first by right multiplication: (p s) x = p (s x), so
+    mult[p s] = mult[p][mult[s]].  The index is generator s's row,
+    widened to intp once, and the source rows are read through it a
+    block at a time into one reused buffer.
     """
     mult = np.empty((n, n), dtype=_table_dtype(n))
     mult[identity] = np.arange(n)
@@ -187,25 +192,25 @@ def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) ->
     done[identity] = True
     block = max(1, _BLOCK_ENTRIES // n)
     buf = np.empty((block, n), dtype=mult.dtype)
-    gens: list[int] = []
+    gens: list[tuple[int, np.ndarray]] = []  # (generator, its row as intp)
     while not done.all():
         s = int(np.argmin(done))
         mult[s] = row_of(s)
         done[s] = True
-        gens.append(s)
+        gens.append((s, mult[s].astype(np.intp)))
         frontier = np.flatnonzero(done)
         while frontier.size:
             reached = []
-            for g in gens:
-                prod = mult[g, frontier]
+            for g, g_row in gens:
+                prod = mult[frontier, g]
                 new = ~done[prod]
-                # p -> g p is injective, so the new products are distinct
+                # p -> p g is injective, so the new products are distinct
                 targets, sources = prod[new], frontier[new]
                 for k in range(0, len(targets), block):
                     t = targets[k : k + block]
                     out = buf[: len(t)]
                     # every index is in range; mode "raise" would buffer the output
-                    np.take(mult[g], mult[sources[k : k + block]], out=out, mode="clip")
+                    np.take(mult[sources[k : k + block]], g_row, axis=1, out=out, mode="clip")
                     mult[t] = out
                 done[targets] = True
                 reached.append(targets)
@@ -399,24 +404,25 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
 
 
 def derived_series(G: FiniteGroup) -> list[np.ndarray]:
-    """[G, G', G'', ...] as sorted index arrays, until the series stabilizes."""
-    current = np.arange(G.n)
-    series = [current]
+    """[G, G', G'', ...] as sorted index arrays, until the series stabilizes.
+
+    The commutators of each term are marked a block of rows at a time,
+    at most _BLOCK_ENTRIES pairs per call, never all |term|^2 at once.
+    """
+    series = [np.arange(G.n)]
     while True:
-        x = np.repeat(current, len(current))
-        y = np.tile(current, len(current))
-        gens = np.flatnonzero(np.bincount(commutators(G, x, y), minlength=G.n))
-        if len(gens) == 1 and gens[0] == G.identity:
-            nxt = np.array([G.identity])
-        else:
-            nxt = np.flatnonzero(closure_mask(G, gens))
+        current = series[-1]
+        rows = max(1, _BLOCK_ENTRIES // len(current))
+        is_comm = np.zeros(G.n, dtype=bool)
+        for k in range(0, len(current), rows):
+            is_comm[commutators(G, current[k : k + rows, None], current)] = True
+        gens = np.flatnonzero(is_comm)
+        if len(gens) == len(current):  # every element is a commutator: the term is perfect
+            return series
+        nxt = np.flatnonzero(closure_mask(G, gens))
         if len(nxt) == len(current):
-            break
+            return series
         series.append(nxt)
-        current = nxt
-        if len(current) == 1:
-            break
-    return series
 
 
 def is_mn_generated(G: FiniteGroup, m: int, n: int) -> bool:

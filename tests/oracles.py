@@ -2,7 +2,9 @@
 
 Everything here is deliberately slow and simple: plain-int polynomial
 arithmetic, cofactor determinants, per-pair closure scans, a per-pair
-union-find, a Mat2 and a dict lookup per element.  None of it imports
+union-find, a Mat2 and a dict lookup per element.  The one vectorized oracle,
+`matrix_table_blocks`, multiplies entry arrays in the field tables so
+that it reaches tables too large for the scalar ones.  None of it imports
 the fast paths it is checking beyond what the test needs.  It also holds
 the few helpers (a cyclic group builder, derived length, powers, and so on)
 that only the tests call.
@@ -216,6 +218,51 @@ def matrix_cayley_table(G) -> list[list[int]]:
             for e, f_, g, h in mats
         ])
     return table
+
+
+def _dense_index(G) -> np.ndarray:
+    """Packed entries ((a q + b) q + c) q + d of every element matrix ->
+    element index, a q^4 array that is -1 off the group; for PSL, M and -M
+    both map to their element."""
+    q, neg = G.field.q, G.field.neg_table
+    a, b, c, d = _entries(G)
+    index = np.full(q**4, -1, dtype=np.int64)
+    index[((a * q + b) * q + c) * q + d] = np.arange(G.n)
+    if G.kind == "psl2":
+        index[((neg[a] * q + neg[b]) * q + neg[c]) * q + neg[d]] = np.arange(G.n)
+    return index
+
+
+def _entries(G) -> tuple[np.ndarray, ...]:
+    q, packed = G.field.q, G.elements.astype(np.int64)
+    return packed // q**3, packed // q**2 % q, packed // q % q, packed % q
+
+
+def matrix_table_blocks(G, rows: int = 64):
+    """SL(2,q) / PSL(2,q) table a block of rows at a time, as (first row,
+    block): every product (a b; c d)(e f; g h) of two element matrices in
+    the field's addition and multiplication tables, mapped to indices by
+    `_dense_index`.  Vectorized, so it reaches groups of a few thousand
+    elements, whose tables the library composes in several blocks."""
+    f, q = G.field, G.field.q
+    index = _dense_index(G)
+    a, b, c, d = _entries(G)
+    # row x of each is x times that entry of every element, so a block's
+    # products mul[x_i, e_j] are row gathers
+    ta, tb, tc, td = (f.mul_table[:, e].astype(np.int64) for e in (a, b, c, d))
+    add = f.add_table.reshape(-1)  # x + y at x q + y
+    for first in range(0, G.n, rows):
+        A, B, C, D = (e[first : first + rows] for e in (a, b, c, d))
+        na, nb = add[ta[A] * q + tc[B]], add[tb[A] * q + td[B]]
+        nc, nd = add[ta[C] * q + tc[D]], add[tb[C] * q + td[D]]
+        yield first, index[((na * q + nb) * q + nc) * q + nd]
+
+
+def matrix_inverses(G) -> np.ndarray:
+    """Index of (d -b; -c a), the inverse of each det-1 element (a b; c d)."""
+    q, neg = G.field.q, G.field.neg_table
+    a, b, c, d = _entries(G)
+    return _dense_index(G)[((d * q + neg[b]) * q + neg[c]) * q + a]
 
 
 def psl_automorphism_perms_scan(G) -> list[list[int]]:

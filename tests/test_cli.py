@@ -278,3 +278,20 @@ def test_orbit_report_script():
     assert len(spectra) == 2  # one per q
     proc = subprocess.run([sys.executable, str(script), "23"], capture_output=True, text=True)
     assert proc.returncode == EXIT_BUDGET and "PSL(2,23) refused" in proc.stderr
+
+
+def test_scale_probe_script():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "scale_probe.py"
+    proc = subprocess.run([sys.executable, str(script), "5", "7"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [dict(f.split("=") for f in line.split()) for line in proc.stdout.splitlines()]
+    assert [(r["q"], r["order"]) for r in lines] == [("5", "60"), ("7", "168")]
+    for r in lines:
+        assert {"build_s", "decompose_s", "table_mb", "peak_rss_mb"} <= r.keys()
+        assert float(r["build_s"]) >= 0 and float(r["decompose_s"]) >= 0
+        assert float(r["peak_rss_mb"]) > 0
+    assert [r["table_mb"] for r in lines] == [f"{60 * 60 * 2 / 2**20:.1f}", f"{168 * 168 * 2 / 2**20:.1f}"]
+    proc = subprocess.run([sys.executable, str(script), "5", "7", "--pair-budget", "10000"],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_BUDGET and "PSL(2,7) refused" in proc.stderr
+    assert proc.stdout == ""  # refused before any probe ran

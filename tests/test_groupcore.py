@@ -26,6 +26,8 @@ from oracles import (
     derived_length,
     dihedral_cayley_table,
     matrix_cayley_table,
+    matrix_inverses,
+    matrix_table_blocks,
     possible_psl_orders,
     power,
     sl2_matrices_grid,
@@ -60,6 +62,17 @@ def test_cayley_table_valid(build):
 def test_matrix_tables_entry_for_entry(q):
     for G in (build_sl2(q), build_psl2(q)):
         assert G.mult.tolist() == matrix_cayley_table(G), G.name
+
+
+@pytest.mark.parametrize("build,q", [(build_psl2, 16), (build_psl2, 19), (build_sl2, 13)])
+def test_multi_block_tables_entry_for_entry(build, q):
+    # groups where some composition step spans several blocks of
+    # _BLOCK_ENTRIES // n rows (16, 19 and 4 such steps); below them every
+    # step fits in one, so the oracle tests above never leave the first block
+    G = build(q)
+    for first, rows in matrix_table_blocks(G):
+        np.testing.assert_array_equal(G.mult[first : first + len(rows)], rows)
+    np.testing.assert_array_equal(G.inv, matrix_inverses(G))
 
 
 def test_dihedral_tables_entry_for_entry():
@@ -142,6 +155,24 @@ def test_derived_series_psl():
     # PSL(2,5) is perfect
     series = derived_series(build_psl2(5))
     assert [len(s) for s in series] == [60]
+
+
+def test_derived_series_sl23():
+    assert [len(s) for s in derived_series(build_sl2(3))] == [24, 8, 2, 1]
+
+
+def test_derived_series_marks_commutators_in_bounded_blocks(monkeypatch):
+    sizes = []
+
+    def counted(G, i, j, real=groupcore.commutators):
+        sizes.append(np.broadcast(i, j).size)
+        return real(G, i, j)
+
+    monkeypatch.setattr(groupcore, "commutators", counted)
+    G = build_psl2(13)
+    assert [len(s) for s in derived_series(G)] == [G.n]
+    assert max(sizes) <= groupcore._BLOCK_ENTRIES
+    assert sum(sizes) == G.n**2  # every pair of the one term, once
 
 
 @pytest.mark.parametrize("q,expected", [
