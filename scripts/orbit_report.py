@@ -32,6 +32,8 @@ def main() -> int:
         except PairBudgetExceeded as exc:
             print(f"PSL(2,{q}) refused: {exc}", file=sys.stderr)
             return 2
+        except ValueError as exc:  # not a prime power, or a field without tables
+            ap.error(str(exc))
         dec = decompose_nielsen_orbits(G)
         flag_cols = {mn: dec.mn_free_flags(*mn) for mn in mn_pairs}
         print(f"\nPSL(2,{q}): |G| = {G.n}, generating pairs = {dec.gamma_size()}, "

@@ -1,4 +1,7 @@
-"""Command-line front end.
+"""Command-line front end, a thin shell over `genlift.verify`: `verify
+CLAIM` dispatches through `verify.CLAIMS` (claim id -> driver and its
+required parameters), `verify all` runs `verify.BATTERY`, and `spectrum`
+reports the evidence of the trace-table claim.
 
 Exit codes: 0 pass, 1 claim failed, 2 group over the pair budget
 (refused before its table is built), 3 coset enumeration overflow,
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -39,18 +41,6 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 
 
-@dataclass
-class Config:
-    cache_dir: Optional[Path]
-    pair_budget: int
-    output: Optional[Path]
-    format: str
-
-    def __post_init__(self):
-        if self.pair_budget < 1:
-            raise ValueError("pair_budget must be >= 1")
-
-
 class _UsageError(Exception):
     pass
 
@@ -61,15 +51,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(report: dict, cfg: Config) -> None:
-    if cfg.format == "table":
+def _emit(report: dict, args) -> None:
+    if args.format == "table":
         text = _render_table(report)
     else:
         text = json.dumps(report, indent=2)
-    if cfg.output is None:
+    if args.output is None:
         sys.stdout.write(text + "\n")
     else:
-        cfg.output.write_text(text + "\n", encoding="utf-8")
+        args.output.write_text(text + "\n", encoding="utf-8")
 
 
 def _render_table(report: dict, indent: str = "") -> str:
@@ -94,29 +84,24 @@ def _render_table(report: dict, indent: str = "") -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_spectrum(args, cfg: Config) -> int:
-    q = args.q
-    G = V.psl(q, cfg.pair_budget)
-    f = G.field
-    dec, hit = V.gamma_orbits(G, cfg.cache_dir)
-    spectrum = {o.tau for o in dec.orbits}
-    expected = V.expected_trace_spectrum(q)
+def cmd_spectrum(args) -> int:
+    claim = V.verify_trace_table(args.q, args.cache_dir, args.pair_budget)
     report = {
         "schema": SCHEMA,
         "tool_version": TOOL_VERSION,
-        "q": q,
-        "spectrum": sorted(f.format_element(t) for t in sorted(spectrum)),
-        "expected": sorted(f.format_element(t) for t in sorted(expected)),
-        "match": spectrum == expected,
-        "cache_hit": hit,
+        "q": args.q,
+        "spectrum": claim.evidence["spectrum"],
+        "expected": claim.evidence["expected"],
+        "match": claim.passed,
+        "cache_hit": claim.cache_hit,
     }
-    _emit(report, cfg)
-    return EXIT_PASS if spectrum == expected else EXIT_FAIL
+    _emit(report, args)
+    return EXIT_PASS if claim.passed else EXIT_FAIL
 
 
-def cmd_orbits(args, cfg: Config) -> int:
-    G = V.psl(args.q, cfg.pair_budget)
-    dec, hit = V.gamma_orbits(G, cfg.cache_dir)
+def cmd_orbits(args) -> int:
+    G = V.psl(args.q, args.pair_budget)
+    dec, hit = V.gamma_orbits(G, args.cache_dir)
     mn_pairs = []
     for item in args.mn or []:
         try:
@@ -132,32 +117,12 @@ def cmd_orbits(args, cfg: Config) -> int:
             "count": len(aut.orbits),
             "sizes": sorted(o.size for o in aut.orbits),
         }
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_PASS
 
 
-# claim id -> (driver, required args)
-_CLAIMS = {
-    "trace-table": (V.verify_trace_table, ("q",)),
-    "prop-key": (V.verify_prop_key, ("q",)),
-    "lemma5": (V.verify_lemma5, ()),
-    "lemma7": (V.verify_lemma7, ()),
-    "thm-i": (lambda **kw: V.verify_theorem("i", **kw), ("q",)),
-    "thm-ii": (lambda **kw: V.verify_theorem("ii", **kw), ("q",)),
-    "thm-iii": (lambda **kw: V.verify_theorem("iii", **kw), ("q", "m")),
-    "thm-iv": (lambda **kw: V.verify_theorem("iv", **kw), ("q",)),
-    "s2p2": (V.verify_s2p2, ("q",)),
-    "psl25-lift": (V.verify_psl25_lift, ()),
-    "remark": (V.verify_remark, ("m", "q")),
-    "miller-332": (V.verify_miller_332, ()),
-    "dihedral": (V.verify_dihedral, ("m",)),
-    "example-alt5": (V.verify_example_alt5, ()),
-    "small-q-lift": (V.verify_small_q_lifting, ()),
-}
-
-
-def cmd_verify(args, cfg: Config) -> int:
-    kw = {"cache_dir": cfg.cache_dir, "pair_budget": cfg.pair_budget}
+def cmd_verify(args) -> int:
+    kw = {"cache_dir": args.cache_dir, "pair_budget": args.pair_budget}
     if args.claim == "all":
         reports = V.verify_all(max_q=args.max_q, **kw)
         passed = all(r.passed for r in reports)
@@ -167,22 +132,22 @@ def cmd_verify(args, cfg: Config) -> int:
             "passed": passed,
             "claims": [r.to_dict() for r in reports],
         }
-        _emit(report, cfg)
+        _emit(report, args)
         return EXIT_PASS if passed else EXIT_FAIL
-    if args.claim not in _CLAIMS:
+    if args.claim not in V.CLAIMS:
         raise _UsageError(f"unknown claim id {args.claim!r}")
-    driver, required = _CLAIMS[args.claim]
+    driver, required = V.CLAIMS[args.claim]
     for name in required:
         if getattr(args, name) is None:
             raise _UsageError(f"claim {args.claim!r} requires --{name}")
         kw[name] = getattr(args, name)
     claim_report = driver(**kw)
     report = {"schema": SCHEMA, **claim_report.to_dict()}
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_PASS if claim_report.passed else EXIT_FAIL
 
 
-def cmd_coset_enum(args, cfg: Config) -> int:
+def cmd_coset_enum(args) -> int:
     text = Path(args.presentation).read_text(encoding="utf-8")
     pres = parse_presentation(text)
     subgroup = tuple(parse_word(w, pres.generators) for w in args.subgroup or [])
@@ -197,7 +162,7 @@ def cmd_coset_enum(args, cfg: Config) -> int:
     }
     if args.table:
         report["coset_table"] = table.to_json()
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_PASS
 
 
@@ -242,7 +207,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("verify", help="run a claim driver")
-    p.add_argument("claim", help="claim id, or 'all' (ids: %s)" % ", ".join(sorted(_CLAIMS)))
+    p.add_argument("claim", help="claim id, or 'all' (ids: %s)" % ", ".join(sorted(V.CLAIMS)))
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--max-q", type=int, default=11, help="bound for 'all'")
@@ -264,14 +229,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-        cfg = Config(
-            cache_dir=cache_dir,
-            pair_budget=args.pair_budget,
-            output=args.output,
-            format=args.format,
-        )
-        return args.func(args, cfg)
+        if args.pair_budget < 1:
+            raise _UsageError("pair_budget must be >= 1")
+        args.cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

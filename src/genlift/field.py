@@ -15,11 +15,10 @@ deterministic.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
 
 import numpy as np
 
-DEFAULT_SIZE_BOUND = 2**16
+SIZE_BOUND = 2**16
 
 # Full q x q add/mul tables are kept for fields small enough to build
 # groups over; scalar polynomial arithmetic covers the rest.
@@ -167,9 +166,6 @@ class GF:
         """Embed the integer constant n (the element n*1)."""
         return (n % self.p) * self.p ** (self.k - 1)
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
-
     # -- scalar arithmetic (table-free paths) --
 
     def _add_scalar(self, a: int, b: int) -> int:
@@ -275,14 +271,14 @@ class GF:
 
 
 @functools.lru_cache(maxsize=None)
-def make_field(p: int, k: int, size_bound: int = DEFAULT_SIZE_BOUND) -> GF:
+def make_field(p: int, k: int) -> GF:
     """Build GF(p^k) with the lex-least monic irreducible modulus."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if p**k > size_bound:
-        raise ValueError(f"field size {p}^{k} exceeds bound {size_bound}")
+    if p**k > SIZE_BOUND:
+        raise ValueError(f"field size {p}^{k} exceeds bound {SIZE_BOUND}")
     if k == 1:
         return GF(p, 1, (0,))
     # scan (c0, ..., c_{k-1}) in lex order; itertools-free nested count

@@ -10,6 +10,7 @@ CosetEnumerationOverflow, which means "unknown", never "infinite".
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -413,7 +414,11 @@ def group_from_coset_table(
     for col in range(2 * table.generator_count):
         if mult[:, table.action[0][col]].tolist() != [row[col] for row in table.action]:
             raise ValueError("coset table does not define a regular representation")
-    return FiniteGroup("fp-group", mult, 0, kind="coset")
+    # equal names mean equal tables, as the orbit memo and the disk cache key on
+    # names; zlib's checksums, as hashlib would load OpenSSL (about 3.6 MB resident)
+    columns = repr([row[::2] for row in table.action]).encode()
+    name = f"fp-group-{n}-{zlib.crc32(columns):08x}{zlib.adler32(columns):08x}"
+    return FiniteGroup(name, mult, 0, kind="coset")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .field import GF, field_for_q
+from .field import GF, TABLE_LIMIT, field_for_q
 from .matrices import Mat2, PslElement
 
 DEFAULT_PAIR_BUDGET = 2 * 10**7
@@ -132,23 +132,6 @@ class FiniteGroup:
             raise TypeError("expected Mat2 or PslElement")
         return int(_matrix_indices(self.field, self.elements, self.kind, m.packed()))
 
-    # -- structural checks (exercised by the test suite) --
-
-    def validate(self) -> None:
-        n = self.n
-        ref = np.arange(n)
-        expected = np.tile(ref, (n, 1))
-        if not np.array_equal(np.sort(self.mult, axis=1), expected):
-            raise AssertionError("some row is not a permutation")
-        if not np.array_equal(np.sort(self.mult, axis=0), expected.T):
-            raise AssertionError("some column is not a permutation")
-        if not np.array_equal(self.mult[self.identity], ref):
-            raise AssertionError("identity fails on the left")
-        if not np.array_equal(self.mult[:, self.identity], ref):
-            raise AssertionError("identity fails on the right")
-        if not np.all(self.mult[ref, self.inv] == self.identity):
-            raise AssertionError("inverse table broken")
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.n})"
 
@@ -222,7 +205,9 @@ def _sl2_matrices(f: GF) -> np.ndarray:
     """All q^3 - q det-1 matrices as packed ints, sorted (= lex order of
     entries): for a = 0, any b != 0, c = -1/b and any d; for a != 0, any
     b, c and d = (1 + bc)/a.  Both blocks are listed in lex order, the
-    first below the second."""
+    first below the second.  ValueError if the field has no tables."""
+    if f.mul_table is None:
+        raise ValueError(f"GF({f.q}) has no arithmetic tables (q > {TABLE_LIMIT})")
     q, mulT, addT, invT = f.q, f.mul_table, f.add_table, f.inv_table
     b0, d0 = np.indices((q - 1, q)).reshape(2, -1)
     b0 += 1

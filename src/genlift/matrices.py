@@ -59,10 +59,6 @@ class Mat2:
         q = self.field.q
         return ((self.a * q + self.b) * q + self.c) * q + self.d
 
-    def is_identity(self) -> bool:
-        f = self.field
-        return self.entries() == (f.one, 0, 0, f.one)
-
     def serialize(self) -> str:
         f = self.field
         fmt = f.format_element
@@ -72,20 +68,6 @@ class Mat2:
 def mat_from_ints(f: GF, a: int, b: int, c: int, d: int) -> Mat2:
     """Matrix from integer literals (each reduced into the prime subfield)."""
     return Mat2(f, f.from_int(a), f.from_int(b), f.from_int(c), f.from_int(d))
-
-
-def element_order_sl(m: Mat2) -> int:
-    """Order of m in SL(2,q), by iterated multiplication."""
-    f = m.field
-    if m.det() != f.one:
-        raise ValueError("element_order_sl requires determinant 1")
-    bound = f.q * (f.q * f.q - 1)
-    acc = m
-    for n in range(1, bound + 1):
-        if acc.is_identity():
-            return n
-        acc = acc * m
-    raise RuntimeError("order exceeded |SL(2,q)|")  # unreachable for valid input
 
 
 @dataclass(frozen=True)

@@ -69,10 +69,52 @@ def build_cyclic(m: int):
     return FiniteGroup(f"C{m}", mult.astype(np.int32), 0, kind="cyclic")
 
 
+def field_elements(f):
+    """The elements of GF(q), as the ints 0..q-1."""
+    return iter(range(f.q))
+
+
 def identity_mat(f):
     from genlift.matrices import Mat2
 
     return Mat2(f, f.one, 0, 0, f.one)
+
+
+def is_identity(m) -> bool:
+    f = m.field
+    return m.entries() == (f.one, 0, 0, f.one)
+
+
+def element_order_sl(m) -> int:
+    """Order of m in SL(2,q), by iterated multiplication."""
+    f = m.field
+    if m.det() != f.one:
+        raise ValueError("element_order_sl requires determinant 1")
+    bound = f.q * (f.q * f.q - 1)
+    acc = m
+    for n in range(1, bound + 1):
+        if is_identity(acc):
+            return n
+        acc = acc * m
+    raise RuntimeError("order exceeded |SL(2,q)|")  # unreachable for valid input
+
+
+def validate_group(G) -> None:
+    """Assert that G's tables form a group table: Latin square rows and
+    columns, a two-sided identity and a working inverse table."""
+    n = G.n
+    ref = np.arange(n)
+    expected = np.tile(ref, (n, 1))
+    if not np.array_equal(np.sort(G.mult, axis=1), expected):
+        raise AssertionError("some row is not a permutation")
+    if not np.array_equal(np.sort(G.mult, axis=0), expected.T):
+        raise AssertionError("some column is not a permutation")
+    if not np.array_equal(G.mult[G.identity], ref):
+        raise AssertionError("identity fails on the left")
+    if not np.array_equal(G.mult[:, G.identity], ref):
+        raise AssertionError("identity fails on the right")
+    if not np.all(G.mult[ref, G.inv] == G.identity):
+        raise AssertionError("inverse table broken")
 
 
 def psl_canonical(m):

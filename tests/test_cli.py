@@ -104,6 +104,16 @@ def test_budget_exit(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_field_without_tables_is_refused(capsys):
+    # GF(257) is past the field's TABLE_LIMIT: over the default budget it is
+    # a budget refusal, and within a large one a usage error, not a crash
+    assert run(capsys, "spectrum", "--q", "257")[0] == EXIT_BUDGET
+    assert run(capsys, "--pair-budget", str(10**20), "spectrum", "--q", "257")[0] == EXIT_USAGE
+    for build in (groupcore.build_sl2, groupcore.build_psl2):
+        with pytest.raises(ValueError, match="no arithmetic tables"):
+            build(257, 10**20)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -148,6 +158,12 @@ def test_exit_codes_documented():
     assert set(documented) == set(constants)
     for code, word in constants.items():
         assert word in documented[code], (code, documented[code])
+
+
+def test_claim_ids_documented():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Claim ids:(.*?)\.\n", readme, re.S).group(1)
+    assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted([*V.CLAIMS, "all"])
 
 
 def test_coset_enum(capsys, tmp_path):
@@ -278,6 +294,9 @@ def test_orbit_report_script():
     assert len(spectra) == 2  # one per q
     proc = subprocess.run([sys.executable, str(script), "23"], capture_output=True, text=True)
     assert proc.returncode == EXIT_BUDGET and "PSL(2,23) refused" in proc.stderr
+    proc = subprocess.run([sys.executable, str(script), "6"], capture_output=True, text=True)
+    assert proc.returncode == 2 and "6 is not a prime power" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_scale_probe_script():

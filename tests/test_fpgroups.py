@@ -16,7 +16,7 @@ from genlift.fpgroups import (
     todd_coxeter,
 )
 from genlift.groupcore import PairBudgetExceeded
-from oracles import coset_cayley_table, invariant_factors_via_minors
+from oracles import coset_cayley_table, invariant_factors_via_minors, validate_group
 
 
 def enumerate_order(text, max_cosets=10**5):
@@ -38,7 +38,7 @@ def test_quaternion_8():
     pres = "gens: a b\nrels: a^4 a^2b^-2 b^-1aba"
     assert enumerate_order(pres) == 8
     G = group_from_coset_table(todd_coxeter(parse_presentation(pres)))
-    G.validate()
+    validate_group(G)
     assert sorted(G.orders.tolist()) == [1, 2, 4, 4, 4, 4, 4, 4]
 
 

@@ -32,6 +32,7 @@ from oracles import (
     power,
     sl2_matrices_grid,
     subgroup_closure,
+    validate_group,
 )
 
 
@@ -51,7 +52,7 @@ def test_group_orders(q):
                                    lambda: build_dihedral(6), lambda: build_cyclic(12)])
 def test_cayley_table_valid(build):
     G = build()
-    G.validate()
+    validate_group(G)
     # orders divide |G|
     for g in range(G.n):
         assert G.n % G.orders[g] == 0

@@ -8,11 +8,10 @@ from genlift.matrices import (
     Mat2,
     PslElement,
     bracket,
-    element_order_sl,
     mat_from_ints,
     trace_invariant,
 )
-from oracles import identity_mat, psl_canonical
+from oracles import element_order_sl, identity_mat, psl_canonical
 
 
 def random_sl(G, rng):

@@ -7,6 +7,7 @@ import pytest
 from genlift import cache
 from genlift import verify as V
 from genlift.field import field_for_q
+from genlift.fpgroups import group_from_coset_table, parse_presentation, todd_coxeter
 from genlift.groupcore import PairBudgetExceeded, build_dihedral, build_psl2
 from genlift.nielsen import (
     aut_orbit_decomposition,
@@ -214,6 +215,36 @@ def test_verify_all_small():
             "small-q-lift"} <= ids
 
 
+def test_verify_all_runs_the_battery_up_to_max_q():
+    # every battery entry names a claim and gives its required parameters
+    assert len(V.BATTERY) == 47
+    for cid, params in V.BATTERY:
+        assert set(V.CLAIMS[cid][1]) <= set(params), cid
+    # entries without a q always run; the others while q <= max_q, in battery order
+    entries = [(cid, params) for cid, params in V.BATTERY if params.get("q", 0) <= 7]
+    reports = V.verify_all(max_q=7)
+    assert [r.claim_id for r in reports] == [cid for cid, _ in entries]
+    for r, (_, params) in zip(reports, entries):
+        assert all(r.parameters[k] == v for k, v in params.items())
+
+
+def test_claims_look_their_drivers_up_when_called(monkeypatch):
+    # a wrapper set on a driver after import (perfbench's tracer does this)
+    # sees the claims run through CLAIMS and verify_all
+    calls = []
+    original = V.verify_theorem
+
+    def wrapped(*args, **kw):
+        calls.append(args)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(V, "verify_theorem", wrapped)
+    check(V.CLAIMS["thm-iv"][0](q=5), "thm-iv")
+    assert calls == [("iv",)]
+    V.verify_all(max_q=5)
+    assert calls[1:] == [("i",), ("i",), ("iv",)]
+
+
 def test_disk_cache(tmp_path):
     V._DECOMP.clear()
     cold = V.verify_trace_table(7, cache_dir=tmp_path)
@@ -290,6 +321,56 @@ def test_orbit_queries_leave_the_matrix_labels_unbuilt(monkeypatch):
     # built on first read; the report's matrices, serialized from the packed entries, agree
     for entry in report["orbits"]:
         assert entry["rep_matrices"] == [G.labels[g].serialize() for g in entry["rep"]]
+
+
+def test_coset_groups_get_their_own_orbits(tmp_path, monkeypatch):
+    # the memo and the disk cache key on the group name, so two coset-table
+    # groups must not share one; the same table gives the same name
+    monkeypatch.setattr(V, "_DECOMP", {})
+    presentations = {
+        "Q8": "gens: a b\nrels: a^4 a^2b^-2 b^-1aba",
+        "D8": "gens: x y\nrels: x^4 y^2 (xy)^2",
+        "S3": "gens: x y\nrels: x^3 y^2 (xy)^2",
+    }
+    names = set()
+    for label, text in presentations.items():
+        table = todd_coxeter(parse_presentation(text))
+        G = group_from_coset_table(table)
+        dec, hit = V.gamma_orbits(G, tmp_path)
+        fresh = decompose_nielsen_orbits(group_from_coset_table(table))
+        assert not hit and dec.group is G, label
+        assert np.array_equal(dec.rep_rows, fresh.rep_rows), label
+        assert [(o.size, o.canonical_rep, o.commutator_order) for o in dec.orbits] == [
+            (o.size, o.canonical_rep, o.commutator_order) for o in fresh.orbits
+        ], label
+        assert dec.gamma_size() == fresh.gamma_size() <= G.n**2, label
+        assert group_from_coset_table(table).name == G.name
+        names.add(G.name)
+    assert len(names) == 3
+    assert len(list(tmp_path.glob("*.npy"))) == 3
+
+
+def test_rebuilt_group_gets_its_own_decomposition(monkeypatch):
+    # a memo hit for a rebuilt group wraps the stored parts for that group and
+    # hands them to it, so its Aut and joint orbits run no Nielsen search
+    import genlift.nielsen
+
+    monkeypatch.setattr(V, "_DECOMP", {})
+    first, _hit = V.gamma_orbits(build_psl2(13), None)
+    G = build_psl2(13)
+    dec, hit = V.gamma_orbits(G, None)
+    assert dec.group is G and not hit
+    assert np.array_equal(dec.rep_rows, first.rep_rows)
+    rep_rows, actions = genlift.nielsen._rep_rows, []
+
+    def counted(G, cls, moves):
+        actions.append(moves)
+        return rep_rows(G, cls, moves)
+
+    monkeypatch.setattr(genlift.nielsen, "_rep_rows", counted)
+    aut_orbit_decomposition(G)
+    joint_orbit_decomposition(G)
+    assert genlift.nielsen._nielsen_moves not in actions, actions
 
 
 def test_foreign_cache_entry_does_not_reach_aut_or_joint(tmp_path, monkeypatch):
