@@ -137,10 +137,12 @@ def cmd_verify(args) -> int:
     if args.claim not in V.CLAIMS:
         raise _UsageError(f"unknown claim id {args.claim!r}")
     driver, required = V.CLAIMS[args.claim]
-    for name in required:
-        if getattr(args, name) is None:
+    for name in ("q", "m"):
+        if name in required and getattr(args, name) is None:
             raise _UsageError(f"claim {args.claim!r} requires --{name}")
-        kw[name] = getattr(args, name)
+        if name not in required and getattr(args, name) is not None:
+            raise _UsageError(f"claim {args.claim!r} takes no --{name}")
+    kw.update((name, getattr(args, name)) for name in required)
     claim_report = driver(**kw)
     report = {"schema": SCHEMA, **claim_report.to_dict()}
     _emit(report, args)

@@ -2,7 +2,16 @@
 
 Builders for SL(2,q), PSL(2,q) and dihedral groups, plus the
 generic queries the orbit machinery needs: subgroup closure, generation
-testing, conjugacy classes, derived series.
+testing, centralizer generators, conjugacy classes, derived series.
+
+Every subgroup closure goes through `_closures`, a breadth-first search
+that runs P closures in lockstep on the flat ids p * n + e: one step
+reads the products of every row's frontier with that row's generators
+and dedupes the new ids by sorting.  A generation test (`generates`,
+elementwise over index arrays) stops a row once it has reached more
+than n/2 elements, as a subgroup of index below 2 is G.  The greedy
+centralizer generators of all class representatives are picked in
+lockstep rounds of it and kept with the conjugacy classes.
 
 The SL/PSL, dihedral and coset-table builders compute only the rows of a
 few generators directly and compose every other row from them by right
@@ -141,6 +150,7 @@ class ConjugacyClasses:
     class_of: np.ndarray
     representatives: list[int]  # the least member of each class
     conjugator: np.ndarray  # x with x a x^-1 = representatives[class_of[a]]
+    centralizer_gens: Optional[list[np.ndarray]] = None  # set by centralizer_generators
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +158,8 @@ class ConjugacyClasses:
 # ---------------------------------------------------------------------------
 
 
-# entries per block: table composition and `derived_series` work _BLOCK_ENTRIES // n
-# rows at a time, so no step allocates an n x n temporary
+# entries per block: table composition, `_closures` and `derived_series` work
+# _BLOCK_ENTRIES // n rows at a time, so no step allocates an n x n temporary
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -332,26 +342,61 @@ def build_dihedral(m: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGrou
 # ---------------------------------------------------------------------------
 
 
-def closure_mask(G: FiniteGroup, gens: Sequence[int]) -> np.ndarray:
-    """Boolean membership array of <gens>, by BFS from the identity.
+def _closures(G: FiniteGroup, gens, generation: bool = False) -> np.ndarray:
+    """The subgroups <gens[p]> of P generator rows (a P x k index array;
+    pad a short row with the identity), by one breadth-first search from
+    the identity that runs every row in lockstep.
 
-    Right multiplication by the generators reaches exactly the generated
-    subgroup, since every generator has finite order.
+    A row's elements are the flat ids p * n + e.  Each step reads the
+    products mult[e, gens[p]] of every frontier id at once, drops the ids
+    already visited and dedupes the rest by sorting, so no step allocates
+    an index array over all P * n ids.  Right multiplication by the
+    generators reaches exactly the generated subgroup, since every
+    generator has finite order.  Rows run _BLOCK_ENTRIES // n at a time.
+
+    Returns the P x n membership masks, or with `generation` whether each
+    row generates G: such a row stops once it has reached more than n/2
+    elements, since a subgroup of index below 2 is G itself.
     """
+    n = G.n
+    gens = np.asarray(gens, dtype=np.intp)
+    flat = G.mult.reshape(-1)
+    out = np.zeros(len(gens) if generation else (len(gens), n), dtype=bool)
+    block = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, len(gens), block):
+        rows = gens[lo : lo + block]
+        if generation:
+            visited = np.zeros(len(rows) * n, dtype=bool)
+        else:  # the masks are filled in place, through a view of these rows of out
+            visited = out[lo : lo + block].reshape(-1)
+        frontier = np.arange(len(rows), dtype=np.intp) * n + G.identity
+        visited[frontier] = True
+        size = np.ones(len(rows), dtype=np.intp)
+        while frontier.size:
+            row = frontier // n
+            base = row * n
+            products = flat.take((frontier - base)[:, None] * n + rows[row])  # mult[e, gens[p]]
+            ids = (base[:, None] + products).reshape(-1)
+            ids = ids[~visited[ids]]
+            ids.sort()
+            keep = np.ones(len(ids), dtype=bool)
+            keep[1:] = ids[1:] != ids[:-1]
+            frontier = ids[keep]
+            visited[frontier] = True
+            if generation:
+                row = frontier // n
+                size += np.bincount(row, minlength=len(rows))
+                frontier = frontier[2 * size[row] <= n]
+        if generation:
+            out[lo : lo + block] = 2 * size > n
+    return out
+
+
+def closure_mask(G: FiniteGroup, gens: Sequence[int]) -> np.ndarray:
+    """Boolean membership array of <gens>: one row of `_closures`."""
     if len(gens) == 0:
         raise ValueError("gens must be nonempty")
-    garr = np.asarray(sorted(set(int(g) for g in gens)), dtype=np.int64)
-    visited = np.zeros(G.n, dtype=bool)
-    visited[G.identity] = True
-    frontier = np.array([G.identity], dtype=np.int64)
-    while frontier.size:
-        # a boolean mask dedupes the next frontier without a sort
-        fresh = np.zeros(G.n, dtype=bool)
-        fresh[G.mult[frontier[:, None], garr]] = True
-        fresh &= ~visited
-        visited |= fresh
-        frontier = np.flatnonzero(fresh)
-    return visited
+    return _closures(G, [np.asarray(gens, dtype=np.intp)])[0]
 
 
 def commutators(G: FiniteGroup, i, j) -> np.ndarray:
@@ -360,12 +405,11 @@ def commutators(G: FiniteGroup, i, j) -> np.ndarray:
     return m[m[G.inv[i], G.inv[j]], m[i, j]]
 
 
-def closure_size(G: FiniteGroup, gens: Sequence[int]) -> int:
-    return int(closure_mask(G, gens).sum())
-
-
-def generates(G: FiniteGroup, g1: int, g2: int) -> bool:
-    return closure_size(G, (g1, g2)) == G.n
+def generates(G: FiniteGroup, a, b) -> np.ndarray:
+    """Whether <a, b> = G, elementwise over broadcast index arrays: all
+    the pairs' closures in one call of `_closures`."""
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    return _closures(G, np.stack([a.reshape(-1), b.reshape(-1)], axis=1), True).reshape(a.shape)
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
@@ -386,6 +430,35 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
         conjugator[cls] = allx
     G._classes = ConjugacyClasses(class_of=class_of, representatives=reps, conjugator=conjugator)
     return G._classes
+
+
+def centralizer_generators(G: FiniteGroup) -> list[np.ndarray]:
+    """Generators of the centralizer C(r) of every class representative r,
+    computed once per group and kept with its conjugacy classes.
+
+    Each row is picked greedily from {identity}: each generator is the
+    least element of C(r) outside the subgroup generated so far, so each
+    at least doubles it and there are at most log2 |C(r)|.  Every
+    representative takes its next pick in the same round, and one call
+    of `_closures` closes all the unfinished rows, finished rows being
+    left out.
+    """
+    cls = conjugacy_classes(G)
+    if cls.centralizer_gens is None:
+        reps = np.asarray(cls.representatives, dtype=np.intp)
+        cent = G.mult[reps] == G.mult[:, reps].T  # r x == x r, a row per representative
+        reached = np.zeros_like(cent)
+        reached[:, G.identity] = True
+        gens = np.empty((len(reps), 0), dtype=np.intp)
+        live = np.flatnonzero((cent != reached).any(axis=1))
+        while live.size:
+            picks = np.full(len(reps), G.identity, dtype=np.intp)  # finished rows: the identity
+            picks[live] = np.argmax(cent[live] & ~reached[live], axis=1)
+            gens = np.column_stack([gens, picks])
+            reached[live] = _closures(G, gens[live])
+            live = live[(cent[live] != reached[live]).any(axis=1)]
+        cls.centralizer_gens = [row[row != G.identity] for row in gens]
+    return cls.centralizer_gens
 
 
 def derived_series(G: FiniteGroup) -> list[np.ndarray]:
@@ -414,13 +487,10 @@ def is_mn_generated(G: FiniteGroup, m: int, n: int) -> bool:
     """Whether some pair (g1,g2) with g1^m = g2^n = 1 generates G.
 
     g1 only runs over conjugacy class representatives; generation is
-    invariant under simultaneous conjugation and g2 runs over everything.
+    invariant under simultaneous conjugation and g2 runs over everything,
+    one `generates` call per g1.
     """
     classes = conjugacy_classes(G)
     cands1 = [g for g in classes.representatives if m % G.orders[g] == 0]
-    cands2 = np.flatnonzero(n % G.orders == 0).tolist()
-    for g1 in cands1:
-        for g2 in cands2:
-            if generates(G, g1, g2):
-                return True
-    return False
+    cands2 = np.flatnonzero(n % G.orders == 0)
+    return any(generates(G, g1, cands2).any() for g1 in cands1)

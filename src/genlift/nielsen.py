@@ -17,7 +17,10 @@ the moves, and to its conjugates (reps[k], z y z^-1) by a few generators
 z of the centralizer of reps[k], picked greedily; a numpy union-find
 (hooking and pointer jumping) labels each component by its least key,
 whose pair is its least member, as representatives are least members.
-Generation is tested once per Nielsen class, fresh or cached.  Aut keeps
+The centralizer generators come from `groupcore.centralizer_generators`,
+picked once per group.  Generation is decided for every Nielsen class,
+fresh or cached, by one `generates` call on the least members, whose
+lockstep closures stop at more than n/2 elements.  Aut keeps
 the components inside generating Nielsen classes, as automorphisms
 preserve generation; joint orbits are Nielsen orbits merged under the
 outer generators, which commute with the moves.
@@ -47,8 +50,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groupcore import (
-    ConjugacyClasses, FiniteGroup, closure_mask, closure_size, commutators, conjugacy_classes,
-    entry_perm, matrix_entries,
+    ConjugacyClasses, FiniteGroup, centralizer_generators, commutators, conjugacy_classes,
+    entry_perm, generates, matrix_entries,
 )
 from .matrices import trace_invariant
 
@@ -180,20 +183,6 @@ def _nielsen_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
     return [(G.inv[i], j), (G.mult[i, G.inv[j]], j), (j, i)]
 
 
-def _centralizer_generators(G: FiniteGroup, r: int) -> list[int]:
-    """Generators of the centralizer C(r), picked greedily from {identity}:
-    each is the least element of C(r) outside the subgroup generated so
-    far, so each at least doubles it and there are at most log2 |C(r)|."""
-    cent = G.mult[r] == G.mult[:, r]
-    reached = np.zeros(G.n, dtype=bool)
-    reached[G.identity] = True
-    gens: list[int] = []
-    while not np.array_equal(reached, cent):
-        gens.append(int(np.argmax(cent & ~reached)))
-        reached = closure_mask(G, gens)
-    return gens
-
-
 def _components(nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Connected components of the graph with edges src[e] -- dst[e], each
     labelled by its least node.  Every round hooks each root onto the
@@ -224,8 +213,8 @@ def _rep_rows(G: FiniteGroup, cls: ConjugacyClasses, moves: Callable) -> np.ndar
     for a, b in moves(G, i, j):
         src.append(keys)
         dst.append(_pair_keys(G, cls, a, b))
-    for k, r in enumerate(reps):
-        for z in _centralizer_generators(G, int(r)):
+    for k, zs in enumerate(centralizer_generators(G)):
+        for z in zs.tolist():
             src.append(keys[k * n : (k + 1) * n])
             dst.append(k * n + G.mult[G.mult[z], G.inv[z]].astype(np.int64))
     return _components(len(keys), np.concatenate(src), np.concatenate(dst)).reshape(len(reps), n)
@@ -298,9 +287,9 @@ def decompose_nielsen_orbits(
         return OrbitDecomposition(G, *G._nielsen)
     n, cls = G.n, conjugacy_classes(G)
     rows = _rep_rows(G, cls, _nielsen_moves) if rep_rows is None else _least_keys(rep_rows)
+    keys = np.flatnonzero(np.bincount(rows[rows >= 0], minlength=rows.size))  # one per class
     generating = np.zeros(rows.size, dtype=bool)
-    for key in np.flatnonzero(np.bincount(rows[rows >= 0], minlength=rows.size)).tolist():
-        generating[key] = closure_size(G, (cls.representatives[key // n], key % n)) == n
+    generating[keys] = generates(G, np.asarray(cls.representatives)[keys // n], keys % n)
     dec = _decompose(G, cls, np.where((rows >= 0) & generating[rows], rows, -1))
     if rep_rows is None:
         # its parts, not dec itself: dec.group -> G -> dec would be a reference

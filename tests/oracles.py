@@ -149,10 +149,31 @@ def element_order(G, g: int) -> int:
     return e
 
 
+def closure_mask(G, gens) -> np.ndarray:
+    """Boolean membership array of <gens>, by a BFS from the identity, one
+    subgroup per call; every step marks the products of its frontier in a
+    fresh mask of all n elements."""
+    if len(gens) == 0:
+        raise ValueError("gens must be nonempty")
+    garr = np.asarray(sorted(set(int(g) for g in gens)), dtype=np.int64)
+    visited = np.zeros(G.n, dtype=bool)
+    visited[G.identity] = True
+    frontier = np.array([G.identity], dtype=np.int64)
+    while frontier.size:
+        fresh = np.zeros(G.n, dtype=bool)
+        fresh[G.mult[frontier[:, None], garr]] = True
+        fresh &= ~visited
+        visited |= fresh
+        frontier = np.flatnonzero(fresh)
+    return visited
+
+
+def closure_size(G, gens) -> int:
+    return int(closure_mask(G, gens).sum())
+
+
 def subgroup_closure(G, gens) -> set[int]:
     """The subgroup generated by gens, as a set of element indices."""
-    from genlift.groupcore import closure_mask
-
     return set(int(i) for i in np.flatnonzero(closure_mask(G, gens)))
 
 
@@ -182,12 +203,16 @@ def lemma_scan_scalar(G, bad_traces: set[int]) -> tuple[bool, dict]:
 
 
 def derived_length(G) -> int:
-    from genlift.groupcore import derived_series
-
-    series = derived_series(G)
-    if len(series[-1]) != 1:
-        raise ValueError("derived series does not reach the trivial group")
-    return len(series) - 1
+    """Steps of the derived series down to the trivial group; each term is
+    the closure of every commutator of the one before, one pair at a time."""
+    term, length = list(range(G.n)), 0
+    while len(term) > 1:
+        comms = sorted({commutator(G, a, b) for a in term for b in term})
+        nxt = np.flatnonzero(closure_mask(G, comms)).tolist()
+        if len(nxt) == len(term):
+            raise ValueError("derived series does not reach the trivial group")
+        term, length = nxt, length + 1
+    return length
 
 
 def _divisors(n: int) -> set[int]:
@@ -392,8 +417,6 @@ def _pair_space_targets(G, action: str) -> list:
     """Packed pair ids hit by each generator of the action, over all of
     G x G.  Automorphisms are the full PGammaL generator set: the outer
     permutations plus conjugation by both members of a generating pair."""
-    from genlift.groupcore import closure_size
-
     n = G.n
     # widened first: a pair id outgrows the table's entry type
     mult, inv = G.mult.astype(np.int64), G.inv.astype(np.int64)
@@ -418,7 +441,6 @@ def pair_space_orbits(G, action: str = "nielsen"):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    from genlift.groupcore import closure_size
     from genlift.matrices import trace_invariant
 
     n = G.n
@@ -481,8 +503,6 @@ def decompose_nielsen_orbits_naive(G) -> list:
 
     Returns (members, is_generating) per orbit, ordered by least member.
     """
-    from genlift.groupcore import closure_size
-
     n = G.n
     uf = _UnionFind(n * n)
     for g1 in range(n):
@@ -512,8 +532,6 @@ def orbit_partition_naive(G) -> set[frozenset]:
 
 
 def count_generating_pairs(G) -> int:
-    from genlift.groupcore import closure_size
-
     n = G.n
     return sum(
         1 for i in range(n) for j in range(n) if closure_size(G, (i, j)) == n

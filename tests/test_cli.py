@@ -99,6 +99,22 @@ def test_precondition_is_usage(capsys):
     assert run(capsys, "verify", "prop-key", "--q", "13")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ("lemma5", "--q", "7"),
+    ("dihedral", "--m", "4", "--q", "9"),
+    ("trace-table", "--q", "5", "--m", "3"),
+    ("psl25-lift", "--m", "5"),
+])
+def test_parameter_the_claim_does_not_take_is_usage(capsys, argv):
+    code, out = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE and out == ""
+
+
+def test_thm_iv_at_even_q_is_usage(capsys):
+    for q in ("8", "16"):
+        assert run(capsys, "verify", "thm-iv", "--q", q)[0] == EXIT_USAGE
+
+
 def test_budget_exit(capsys):
     code, _ = run(capsys, "--pair-budget", "100", "spectrum", "--q", "11")
     assert code == EXIT_BUDGET

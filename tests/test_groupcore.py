@@ -14,7 +14,7 @@ from genlift.groupcore import (
     build_dihedral,
     build_psl2,
     build_sl2,
-    closure_size,
+    closure_mask,
     conjugacy_classes,
     derived_series,
     generates,
@@ -23,6 +23,7 @@ from genlift.groupcore import (
 from genlift.matrices import PslElement, mat_from_ints
 from oracles import (
     build_cyclic,
+    closure_mask as closure_mask_oracle,
     derived_length,
     dihedral_cayley_table,
     matrix_cayley_table,
@@ -125,13 +126,79 @@ def test_conjugator_transversal():
 
 def test_closure_and_generation():
     G = build_psl2(5)
-    assert closure_size(G, (G.identity,)) == 1
-    assert closure_size(G, range(G.n)) == G.n
+    assert closure_mask(G, (G.identity,)).sum() == 1
+    assert closure_mask(G, range(G.n)).sum() == G.n
     # some pair generates (the group is 2-generated)
     assert any(generates(G, i, j) for i in range(G.n) for j in range(G.n))
     # a cyclic subgroup is its own closure
     g = next(g for g in range(G.n) if G.orders[g] == 5)
     assert len(subgroup_closure(G, (g,))) == 5
+
+
+def _miller_group():
+    pres = parse_presentation("gens: x y\nrels: x^3 y^3 [x,y]^2")
+    return group_from_coset_table(todd_coxeter(pres, max_cosets=10**5))
+
+
+CLOSURE_HOSTS = (
+    [lambda q=q: build_psl2(q) for q in (2, 3, 4, 5, 7)]
+    + [lambda: build_sl2(3)]
+    + [lambda m=m: build_dihedral(m) for m in range(3, 9)]
+    + [lambda: build_cyclic(8), _miller_group]
+)
+
+
+@pytest.mark.parametrize("build", CLOSURE_HOSTS)
+def test_lockstep_closures_match_scalar_bfs(build):
+    # every pair, in blocks of rows past _BLOCK_ENTRIES at PSL(2,7); the 288
+    # elements of the Miller group take each class representative against
+    # every element, as closures commute with conjugation
+    G = build()
+    n = G.n
+    firsts = conjugacy_classes(G).representatives if n > 200 else range(n)
+    i, j = (e.ravel() for e in np.meshgrid(firsts, np.arange(n), indexing="ij"))
+    # the oracle closes the set {i, j}, so (i, j) and (j, i) share one call
+    ref = {}
+    for a, b in zip(i.tolist(), j.tolist()):
+        if (b, a) not in ref:
+            ref[a, b] = closure_mask_oracle(G, (a, b))
+    masks = np.array([ref.get((a, b), ref.get((b, a))) for a, b in zip(i.tolist(), j.tolist())])
+    assert np.array_equal(groupcore._closures(G, np.stack([i, j], axis=1)), masks), G.name
+    assert np.array_equal(generates(G, i, j), masks.all(axis=1)), G.name
+    assert np.array_equal(generates(G, i.reshape(-1, n), j[:n]), masks.all(axis=1).reshape(-1, n))
+
+
+def test_lockstep_closures_odd_rows():
+    G = build_psl2(5)
+    e = G.identity
+    pairs = np.array([(3, 7), (1, 2), (5, 5), (e, e)])
+    plain = groupcore._closures(G, pairs)
+    # identity padding and repeated generators leave every row's subgroup alone
+    padded = np.column_stack([pairs, np.full(len(pairs), e), pairs[:, :1]])
+    assert np.array_equal(groupcore._closures(G, padded), plain)
+    assert np.array_equal(groupcore._closures(G, pairs, True), plain.all(axis=1))
+    for p, row in zip(pairs, plain):
+        assert np.array_equal(row, closure_mask_oracle(G, p))
+    # no rows, and rows without generators
+    assert groupcore._closures(G, np.empty((0, 2), dtype=int)).shape == (0, G.n)
+    assert groupcore._closures(G, np.empty((0, 2), dtype=int), True).shape == (0,)
+    assert generates(G, np.empty(0, dtype=int), 3).shape == (0,)
+    bare = groupcore._closures(G, np.empty((3, 0), dtype=int))
+    assert np.array_equal(np.flatnonzero(bare), [e, G.n + e, 2 * G.n + e])
+
+
+def test_index_two_subgroups_do_not_generate():
+    # the n/2 stop needs strictly more than half: an index-2 subgroup has exactly half
+    for m in range(3, 9):
+        G = build_dihedral(m)
+        shifts = np.arange(m)
+        assert not generates(G, shifts[:, None], shifts).any(), m  # the rotations
+        assert generates(G, 1, m), m  # the least rotation and a reflection
+        if m % 2 == 0:  # even rotations and a reflection: the other dihedral halves
+            assert not generates(G, 2, m) and not generates(G, m + 1, 2), m
+    C8 = build_cyclic(8)
+    assert not generates(C8, 2, 4) and not generates(C8, 6, 6) and not generates(C8, 2, 6)
+    assert generates(C8, 2, 3) and generates(C8, 0, 5) and not generates(C8, 0, 4)
 
 
 def test_dihedral_structure():

@@ -7,11 +7,11 @@ from genlift.groupcore import (
     build_dihedral,
     build_psl2,
     build_sl2,
+    centralizer_generators,
     closure_mask,
     conjugacy_classes,
 )
 from genlift.nielsen import (
-    _centralizer_generators,
     _components,
     _nielsen_moves,
     aut_orbit_decomposition,
@@ -26,6 +26,7 @@ from genlift.matrices import trace_invariant
 from oracles import (
     _UnionFind,
     build_cyclic,
+    closure_mask as closure_mask_oracle,
     commutator,
     count_generating_pairs,
     element_order,
@@ -135,15 +136,22 @@ CENTRALIZER_HOSTS = (
 
 @pytest.mark.parametrize("build", CENTRALIZER_HOSTS)
 def test_centralizer_generators(build):
+    # the picks of all representatives, made in lockstep, are those of the
+    # one-row greedy: each the least element of C(r) outside <picks so far>
     G = build()
-    for r in conjugacy_classes(G).representatives:
+    picks = centralizer_generators(G)
+    assert centralizer_generators(G) is picks  # kept with the conjugacy classes
+    for r, gens in zip(conjugacy_classes(G).representatives, picks):
         cent = G.mult[r] == G.mult[:, r]
-        gens = _centralizer_generators(G, r)
+        gens = gens.tolist()
         case = (G.name, r, gens)
         assert all(cent[z] for z in gens), case
         assert G.identity not in gens, case
         assert np.array_equal(closure_mask(G, gens), cent), case  # C(identity) is all of G
         assert 2 ** len(gens) <= cent.sum(), case
+        for k, z in enumerate(gens):
+            reached = closure_mask_oracle(G, [G.identity] + gens[:k])
+            assert z == np.flatnonzero(cent & ~reached)[0], case
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -263,20 +271,21 @@ def test_aut_and_joint_test_generation_through_nielsen(monkeypatch):
 
     G = build_psl2(13)
     calls = []
-    closure_size = genlift.nielsen.closure_size
+    generates = genlift.nielsen.generates
 
-    def counted(*args):
-        calls.append(args)
-        return closure_size(*args)
+    def counted(G, a, b):
+        calls.append(np.broadcast(a, b).size)  # pairs handed to the generation kernel
+        return generates(G, a, b)
 
-    monkeypatch.setattr(genlift.nielsen, "closure_size", counted)
+    monkeypatch.setattr(genlift.nielsen, "generates", counted)
     counts = {}
     for action, decompose in ACTIONS.items():
         calls.clear()
         decompose(G)
-        counts[action] = len(calls)
+        counts[action] = sum(calls)
     assert counts["nielsen"] > 0
     assert counts["aut"] <= counts["nielsen"] and counts["joint"] <= counts["nielsen"], counts
+    assert counts["aut"] == counts["joint"] == 0, counts
 
 
 def test_one_nielsen_base_per_group(monkeypatch):
@@ -377,7 +386,7 @@ def test_orbit_ids_are_minus_one_off_the_generating_pairs():
     dec = decompose_nielsen_orbits(G)
     i, j = np.divmod(np.arange(G.n * G.n), G.n)
     ids = dec.orbit_ids(i, j)
-    generating = np.array([closure_mask(G, p).all() for p in zip(i.tolist(), j.tolist())])
+    generating = np.array([closure_mask_oracle(G, p).all() for p in zip(i.tolist(), j.tolist())])
     assert np.array_equal(ids >= 0, generating)
     assert (ids == -1).sum() == G.n * G.n - dec.gamma_size()
     with pytest.raises(KeyError):

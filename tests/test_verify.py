@@ -71,6 +71,8 @@ def test_theorem(case, q, m):
     ("iii", 11, None),  # missing m
     ("iii", 11, 13),  # hypothesis fails
     ("iv", 4, None),
+    ("iv", 8, None),  # even q: tau = 0 is the reducible tau = 2
+    ("iv", 16, None),
     ("bogus", 7, None),
 ])
 def test_theorem_preconditions(case, q, m):
