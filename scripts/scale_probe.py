@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time and size the PSL(2,q) table build and Nielsen decomposition.
+"""Time and size the PSL(2,q) table build, Nielsen and Aut decompositions.
 
 Usage:
     python3 scripts/scale_probe.py 19 23 27 31 32 --pair-budget 2000000000
@@ -7,13 +7,14 @@ Usage:
 Each q runs in a fresh interpreter, so its memos and ru_maxrss start
 clean.  One line per q:
 
-    q=19 order=3420 build_s=0.052 decompose_s=0.041 table_mb=22.3 peak_rss_mb=66.1
+    q=19 order=3420 build_s=0.035 decompose_s=0.018 decompose_minflt=993 aut_s=0.006 table_mb=22.3 peak_rss_mb=55.3
 
 build_s is `build_psl2`, decompose_s is `decompose_nielsen_orbits` on
-that group, table_mb the size of its multiplication table and
-peak_rss_mb the process's peak resident set (MB = 2^20 bytes).  A q
-whose table exceeds the pair budget is refused, exit 2, before any
-probe runs.
+that group and decompose_minflt the minor page faults the process took
+during it, aut_s is `aut_orbit_decomposition` after it, table_mb the
+size of the multiplication table and peak_rss_mb the process's peak
+resident set (MB = 2^20 bytes).  A q whose table exceeds the pair
+budget is refused, exit 2, before any probe runs.
 """
 
 import argparse
@@ -31,16 +32,19 @@ from genlift.groupcore import DEFAULT_PAIR_BUDGET, PairBudgetExceeded, check_pai
 PROBE = """
 import resource, sys, time
 from genlift.groupcore import build_psl2
-from genlift.nielsen import decompose_nielsen_orbits
+from genlift.nielsen import aut_orbit_decomposition, decompose_nielsen_orbits
+usage = lambda: resource.getrusage(resource.RUSAGE_SELF)
 q, budget = int(sys.argv[1]), int(sys.argv[2])
 t0 = time.perf_counter()
 G = build_psl2(q, pair_budget=budget)
-t1 = time.perf_counter()
+t1, flt = time.perf_counter(), usage().ru_minflt
 decompose_nielsen_orbits(G)
-t2 = time.perf_counter()
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
-print(f"q={q} order={G.n} build_s={t1 - t0:.3f} decompose_s={t2 - t1:.3f} "
-      f"table_mb={G.mult.nbytes / 2**20:.1f} peak_rss_mb={rss:.1f}")
+t2, flt = time.perf_counter(), usage().ru_minflt - flt
+aut_orbit_decomposition(G)
+t3 = time.perf_counter()
+rss = usage().ru_maxrss / 1024  # KB on Linux
+print(f"q={q} order={G.n} build_s={t1 - t0:.3f} decompose_s={t2 - t1:.3f} decompose_minflt={flt} "
+      f"aut_s={t3 - t2:.3f} table_mb={G.mult.nbytes / 2**20:.1f} peak_rss_mb={rss:.1f}")
 """
 
 

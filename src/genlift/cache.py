@@ -51,6 +51,11 @@ def load_labels(cache_dir: Path, group_name: str, shape: tuple[int, int]) -> Opt
     return rows
 
 
+def has_labels(cache_dir: Path, group_name: str) -> bool:
+    """Whether the cache directory holds an entry for the group, readable or not."""
+    return _path(cache_dir, group_name).is_file()
+
+
 def save_labels(cache_dir: Path, group_name: str, labels: np.ndarray) -> None:
     path = _path(cache_dir, group_name)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -151,6 +151,7 @@ class ConjugacyClasses:
     representatives: list[int]  # the least member of each class
     conjugator: np.ndarray  # x with x a x^-1 = representatives[class_of[a]]
     centralizer_gens: Optional[list[np.ndarray]] = None  # set by centralizer_generators
+    pair_classes: Optional[tuple[np.ndarray, np.ndarray]] = None  # set by nielsen._pair_classes
 
 
 # ---------------------------------------------------------------------------

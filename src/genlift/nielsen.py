@@ -12,18 +12,24 @@ splits those classes; such pairs are out of scope and labelled -1.
 So Nielsen and Aut orbits are connected components over conjugation
 classes of pairs.  The pair (a, b) is keyed k * n + y by its conjugate
 (reps[k], y), reps[k] = x a x^-1 the class representative of a and
-y = x b x^-1.  The edges join each key to the keys of its images under
-the moves, and to its conjugates (reps[k], z y z^-1) by a few generators
-z of the centralizer of reps[k], picked greedily; a numpy union-find
-(hooking and pointer jumping) labels each component by its least key,
+y = x b x^-1.  The search runs in two stages, each a numpy union-find
+(hooking and pointer jumping) that labels a component by its least key,
 whose pair is its least member, as representatives are least members.
-The centralizer generators come from `groupcore.centralizer_generators`,
-picked once per group.  Generation is decided for every Nielsen class,
-fresh or cached, by one `generates` call on the least members, whose
-lockstep closures stop at more than n/2 elements.  Aut keeps
-the components inside generating Nielsen classes, as automorphisms
-preserve generation; joint orbits are Nielsen orbits merged under the
-outer generators, which commute with the moves.
+Stage 1 finds the conjugation classes of pairs: it joins each key to its
+conjugates (reps[k], z y z^-1) by a few generators z of the centralizer
+of reps[k], picked greedily once per group by
+`groupcore.centralizer_generators`, and is kept with the conjugacy
+classes.  Stage 2 joins the classes: the moves commute with
+simultaneous conjugation, so they are applied to the least key of each
+class only, and their images are read through the stage-1 labels.
+Nielsen and Aut share stage 1 and differ in stage 2.
+
+Generation is decided for every Nielsen class, fresh or cached, by one
+`generates` call on the least members, whose lockstep closures stop at
+more than n/2 elements.  Aut keeps the components inside generating
+Nielsen classes, as automorphisms preserve generation; joint orbits are
+Nielsen orbits merged under the outer generators, which commute with the
+moves.
 
 A group's Nielsen decomposition is computed once: the records and rep
 rows of a fresh one are kept on the group (`G._nielsen`), and later
@@ -186,38 +192,62 @@ def _nielsen_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
 def _components(nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Connected components of the graph with edges src[e] -- dst[e], each
     labelled by its least node.  Every round hooks each root onto the
-    least root it touches, then jumps pointers until every tree is a star."""
-    lab = np.arange(nodes, dtype=np.int64)
+    least root it touches, then jumps pointers until every tree is a star.
+    The gathers write into buffers allocated once; they clip rather than
+    check their indices, so the edges are checked once, up front."""
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= nodes):
+        raise IndexError(f"an edge leaves the {nodes} nodes")
+    lab, up = np.arange(nodes, dtype=np.int64), np.empty(nodes, dtype=np.int64)
+    a, b = np.empty(src.size, dtype=np.int64), np.empty(src.size, dtype=np.int64)
     while True:
-        a, b = lab[src], lab[dst]
-        if np.array_equal(a, b):
+        if np.array_equal(lab.take(src, out=a, mode="clip"), lab.take(dst, out=b, mode="clip")):
             return lab
         np.minimum.at(lab, a, b)
         np.minimum.at(lab, b, a)
-        while not np.array_equal(lab, up := lab[lab]):
-            lab = up
+        while not np.array_equal(lab, lab.take(lab, out=up, mode="clip")):
+            lab, up = up, lab
+
+
+def _pair_classes(G: FiniteGroup, cls: ConjugacyClasses) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1 of `_rep_rows`: the conjugation classes of pairs, as
+    (least, index).  `least` lists the least key of every class in
+    increasing order, and key k * n + y lies in class index[k * n + y].
+    The class of (reps[k], y) is the orbit of y under conjugation by the
+    centralizer of reps[k], so one component search over the edges
+    y -- z y z^-1, z a centralizer generator, finds every class."""
+    if cls.pair_classes is None:
+        n, gens = G.n, centralizer_generators(G)
+        k = np.repeat(np.arange(len(gens)) * n, [len(zs) for zs in gens])[:, None]
+        z = np.concatenate(gens)
+        src, dst = k + np.arange(n), k + G.mult[G.mult[z], G.inv[z][:, None]]
+        lab = _components(len(gens) * n, src.reshape(-1), dst.reshape(-1))
+        is_least = lab == np.arange(lab.size)
+        rank = np.cumsum(is_least, dtype=np.int32) - 1  # at a least key, its place in `least`
+        cls.pair_classes = np.flatnonzero(is_least), rank[lab]
+    return cls.pair_classes
 
 
 def _rep_rows(G: FiniteGroup, cls: ConjugacyClasses, moves: Callable) -> np.ndarray:
     """K x n rows: the component of the pair (reps[k], y) in the graph on
-    the K * n keys k * n + y, one per such pair.  A pair (a, b) is keyed
-    by its conjugate (reps[k], x b x^-1), x = conjugator[a]; the edges join
-    each key to the keys of its images under moves(G, i, j) -> [(i', j'), ...]
-    and to its conjugates (reps[k], z y z^-1) by a few generators z of the
-    centralizer of reps[k], so each conjugation class of pairs is connected."""
-    n = G.n
-    reps = np.asarray(cls.representatives, dtype=np.int64)
-    keys = np.arange(len(reps) * n, dtype=np.int64)
-    i, j = reps[keys // n], keys % n
-    src, dst = [], []
-    for a, b in moves(G, i, j):
-        src.append(keys)
-        dst.append(_pair_keys(G, cls, a, b))
-    for k, zs in enumerate(centralizer_generators(G)):
-        for z in zs.tolist():
-            src.append(keys[k * n : (k + 1) * n])
-            dst.append(k * n + G.mult[G.mult[z], G.inv[z]].astype(np.int64))
-    return _components(len(keys), np.concatenate(src), np.concatenate(dst)).reshape(len(reps), n)
+    the K * n keys k * n + y, one per such pair, labelled by its least key.
+    A pair (a, b) is keyed by its conjugate (reps[k], x b x^-1),
+    x = conjugator[a].  The moves, moves(G, i, j) -> [(i', j'), ...],
+    commute with simultaneous conjugation, so each component is a union
+    of conjugation classes of pairs, and the search runs in two stages:
+
+    1. `_pair_classes` labels each key by its conjugation class;
+    2. the moves are applied to the least key of each class only, their
+       images are read through the stage-1 labels, and `_components`
+       joins the classes.
+
+    A component's least key is the least key of one of its classes, so
+    the rows are those of one search over all keys with every edge."""
+    n, reps = G.n, np.asarray(cls.representatives)
+    least, index = _pair_classes(G, cls)
+    images = [index[_pair_keys(G, cls, a, b)] for a, b in moves(G, reps[least // n], least % n)]
+    src = np.tile(np.arange(len(least)), len(images))
+    dst = np.concatenate(images + [np.empty(0, dtype=index.dtype)])  # an action may have no moves
+    return least[_components(len(least), src, dst)][index].reshape(len(reps), n)
 
 
 def _pair_keys(G: FiniteGroup, cls: ConjugacyClasses, a, b) -> np.ndarray:

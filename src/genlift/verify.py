@@ -95,7 +95,10 @@ _DECOMP: dict[str, tuple[OrbitDecomposition, bool]] = {}
 def gamma_orbits(
     G: FiniteGroup, cache_dir: Optional[Path] = None
 ) -> tuple[OrbitDecomposition, bool]:
-    """Nielsen decomposition of the generating pairs, with caching."""
+    """Nielsen decomposition of the generating pairs, with caching.  A
+    decomposition computed in this process is saved to each cache
+    directory passed with it that lacks the group's entry; one read from
+    a cache directory is not copied to another."""
     if G.name not in _DECOMP:
         rows = None
         if cache_dir is not None:
@@ -106,6 +109,10 @@ def gamma_orbits(
         if cache_dir is not None and not hit:
             cache_mod.save_labels(cache_dir, G.name, labels=dec.rep_rows)
         _DECOMP[G.name] = (dec, hit)
+    elif cache_dir is not None and not _DECOMP[G.name][1]:
+        # a memo entry computed here, reaching a cache directory that may lack it
+        if not cache_mod.has_labels(cache_dir, G.name):
+            cache_mod.save_labels(cache_dir, G.name, labels=_DECOMP[G.name][0].rep_rows)
     dec, hit = _DECOMP[G.name]
     if dec.group is not G:
         if not hit and G._nielsen is None:

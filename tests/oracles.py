@@ -2,12 +2,14 @@
 
 Everything here is deliberately slow and simple: plain-int polynomial
 arithmetic, cofactor determinants, per-pair closure scans, a per-pair
-union-find, a Mat2 and a dict lookup per element.  The one vectorized oracle,
-`matrix_table_blocks`, multiplies entry arrays in the field tables so
-that it reaches tables too large for the scalar ones.  None of it imports
-the fast paths it is checking beyond what the test needs.  It also holds
-the few helpers (a cyclic group builder, derived length, powers, and so on)
-that only the tests call.
+union-find, a Mat2 and a dict lookup per element.  The vectorized oracles
+are `matrix_table_blocks`, which multiplies entry arrays in the field
+tables so that it reaches tables too large for the scalar ones, and
+`rep_rows_single_graph`, the one-stage component search over every key
+and every edge that the library's two-stage search must reproduce.  None
+of it imports the fast paths it is checking beyond what the test needs.
+It also holds the few helpers that only the tests call: cyclic groups,
+derived length, powers and so on.
 """
 
 from __future__ import annotations
@@ -463,6 +465,43 @@ def pair_space_orbits(G, action: str = "nielsen"):
         records.append((len(records), int(sizes[comp]), (i, j), tau,
                         element_order(G, commutator(G, i, j))))
     return label_of[raw], records
+
+
+def pair_class_labels(G) -> np.ndarray:
+    """K x n: the least key k * n + z of the conjugation class of the pair
+    (reps[k], y), by brute force: z is the least x y x^-1 over every x in
+    the centralizer C(reps[k]), the stabilizer of reps[k] under conjugation."""
+    from genlift.groupcore import conjugacy_classes
+
+    n, mult, inv = G.n, G.mult.astype(np.int64), G.inv.astype(np.int64)
+    rows = []
+    for k, r in enumerate(conjugacy_classes(G).representatives):
+        cent = np.flatnonzero(mult[r] == mult[:, r])
+        # x y for every x in C(r), then (x y) x^-1
+        rows.append(k * n + mult[mult[cent], inv[cent][:, None]].min(axis=0))
+    return np.array(rows)
+
+
+def rep_rows_single_graph(G, moves) -> np.ndarray:
+    """K x n rep rows by one component search over all K * n keys k * n + y:
+    each key joined to the keys of its images under moves(G, i, j) and to
+    its conjugates (reps[k], z y z^-1) by the centralizer generators z of
+    reps[k].  Components are labelled by their least key."""
+    from genlift.groupcore import centralizer_generators, conjugacy_classes
+    from genlift.nielsen import _components, _pair_keys
+
+    n, cls = G.n, conjugacy_classes(G)
+    reps = np.asarray(cls.representatives, dtype=np.int64)
+    keys = np.arange(len(reps) * n, dtype=np.int64)
+    src, dst = [], []
+    for a, b in moves(G, reps[keys // n], keys % n):
+        src.append(keys)
+        dst.append(_pair_keys(G, cls, a, b))
+    for k, zs in enumerate(centralizer_generators(G)):
+        for z in zs.tolist():
+            src.append(keys[k * n : (k + 1) * n])
+            dst.append(k * n + G.mult[G.mult[z], G.inv[z]].astype(np.int64))
+    return _components(len(keys), np.concatenate(src), np.concatenate(dst)).reshape(len(reps), n)
 
 
 def orbit_partition_fast(G) -> set[frozenset]:

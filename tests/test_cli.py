@@ -322,8 +322,10 @@ def test_scale_probe_script():
     lines = [dict(f.split("=") for f in line.split()) for line in proc.stdout.splitlines()]
     assert [(r["q"], r["order"]) for r in lines] == [("5", "60"), ("7", "168")]
     for r in lines:
-        assert {"build_s", "decompose_s", "table_mb", "peak_rss_mb"} <= r.keys()
-        assert float(r["build_s"]) >= 0 and float(r["decompose_s"]) >= 0
+        fields = {"build_s", "decompose_s", "decompose_minflt", "aut_s", "table_mb", "peak_rss_mb"}
+        assert fields <= r.keys()
+        assert all(float(r[f]) >= 0 for f in ("build_s", "decompose_s", "aut_s"))
+        assert int(r["decompose_minflt"]) >= 0
         assert float(r["peak_rss_mb"]) > 0
     assert [r["table_mb"] for r in lines] == [f"{60 * 60 * 2 / 2**20:.1f}", f"{168 * 168 * 2 / 2**20:.1f}"]
     proc = subprocess.run([sys.executable, str(script), "5", "7", "--pair-budget", "10000"],

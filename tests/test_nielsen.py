@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from genlift.fpgroups import group_from_coset_table, parse_presentation, todd_coxeter
 from genlift.groupcore import (
     build_dihedral,
     build_psl2,
@@ -12,8 +13,11 @@ from genlift.groupcore import (
     conjugacy_classes,
 )
 from genlift.nielsen import (
+    _aut_moves,
     _components,
     _nielsen_moves,
+    _pair_classes,
+    _rep_rows,
     aut_orbit_decomposition,
     decompose_nielsen_orbits,
     higman_check,
@@ -33,8 +37,10 @@ from oracles import (
     mn_free_flags_scan,
     orbit_partition_fast,
     orbit_partition_naive,
+    pair_class_labels,
     pair_space_orbits,
     psl_automorphism_perms_scan,
+    rep_rows_single_graph,
 )
 
 SMALL_GROUPS = [
@@ -126,6 +132,12 @@ def test_components_match_union_find(graph):
     assert _partition(labels) == _partition([uf.find(v) for v in range(nodes)])
 
 
+def test_components_refuse_edges_outside_the_nodes():
+    for bad in (-1, 5):
+        with pytest.raises(IndexError):
+            _components(5, np.array([0, 1]), np.array([2, bad]))
+
+
 CENTRALIZER_HOSTS = (
     [lambda q=q: build_psl2(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
     + [lambda q=q: build_sl2(q) for q in (3, 5)]
@@ -152,6 +164,38 @@ def test_centralizer_generators(build):
         for k, z in enumerate(gens):
             reached = closure_mask_oracle(G, [G.identity] + gens[:k])
             assert z == np.flatnonzero(cent & ~reached)[0], case
+
+
+def _presented(text: str):
+    return lambda: group_from_coset_table(todd_coxeter(parse_presentation(text), max_cosets=10**5))
+
+
+TWO_STAGE_HOSTS = (
+    [lambda q=q: build_psl2(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [lambda: build_sl2(3)]
+    + [lambda m=m: build_dihedral(m) for m in range(3, 9)]  # D6 to D16
+    + [_presented("gens: a b\nrels: a^4 a^2b^-2 b^-1aba")]  # Q8
+    + [_presented("gens: x y\nrels: x^3 y^3 [x,y]^2")]  # the (3,3,2) Miller group
+)
+
+
+@pytest.mark.parametrize("build", TWO_STAGE_HOSTS)
+def test_two_stage_search_matches_oracles(build):
+    G = build()
+    cls = conjugacy_classes(G)
+    least, index = _pair_classes(G, cls)
+    # stage 1, label for label: the least key of each key's conjugation class
+    # of pairs, against the brute-force orbits under the centralizers
+    brute = pair_class_labels(G)
+    assert np.array_equal(least[index].reshape(brute.shape), brute), G.name
+    assert np.array_equal(least, np.flatnonzero(brute.reshape(-1) == np.arange(brute.size))), G.name
+    assert index.dtype == np.int32 and _pair_classes(G, cls)[1] is index  # kept, as int32
+    # both stages against one search over every key with every edge; PSL(2,2)
+    # has no outer automorphism, so its Aut action has no moves at all
+    actions = [_nielsen_moves] + ([_aut_moves] if G.kind == "psl2" else [])
+    for moves in actions:
+        rows = _rep_rows(G, cls, moves)
+        assert np.array_equal(rows, rep_rows_single_graph(G, moves)), (G.name, moves)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])

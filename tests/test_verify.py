@@ -258,6 +258,31 @@ def test_disk_cache(tmp_path):
     V._DECOMP.clear()
 
 
+def test_memo_entry_reaches_a_new_cache_dir(tmp_path, monkeypatch):
+    # a decomposition memoized without a cache directory is written to the
+    # first one passed, once; a memo entry read from a cache is not copied
+    monkeypatch.setattr(V, "_DECOMP", {})
+    writes, save = [], cache.save_labels
+
+    def counted(cache_dir, *args, **kwargs):
+        writes.append(cache_dir)
+        save(cache_dir, *args, **kwargs)
+
+    monkeypatch.setattr(cache, "save_labels", counted)
+    first = V.verify_trace_table(7)
+    assert writes == []
+    for _ in range(2):
+        again = V.verify_trace_table(7, cache_dir=tmp_path)
+        assert not again.cache_hit and again.evidence == first.evidence
+    assert writes == [tmp_path]
+    rows = V._DECOMP["PSL(2,7)"][0].rep_rows
+    assert np.array_equal(cache.load_labels(tmp_path, "PSL(2,7)", rows.shape), rows)
+    monkeypatch.setattr(V, "_DECOMP", {})
+    assert V.verify_trace_table(7, cache_dir=tmp_path).cache_hit
+    V.verify_trace_table(7, cache_dir=tmp_path / "other")
+    assert writes == [tmp_path] and not (tmp_path / "other").exists()
+
+
 @pytest.mark.parametrize(
     "damage",
     ["truncated header", "truncated data", "float dtype", "label below -1",
