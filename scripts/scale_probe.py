@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time and size the PSL(2,q) table build, Nielsen and Aut decompositions.
+"""Time and size the PSL(2,q) table build, Nielsen and Aut decompositions
+and the orbit verifiers.
 
 Usage:
     python3 scripts/scale_probe.py 19 23 27 31 32 --pair-budget 2000000000
@@ -7,14 +8,18 @@ Usage:
 Each q runs in a fresh interpreter, so its memos and ru_maxrss start
 clean.  One line per q:
 
-    q=19 order=3420 build_s=0.035 decompose_s=0.018 decompose_minflt=993 aut_s=0.006 table_mb=22.3 peak_rss_mb=55.3
+    q=19 order=3420 build_s=0.032 decompose_s=0.021 decompose_minflt=922 aut_s=0.006 verify_s=0.085 verify_peak_mb=4.7 table_mb=22.3 peak_rss_mb=58.7
 
 build_s is `build_psl2`, decompose_s is `decompose_nielsen_orbits` on
 that group and decompose_minflt the minor page faults the process took
-during it, aut_s is `aut_orbit_decomposition` after it, table_mb the
-size of the multiplication table and peak_rss_mb the process's peak
-resident set (MB = 2^20 bytes).  A q whose table exceeds the pair
-budget is refused, exit 2, before any probe runs.
+during it, aut_s is `aut_orbit_decomposition` after it.  verify_s is
+`orbit_tau(check_members=64)` plus `higman_check` on the largest Nielsen
+orbit, and verify_peak_mb the most memory they hold at once beyond what
+was allocated before them, numpy arrays included, by tracemalloc in a
+second, untimed run.  table_mb is the size of the multiplication table
+and peak_rss_mb the process's peak resident set (MB = 2^20 bytes).  A q
+whose table exceeds the pair budget is refused, exit 2, before any probe
+runs.
 """
 
 import argparse
@@ -30,21 +35,32 @@ from genlift.groupcore import DEFAULT_PAIR_BUDGET, PairBudgetExceeded, check_pai
 
 # one probe: argv = [q, pair budget]; prints the line for q
 PROBE = """
-import resource, sys, time
+import resource, sys, time, tracemalloc
 from genlift.groupcore import build_psl2
-from genlift.nielsen import aut_orbit_decomposition, decompose_nielsen_orbits
+from genlift.nielsen import (
+    aut_orbit_decomposition, decompose_nielsen_orbits, higman_check, orbit_tau,
+)
 usage = lambda: resource.getrusage(resource.RUSAGE_SELF)
 q, budget = int(sys.argv[1]), int(sys.argv[2])
 t0 = time.perf_counter()
 G = build_psl2(q, pair_budget=budget)
 t1, flt = time.perf_counter(), usage().ru_minflt
-decompose_nielsen_orbits(G)
+dec = decompose_nielsen_orbits(G)
 t2, flt = time.perf_counter(), usage().ru_minflt - flt
 aut_orbit_decomposition(G)
 t3 = time.perf_counter()
+largest = max(dec.orbits, key=lambda o: o.size)
+verify = lambda: (orbit_tau(dec, largest, check_members=64), higman_check(dec, largest))
+verify()
+t4 = time.perf_counter()
+tracemalloc.start()
+verify()
+verify_peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
 rss = usage().ru_maxrss / 1024  # KB on Linux
 print(f"q={q} order={G.n} build_s={t1 - t0:.3f} decompose_s={t2 - t1:.3f} decompose_minflt={flt} "
-      f"aut_s={t3 - t2:.3f} table_mb={G.mult.nbytes / 2**20:.1f} peak_rss_mb={rss:.1f}")
+      f"aut_s={t3 - t2:.3f} verify_s={t4 - t3:.3f} verify_peak_mb={verify_peak / 2**20:.1f} "
+      f"table_mb={G.mult.nbytes / 2**20:.1f} peak_rss_mb={rss:.1f}")
 """
 
 

@@ -6,7 +6,9 @@ the expensive artifact shared by all claim drivers.  An entry is one
 .npy file keyed by (tool version, schema version, group name); writes go
 to a temp file and are renamed into place so concurrent readers never see
 a partial entry.  An entry that cannot be read or does not look like a
-labelling of the expected shape is a miss.
+labelling of the expected shape is a miss.  Entries are written int32, as
+the rep rows are; any integer type loads, so the int64 entries of earlier
+versions are still hits under the same schema.
 """
 
 from __future__ import annotations

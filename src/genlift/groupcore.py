@@ -20,8 +20,10 @@ read through the row of generator s.  That index is each generator's
 row, widened once, so a build costs a few field-table rows plus |G| row
 gathers at fixed indices, made a bounded block of rows at a time.
 Table entries are int16 up to 2^15 elements, int32 beyond
-(`_table_dtype`).  SL(2,q) is listed directly, q^3 - q matrices from
-the field tables, not filtered from the q^4 grid of entries.
+(`_table_dtype`); stored orbit, key and pair ids are int32 while they
+fit, int64 beyond (`_id_dtype`).  SL(2,q) is listed directly, q^3 - q
+matrices from the field tables, not filtered from the q^4 grid of
+entries.
 
 The pair budget is the one size limit: the n x n table holds one entry
 per pair, and every builder of a table (these three and
@@ -168,6 +170,14 @@ def _table_dtype(n: int) -> type:
     """The entry type of an n x n table: int16 while every index
     0..n-1 fits (n <= 2^15), int32 beyond."""
     return np.int16 if n <= 1 << 15 else np.int32
+
+
+def _id_dtype(bound: int) -> type:
+    """The type of stored ids below `bound`, such as orbit ids and keys
+    (bound K * n) or pair ids first * n + second (bound n^2): int32 while
+    bound < 2^31, int64 from there.  Gather indices stay intp, since
+    numpy converts a narrower index array on every take."""
+    return np.int32 if bound < 1 << 31 else np.int64
 
 
 def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) -> np.ndarray:

@@ -44,7 +44,11 @@ Orbit records come from arrays: the commutator orders of all
 representative pairs by table lookups, and for PSL(2,q) their trace
 invariants by the Fricke identity on the entry arrays of the elements, in
 the field tables.  `orbit_tau` re-derives tau with scalar matrix
-arithmetic, as an independent check.
+arithmetic, as an independent check, on the matrices of its sampled
+members only.  `higman_check` walks every member a bounded block at a
+time (`_member_blocks`), and `member_ids` fills one array from the same
+blocks.  Rep rows, `labels` and member ids are int32 while their ids fit
+(`groupcore._id_dtype`); gather indices stay intp.
 """
 
 from __future__ import annotations
@@ -56,10 +60,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groupcore import (
-    ConjugacyClasses, FiniteGroup, centralizer_generators, commutators, conjugacy_classes,
-    entry_perm, generates, matrix_entries,
+    _BLOCK_ENTRIES, ConjugacyClasses, FiniteGroup, _id_dtype, centralizer_generators,
+    commutators, conjugacy_classes, entry_perm, generates, matrix_entries,
 )
-from .matrices import trace_invariant
+from .matrices import PslElement, trace_invariant
 
 Pair = tuple[int, int]
 
@@ -83,7 +87,7 @@ class OrbitDecomposition:
     numbering is reproducible; `orbits[k]` is the record of orbit id k.
     `orbit_ids` reads the orbit of any pairs off the rep rows, and
     `labels[first * n + second]`, one entry per pair, is built from it
-    on first read.
+    on first read.  Both have the rep rows' type, int32 below 2^31 keys.
     """
 
     restricted = True  # generating pairs only; read by perfbench's span counters
@@ -121,20 +125,37 @@ class OrbitDecomposition:
         return self.orbits[lab]
 
     def member_ids(self, orbit_id: int) -> np.ndarray:
-        """Sorted ids first * n + second of the orbit's pairs: (g, x^-1 y x)
-        for g in class k, x = conjugator[g] and rep_rows[k, y] == orbit_id."""
+        """Sorted ids first * n + second of the orbit's pairs, int32 while
+        n^2 < 2^31 (`_id_dtype`), allocated once and filled a block at a time."""
+        G = self.group
+        in_orbit = self.rep_rows == orbit_id
+        sizes = np.bincount(conjugacy_classes(G).class_of, minlength=len(in_orbit))
+        ids, at = np.empty(int(in_orbit.sum(axis=1) @ sizes), dtype=_id_dtype(G.n * G.n)), 0
+        for first, second in self._member_blocks(orbit_id):
+            block = (first.astype(ids.dtype) * G.n + second).reshape(-1)
+            ids[at : at + block.size] = block
+            at += block.size
+        ids.sort()
+        return ids
+
+    def _member_blocks(self, orbit_id: int):
+        """The orbit's pairs as blocks (first, second), first a column of
+        elements and second their partners, at most _BLOCK_ENTRIES pairs a
+        block: (g, x^-1 y x) for g in class k, x = conjugator[g] and
+        rep_rows[k, y] == orbit_id."""
         G = self.group
         cls, flat = conjugacy_classes(G), G.mult.reshape(-1)
-        ids = []
         for k, row in enumerate(self.rep_rows == orbit_id):
-            if row.any():
-                g = np.flatnonzero(cls.class_of == k)[:, None]
+            y_inv = G.inv.take(np.flatnonzero(row))
+            if not y_inv.size:
+                continue
+            members = np.flatnonzero(cls.class_of == k)
+            step = max(1, _BLOCK_ENTRIES // y_inv.size)
+            for lo in range(0, members.size, step):
+                g = members[lo : lo + step, None]
                 x_row = G.inv[cls.conjugator[g]] * np.int64(G.n)
                 # x^-1 y x = x^-1 (x^-1 y^-1)^-1, by flat gathers from row x^-1
-                y_inv = G.inv.take(np.flatnonzero(row))
-                second = flat.take(x_row + G.inv.take(flat.take(x_row + y_inv)))
-                ids.append((g * G.n + second).ravel())
-        return np.sort(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
+                yield g, flat.take(x_row + G.inv.take(flat.take(x_row + y_inv)))
 
     def gamma_size(self) -> int:
         return sum(o.size for o in self.orbits)
@@ -289,7 +310,7 @@ def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> Orbit
     # an entry stands for one pair per member of its class; index 0 counts the -1s
     sizes = np.bincount(rows.reshape(-1) + 1, np.repeat(np.bincount(cls.class_of), n))[1:]
     keys = np.flatnonzero(sizes)
-    remap = np.full(rows.size + 1, -1, dtype=np.int64)  # its last entry maps -1 to -1
+    remap = np.full(rows.size + 1, -1, dtype=_id_dtype(rows.size))  # its last entry maps -1 to -1
     remap[keys] = np.arange(len(keys))
     i, j = np.asarray(cls.representatives)[keys // n], keys % n
     taus = _bracket_traces(G, i, j).tolist() if G.kind == "psl2" else [None] * len(keys)
@@ -342,9 +363,11 @@ def orbit_tau(dec: OrbitDecomposition, orbit: OrbitRecord, check_members: int = 
     if check_members is not None and len(ids) > check_members:
         step = max(1, len(ids) // check_members)
         ids = ids[::step]
-    n = G.n
-    for pid in ids:
-        t = trace_invariant(G.labels[int(pid) // n], G.labels[int(pid) % n])
+    first, second = np.divmod(ids, G.n)
+    # the matrices of the sampled elements only; G.labels would make one per element
+    mats = {g: PslElement(G.matrix(g)) for g in set(first.tolist()) | set(second.tolist())}
+    for a, b in zip(first.tolist(), second.tolist()):
+        t = trace_invariant(mats[a], mats[b])
         if t != orbit.tau:
             raise AssertionError(
                 f"trace invariant not constant on orbit {orbit.orbit_id}: {t} != {orbit.tau}"
@@ -354,18 +377,19 @@ def orbit_tau(dec: OrbitDecomposition, orbit: OrbitRecord, check_members: int = 
 
 def higman_check(dec: OrbitDecomposition, orbit: OrbitRecord) -> tuple[int, bool]:
     """Commutator order of the orbit, plus the Higman containment check:
-    every member's commutator is conjugate to [a,b] or [b,a] of the rep."""
+    every member's commutator is conjugate to [a,b] or [b,a] of the rep
+    and has the orbit's commutator order, checked a member block at a time."""
     G = dec.group
-    n = G.n
     i, j = orbit.canonical_rep
     c0 = commutators(G, i, j)
-    classes = conjugacy_classes(G)
-    allowed = {int(classes.class_of[c0]), int(classes.class_of[G.inv[c0]])}
-    ids = dec.member_ids(orbit.orbit_id)
-    comms = commutators(G, ids // n, ids % n)
-    ok = bool(np.all(np.isin(classes.class_of[comms], list(allowed))))
-    ok = ok and bool(np.all(G.orders[comms] == orbit.commutator_order))
-    return orbit.commutator_order, ok
+    class_of = conjugacy_classes(G).class_of
+    allowed = [class_of[c0], class_of[G.inv[c0]]]
+    for first, second in dec._member_blocks(orbit.orbit_id):
+        comms = commutators(G, first, second)
+        conjugate = np.isin(class_of[comms], allowed).all()
+        if not (conjugate and (G.orders[comms] == orbit.commutator_order).all()):
+            return orbit.commutator_order, False
+    return orbit.commutator_order, True
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,19 @@ in its evidence.
 parameter names), which the CLI dispatches through.  `BATTERY` is the
 desk-scale battery as (claim id, parameters) entries in report order;
 `verify_all` runs each entry whose q, where it has one, is at most max_q.
+
+Nielsen decompositions are memoized per process by group name
+(`_DECOMP`) as their records and rep rows, never with a group:
+`gamma_orbits` wraps them for the caller's group on every call, so a
+group its callers drop is freed, table included, even while the memo
+answers for a rebuild of it.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -41,6 +47,7 @@ from .groupcore import (
 from .matrices import mat_from_ints
 from .nielsen import (
     OrbitDecomposition,
+    OrbitRecord,
     aut_orbit_decomposition,
     decompose_nielsen_orbits,
     joint_orbit_decomposition,
@@ -62,7 +69,9 @@ class ClaimReport:
     cache_hit: bool = False
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # shallow: json.dumps walks the nested evidence anyway, and a deep copy
+        # of it costs more than the dump
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +94,11 @@ def _built(build, q: int, pair_budget: int) -> FiniteGroup:
     return build(q, pair_budget)
 
 
-# group name -> (decomposition, disk cache hit); equal names mean equal
-# tables, so a rebuilt group of the same name gets the records and rep rows
-# rewrapped for itself and, unless they came from the disk cache, kept on it
-# as a Nielsen base the way decompose_nielsen_orbits keeps a fresh one
-_DECOMP: dict[str, tuple[OrbitDecomposition, bool]] = {}
+# group name -> (orbit records, rep rows, disk cache hit); equal names mean
+# equal tables.  No entry holds a group: every call wraps the parts for the
+# caller's group, so a dropped group is freed at once, not kept beside its
+# rebuild
+_DECOMP: dict[str, tuple[list[OrbitRecord], np.ndarray, bool]] = {}
 
 
 def gamma_orbits(
@@ -98,8 +107,11 @@ def gamma_orbits(
     """Nielsen decomposition of the generating pairs, with caching.  A
     decomposition computed in this process is saved to each cache
     directory passed with it that lacks the group's entry; one read from
-    a cache directory is not copied to another."""
-    if G.name not in _DECOMP:
+    a cache directory is not copied to another.  Unless its parts came
+    from the disk cache, a group that lacks a Nielsen base gets them as
+    one, the way decompose_nielsen_orbits keeps a fresh decomposition."""
+    entry = _DECOMP.get(G.name)
+    if entry is None:
         rows = None
         if cache_dir is not None:
             shape = (len(conjugacy_classes(G).representatives), G.n)
@@ -108,18 +120,14 @@ def gamma_orbits(
         dec = decompose_nielsen_orbits(G, rep_rows=rows)
         if cache_dir is not None and not hit:
             cache_mod.save_labels(cache_dir, G.name, labels=dec.rep_rows)
-        _DECOMP[G.name] = (dec, hit)
-    elif cache_dir is not None and not _DECOMP[G.name][1]:
-        # a memo entry computed here, reaching a cache directory that may lack it
-        if not cache_mod.has_labels(cache_dir, G.name):
-            cache_mod.save_labels(cache_dir, G.name, labels=_DECOMP[G.name][0].rep_rows)
-    dec, hit = _DECOMP[G.name]
-    if dec.group is not G:
-        if not hit and G._nielsen is None:
-            G._nielsen = (dec.orbits, dec.rep_rows)
-        dec = OrbitDecomposition(G, dec.orbits, dec.rep_rows)
-        _DECOMP[G.name] = (dec, hit)
-    return dec, hit
+        entry = _DECOMP[G.name] = (dec.orbits, dec.rep_rows, hit)
+    elif cache_dir is not None and not entry[2] and not cache_mod.has_labels(cache_dir, G.name):
+        # a memo entry computed here, reaching a cache directory that lacks it
+        cache_mod.save_labels(cache_dir, G.name, labels=entry[1])
+    records, rows, hit = entry
+    if not hit and G._nielsen is None:
+        G._nielsen = (records, rows)
+    return OrbitDecomposition(G, records, rows), hit
 
 
 def _orbit_evidence(dec: OrbitDecomposition, mn: tuple[int, int]) -> list[dict]:
@@ -428,9 +436,33 @@ def verify_psl25_lift(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> C
     return _timed("psl25-lift", {}, t0, passed, evidence, hit)
 
 
+def _remark_precondition(m: int, q: int) -> None:
+    """The hypothesis of `verify_remark`, checked before any build.
+
+    For odd q an involution A has trace 0, so tau = y^2 + z^2 - 2 with
+    y = tr B, z = tr AB, and tau = -2 needs y^2 = -z^2: -1 a square
+    (q = 1 mod 4), or y = z = 0, where <A, B> is dihedral.  So q = 3
+    mod 4 never reaches -2.  B must also reach the torus orders
+    (q - 1)/2 or (q + 1)/2 (q - 1 or q + 1 for even q): on the grid of
+    4 <= q <= 29 and m < 64, every passing (m, q) has m a multiple of one
+    of them, and q = 5, 9, whose full spectra miss more than 2, pass for
+    no m.  The hypothesis is necessary there, not sufficient: (3, 4),
+    (6, 13), (8, 17), (12, 25) and (15, 29) meet it and fail, as do their
+    multiples that the other torus order does not divide.
+    """
+    field_for_q(q)  # rejects q that is not a prime power
+    if q < 4 or q % 4 == 3 or q in (5, 9):
+        raise PreconditionError("remark needs q = 1 mod 4 or q even, q >= 4, q not 5 or 9")
+    tori = (q - 1, q + 1) if q % 2 == 0 else ((q - 1) // 2, (q + 1) // 2)
+    if all(m % d for d in tori):
+        raise PreconditionError(f"remark needs m a multiple of {tori[0]} or {tori[1]} at q = {q}")
+
+
 def verify_remark(m: int, q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
-    """Traces over (2,m)-generating pairs hit every value except 2."""
+    """Traces over (2,m)-generating pairs hit every value except 2, under
+    the hypothesis of `_remark_precondition`."""
     t0 = time.perf_counter()
+    _remark_precondition(m, q)
     G = psl(q, pair_budget)
     f = G.field
     dec, hit = gamma_orbits(G, cache_dir)

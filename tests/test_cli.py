@@ -110,6 +110,12 @@ def test_parameter_the_claim_does_not_take_is_usage(capsys, argv):
     assert code == EXIT_USAGE and out == ""
 
 
+def test_remark_outside_its_hypothesis_is_usage(capsys):
+    for q, m in (("19", "9"), ("23", "11")):
+        assert run(capsys, "verify", "remark", "--q", q, "--m", m)[0] == EXIT_USAGE
+    assert run(capsys, "--no-cache", "verify", "remark", "--q", "13", "--m", "7")[0] == EXIT_PASS
+
+
 def test_thm_iv_at_even_q_is_usage(capsys):
     for q in ("8", "16"):
         assert run(capsys, "verify", "thm-iv", "--q", q)[0] == EXIT_USAGE
@@ -322,9 +328,10 @@ def test_scale_probe_script():
     lines = [dict(f.split("=") for f in line.split()) for line in proc.stdout.splitlines()]
     assert [(r["q"], r["order"]) for r in lines] == [("5", "60"), ("7", "168")]
     for r in lines:
-        fields = {"build_s", "decompose_s", "decompose_minflt", "aut_s", "table_mb", "peak_rss_mb"}
+        fields = {"build_s", "decompose_s", "decompose_minflt", "aut_s", "verify_s", "verify_peak_mb",
+                  "table_mb", "peak_rss_mb"}
         assert fields <= r.keys()
-        assert all(float(r[f]) >= 0 for f in ("build_s", "decompose_s", "aut_s"))
+        assert all(float(r[f]) >= 0 for f in ("build_s", "decompose_s", "aut_s", "verify_s", "verify_peak_mb"))
         assert int(r["decompose_minflt"]) >= 0
         assert float(r["peak_rss_mb"]) > 0
     assert [r["table_mb"] for r in lines] == [f"{60 * 60 * 2 / 2**20:.1f}", f"{168 * 168 * 2 / 2**20:.1f}"]

@@ -3,16 +3,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import genlift.nielsen
 from genlift.fpgroups import group_from_coset_table, parse_presentation, todd_coxeter
 from genlift.groupcore import (
+    _id_dtype,
     build_dihedral,
     build_psl2,
     build_sl2,
     centralizer_generators,
     closure_mask,
+    commutators,
     conjugacy_classes,
 )
 from genlift.nielsen import (
+    OrbitDecomposition,
     _aut_moves,
     _components,
     _nielsen_moves,
@@ -449,10 +453,59 @@ def test_member_ids_round_trip_past_16_bits():
         for action, decompose in ACTIONS.items():
             dec = decompose(G)
             counted = 0
+            assert dec.rep_rows.dtype == np.int32, (action, q)
             for o in dec.orbits:
                 ids = dec.member_ids(o.orbit_id)
                 case = (action, q, o.orbit_id)
+                assert ids.dtype == np.int32, case
                 assert len(ids) == o.size and ids[0] >= 0 and ids[-1] < G.n * G.n, case
                 assert np.all(dec.orbit_ids(ids // G.n, ids % G.n) == o.orbit_id), case
                 counted += len(ids)
             assert counted == dec.gamma_size() == gamma, (action, q)
+
+
+def test_id_width_rule_at_its_bounds(monkeypatch):
+    # ids below 2^31 are int32; n^2 = 2^31, past any group the default budget
+    # admits, switches member_ids to int64 through the same helper
+    assert _id_dtype(2**31 - 1) is np.int32 and _id_dtype(2**31) is np.int64
+    assert _id_dtype(46340**2) is np.int32  # the last n with n^2 < 2^31
+    assert _id_dtype(46341**2) is np.int64
+    G = build_psl2(5)
+    dec = decompose_nielsen_orbits(G)
+    # member_ids asks the helper for bound n^2: answered as if n^2 were 2^31
+    widened = lambda bound: _id_dtype(2**31 if bound == G.n * G.n else bound)
+    monkeypatch.setattr(genlift.nielsen, "_id_dtype", widened)
+    wide = [dec.member_ids(o.orbit_id) for o in dec.orbits]
+    monkeypatch.undo()
+    for o, ids in zip(dec.orbits, wide):
+        narrow = dec.member_ids(o.orbit_id)
+        assert ids.dtype == np.int64 and narrow.dtype == np.int32, o.orbit_id
+        assert np.array_equal(ids, narrow), o.orbit_id
+
+
+@pytest.mark.parametrize("block_entries", [None, 1])
+def test_higman_check_reaches_the_last_member_block(monkeypatch, block_entries):
+    # a key of the last class row with generating pairs, from an orbit whose
+    # commutators lie in another class, forged into an orbit's rep rows: its
+    # pairs come in the last blocks, one member of that class per block at
+    # block size 1
+    if block_entries is not None:
+        monkeypatch.setattr(genlift.nielsen, "_BLOCK_ENTRIES", block_entries)
+    G = build_psl2(13)
+    dec, cls = decompose_nielsen_orbits(G), conjugacy_classes(G)
+    k = np.flatnonzero((dec.rep_rows >= 0).any(axis=1))[-1]
+    rep = cls.representatives[k]
+    for o in dec.orbits:
+        assert higman_check(dec, o)[1]
+        c0 = commutators(G, *o.canonical_rep)
+        allowed = [cls.class_of[c0], cls.class_of[G.inv[c0]]]
+        comm_classes = cls.class_of[commutators(G, rep, np.arange(G.n))]
+        foreign = (dec.rep_rows[k] >= 0) & ~np.isin(comm_classes, allowed)
+        if not foreign.any() or not (dec.rep_rows[:k] == o.orbit_id).any():
+            continue
+        rows = dec.rep_rows.copy()
+        rows[k, np.flatnonzero(foreign)[-1]] = o.orbit_id
+        assert not higman_check(OrbitDecomposition(G, dec.orbits, rows), o)[1], o.orbit_id
+        break
+    else:
+        raise AssertionError("no orbit with a foreign key in the last generating class row")

@@ -1,5 +1,6 @@
 import functools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ def test_psl25_lift():
 
 def test_remark():
     check(V.verify_remark(7, 13), "remark")
+
+
+@pytest.mark.parametrize("m, q", [(5, 4), (7, 8), (9, 17)])
+def test_remark_inside_its_hypothesis(m, q):
+    check(V.verify_remark(m, q), "remark")
+
+
+@pytest.mark.parametrize("m, q", [(9, 19), (10, 19), (19, 19), (11, 23), (3, 13), (5, 9), (3, 2)])
+def test_remark_outside_its_hypothesis_is_refused_before_a_build(m, q):
+    # q = 3 mod 4 never reaches tau = -2; m must be a multiple of a torus order
+    with pytest.raises(V.PreconditionError):
+        V.verify_remark(m, q, pair_budget=10)
 
 
 def test_remark_budget():
@@ -275,12 +288,39 @@ def test_memo_entry_reaches_a_new_cache_dir(tmp_path, monkeypatch):
         again = V.verify_trace_table(7, cache_dir=tmp_path)
         assert not again.cache_hit and again.evidence == first.evidence
     assert writes == [tmp_path]
-    rows = V._DECOMP["PSL(2,7)"][0].rep_rows
+    _records, rows, _hit = V._DECOMP["PSL(2,7)"]
     assert np.array_equal(cache.load_labels(tmp_path, "PSL(2,7)", rows.shape), rows)
     monkeypatch.setattr(V, "_DECOMP", {})
     assert V.verify_trace_table(7, cache_dir=tmp_path).cache_hit
     V.verify_trace_table(7, cache_dir=tmp_path / "other")
     assert writes == [tmp_path] and not (tmp_path / "other").exists()
+
+
+def test_memo_pins_no_group(monkeypatch):
+    # the memo keeps records and rep rows, so a group the caller drops, with
+    # its decomposition, is freed at once, and a rebuild still hits the memo
+    monkeypatch.setattr(V, "_DECOMP", {})
+    G = build_psl2(7)
+    dec, _hit = V.gamma_orbits(G, None)
+    ref = weakref.ref(G)
+    del G, dec
+    assert ref() is None
+    G = build_psl2(7)
+    dec, hit = V.gamma_orbits(G, None)
+    assert dec.group is G and not hit and G._nielsen is not None
+
+
+def test_int64_cache_entry_gives_identical_records(tmp_path, monkeypatch):
+    # entries were int64 before the rep rows became int32; such an entry is
+    # still a hit and gives the records of a fresh decomposition
+    monkeypatch.setattr(V, "_DECOMP", {})
+    fresh = decompose_nielsen_orbits(build_psl2(7))
+    assert fresh.rep_rows.dtype == np.int32
+    cache.save_labels(tmp_path, "PSL(2,7)", labels=fresh.rep_rows.astype(np.int64))
+    dec, hit = V.gamma_orbits(build_psl2(7), tmp_path)
+    assert hit and dec.rep_rows.dtype == np.int32
+    assert np.array_equal(dec.rep_rows, fresh.rep_rows)
+    assert [vars(o) for o in dec.orbits] == [vars(o) for o in fresh.orbits]
 
 
 @pytest.mark.parametrize(
