@@ -1,32 +1,41 @@
-"""Finite groups as indexed element sets with dense multiplication tables.
+"""Finite groups as indexed element sets with stored multiplication rows.
 
 Builders for SL(2,q), PSL(2,q) and dihedral groups, plus the
 generic queries the orbit machinery needs: subgroup closure, generation
 testing, centralizer generators, conjugacy classes, derived series.
+Every query reads products through `FiniteGroup.mul` and conjugates
+through `FiniteGroup.conj`, elementwise over broadcast index arrays.
 
 Every subgroup closure goes through `_closures`, a breadth-first search
 that runs P closures in lockstep on the flat ids p * n + e: one step
-reads the products of every row's frontier with that row's generators
+reads the products of every row's generators with that row's frontier
 and dedupes the new ids by sorting.  A generation test (`generates`,
 elementwise over index arrays) stops a row once it has reached more
 than n/2 elements, as a subgroup of index below 2 is G.  The greedy
 centralizer generators of all class representatives are picked in
 lockstep rounds of it and kept with the conjugacy classes.
 
-The SL/PSL, dihedral and coset-table builders compute only the rows of a
-few generators directly and compose every other row from them by right
-multiplication (`_cayley_table`): mult[p s] = mult[p][mult[s]], row p
-read through the row of generator s.  That index is each generator's
-row, widened once, so a build costs a few field-table rows plus |G| row
-gathers at fixed indices, made a bounded block of rows at a time.
-Table entries are int16 up to 2^15 elements, int32 beyond
-(`_table_dtype`); stored orbit, key and pair ids are int32 while they
-fit, int64 beyond (`_id_dtype`).  SL(2,q) is listed directly, q^3 - q
-matrices from the field tables, not filtered from the q^4 grid of
-entries.
+Dihedral and coset-table groups store the dense n x n table.  SL and PSL
+store no such table: every element factors as x = u v, u in the q + 1
+elements L(t) = (1 0; t 1) and w = (0 1; -1 0), v in the Borel subgroup
+B of upper triangular matrices, so x y = u (v y) reads the rows of v and
+u, and x y x^-1 reads their conjugation rows; the rows of U and B are
+2(q + 1 + |B|) x n entries, 2.5 MB at q = 19 where the dense table took
+22.3 MB (`_matrix_group`).  Every builder computes only the rows of a
+few generators directly and composes every other row of a subgroup from
+them by right multiplication (`_compose_rows`):
+row[p s] = row[p][row[s]], row p read through the row of generator s.
+That index is each generator's row, widened once, so a build costs a
+few field-table rows plus one row gather per stored row at fixed
+indices, made a bounded block of rows at a time; the dense table is the
+case where the subgroup is G (`_cayley_table`).  Table entries are int16
+up to 2^15 elements, int32 beyond (`_table_dtype`); stored orbit, key
+and pair ids are int32 while they fit, int64 beyond (`_id_dtype`).
+SL(2,q) is listed directly, q^3 - q matrices from the field tables, not
+filtered from the q^4 grid of entries.
 
-The pair budget is the one size limit: the n x n table holds one entry
-per pair, and every builder of a table (these three and
+The pair budget is the one size limit: it counts one entry per pair of
+elements, n^2, and every builder (these three and
 `fpgroups.group_from_coset_table`) passes its predicted order to
 `check_pair_budget` before it lists any element.
 
@@ -68,18 +77,23 @@ def check_pair_budget(order: int, pair_budget: int) -> None:
 
 
 class FiniteGroup:
-    """Indexed finite group with dense multiplication/inverse/order tables.
+    """Indexed finite group with a stored multiplication table, inverse and
+    order arrays; `mul` is its one product and `conj` its conjugation.
 
-    `mult` is n x n; `inv` has its dtype (int16 from the builders up to
-    2^15 elements), so a value read from either must be widened before
-    it is packed into a pair id such as first * n + second.
+    `mult` holds the stored rows: a dense group stores all n x n products
+    (row x is x y for every y).  A matrix group (SL/PSL) factors every
+    element x = u v (`_matrix_group`) and stores 2R rows for the R
+    elements of U and B: their products, then their conjugations
+    y -> e y e^-1; `factors` = (u_row, v_row) gives the places of u and v
+    among the R.  `inv` has the entry dtype (int16 from the builders up to
+    2^15 elements), so a value read from it, `mul` or `conj` must be
+    widened before it is packed into a pair id such as first * n + second.
 
-    A matrix group (SL/PSL) also keeps `elements`, its sorted packed
-    matrices; its `labels`, a Mat2 (SL) or PslElement (PSL) per element,
-    are built from them on first read.  Other groups take their labels, if
-    any, at construction.  `_classes` keeps the conjugacy classes and
-    `_nielsen` the records and rep rows of the Nielsen decomposition,
-    once computed.
+    A matrix group also keeps `elements`, its sorted packed matrices; its
+    `labels`, a Mat2 (SL) or PslElement (PSL) per element, are built from
+    them on first read.  Other groups take their labels, if any, at
+    construction.  `_classes` keeps the conjugacy classes and `_nielsen`
+    the records and rep rows of the Nielsen decomposition, once computed.
     """
 
     def __init__(
@@ -90,10 +104,18 @@ class FiniteGroup:
         labels: Optional[list] = None,
         field: Optional[GF] = None,
         kind: str = "generic",
+        factors: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ):
         self.name = name
-        self.n = mult.shape[0]
+        self.n = mult.shape[1]
         self.mult = mult
+        # flat offsets of the rows of u and v: (u, v) for products, then for
+        # conjugations, which fill the second half of mult
+        self._factors = None
+        if factors is not None:
+            u, v = (np.asarray(r, dtype=np.intp) * self.n for r in factors)
+            half = mult.size // 2
+            self._factors = ((u, v), (u + half, v + half))
         self.identity = identity
         if labels is not None:
             self.labels = labels
@@ -110,6 +132,28 @@ class FiniteGroup:
             return None
         return _matrix_labels(self.field, *matrix_entries(self), self.kind)
 
+    def mul(self, a, b) -> np.ndarray:
+        """The products a b, elementwise over broadcast index arrays of any
+        integer type, in the table's entry type, by flat gathers: mult[a, b]
+        for a dense table; u (v b) for a factored one, a = u v, through the
+        rows of v and then u."""
+        if self._factors is None:
+            return self.mult.reshape(-1).take(np.multiply(a, self.n, dtype=np.intp) + b)
+        return self._through_factors(self._factors[0], a, b)
+
+    def conj(self, x, b) -> np.ndarray:
+        """The conjugates x b x^-1, elementwise over broadcast index arrays,
+        in the table's entry type.  For a factored table, conjugation by
+        x = u v is conjugation by v and then by u, read from the stored
+        conjugation rows at the gathers of one product."""
+        if self._factors is None:
+            return self.mul(self.mul(x, b), self.inv[x])
+        return self._through_factors(self._factors[1], x, b)
+
+    def _through_factors(self, offsets: tuple[np.ndarray, np.ndarray], a, b) -> np.ndarray:
+        flat, (u, v) = self.mult.reshape(-1), offsets
+        return flat.take(u.take(a) + flat.take(v.take(a) + b))
+
     # -- table derivation --
 
     def _orders_and_inverses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +168,7 @@ class FiniteGroup:
             if not live.size:
                 return orders, inv
             inv[live] = power[live]
-            power[live] = self.mult[power[live], live]
+            power[live] = self.mul(live, power[live])
             orders[live] += 1
             live = live[power[live] != self.identity]
         raise ValueError("not a group table: some power walk misses the identity")
@@ -180,33 +224,44 @@ def _id_dtype(bound: int) -> type:
     return np.int32 if bound < 1 << 31 else np.int64
 
 
-def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) -> np.ndarray:
-    """The n x n multiplication table from the rows of a few generators.
+def _compose_rows(
+    rows: np.ndarray, members: np.ndarray, identity: int, row_of: Callable,
+    products: Optional[np.ndarray] = None,
+) -> None:
+    """Fill rows[i] with the row of members[i] under an action of one
+    subgroup on the n elements whose rows compose like permutations,
+    row[p s] = row[p][row[s]]: left multiplication (row x is x y for
+    every y), or conjugation with `products`, the left multiplication
+    rows of the same members.
 
-    Each generator is the least element that has no row yet, and
-    `row_of(g)` computes its row directly.  Every other row is composed
-    breadth-first by right multiplication: (p s) x = p (s x), so
-    mult[p s] = mult[p][mult[s]].  The index is generator s's row,
-    widened to intp once, and the source rows are read through it a
-    block at a time into one reused buffer.
+    Each generator is the first member, in the order given, that has no
+    row yet, and `row_of(g)` computes its row directly.  Every other row
+    is composed breadth-first by right multiplication inside the
+    subgroup, the products p s read at column s of the left
+    multiplication rows (`products`, by default `rows` itself).  The
+    index is generator s's row, widened to intp once, and the source rows
+    are read through it a block at a time into one reused buffer, then
+    written straight into `rows`.
     """
-    mult = np.empty((n, n), dtype=_table_dtype(n))
-    mult[identity] = np.arange(n)
-    done = np.zeros(n, dtype=bool)
-    done[identity] = True
+    n, products = rows.shape[1], rows if products is None else products
+    local = np.full(n, -1, dtype=np.intp)  # element -> its place in members
+    local[members] = np.arange(len(members))
+    rows[local[identity]] = np.arange(n)
+    done = np.zeros(len(members), dtype=bool)
+    done[local[identity]] = True
     block = max(1, _BLOCK_ENTRIES // n)
-    buf = np.empty((block, n), dtype=mult.dtype)
+    buf = np.empty((block, n), dtype=rows.dtype)
     gens: list[tuple[int, np.ndarray]] = []  # (generator, its row as intp)
     while not done.all():
         s = int(np.argmin(done))
-        mult[s] = row_of(s)
+        rows[s] = row_of(int(members[s]))
         done[s] = True
-        gens.append((s, mult[s].astype(np.intp)))
+        gens.append((int(members[s]), rows[s].astype(np.intp)))
         frontier = np.flatnonzero(done)
         while frontier.size:
             reached = []
             for g, g_row in gens:
-                prod = mult[frontier, g]
+                prod = local[products[frontier, g]]
                 new = ~done[prod]
                 # p -> p g is injective, so the new products are distinct
                 targets, sources = prod[new], frontier[new]
@@ -214,11 +269,17 @@ def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) ->
                     t = targets[k : k + block]
                     out = buf[: len(t)]
                     # every index is in range; mode "raise" would buffer the output
-                    np.take(mult[sources[k : k + block]], g_row, axis=1, out=out, mode="clip")
-                    mult[t] = out
+                    np.take(rows[sources[k : k + block]], g_row, axis=1, out=out, mode="clip")
+                    rows[t] = out
                 done[targets] = True
                 reached.append(targets)
             frontier = np.concatenate(reached)
+
+
+def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The dense n x n table: `_compose_rows` on the subgroup G itself."""
+    mult = np.empty((n, n), dtype=_table_dtype(n))
+    _compose_rows(mult, np.arange(n), identity, row_of)
     return mult
 
 
@@ -269,22 +330,53 @@ def _matrix_indices(f: GF, elements: np.ndarray, kind: str, packed) -> np.ndarra
 def _matrix_group(name: str, f: GF, packed: np.ndarray, kind: str) -> FiniteGroup:
     """Shared SL/PSL construction from the sorted packed element matrices.
 
-    Generator rows are products over the field tables, mapped back to
-    indices by `_matrix_indices`, the group's one index map.
+    Every element x = (a b; c d) factors as x = u v, u in
+    U = {L(t) = (1 0; t 1)} + {w = (0 1; -1 0)} and v in the Borel
+    subgroup B of upper triangular matrices (B/+-1 in PSL):
+    x = L(c/a) (a b; 0 1/a) if a != 0, x = w (-c -d; 0 b) if a = 0.  So
+    the group stores the rows of U and B only, R = q + 1 + |B| of them:
+    L(t) at row t, w at row q, then B in index order, the rows of the
+    subgroups {L(t)} and B composed by `_compose_rows` and w's from
+    w = L(-1) U(1) L(-1); then, at R + r, the conjugation rows of the same
+    elements, composed the same way.  Generator rows of products are
+    computed over the field tables, mapped back to indices by
+    `_matrix_indices`, the group's one index map; those of conjugations
+    by two products each.
     """
-    q = f.q
+    q, n = f.q, len(packed)
     a, b, c, d = _unpack(packed, q)
-    mulT, addT = f.mul_table, f.add_table
+    mulT, addT, negT = f.mul_table, f.add_table, f.neg_table
+    index = functools.partial(_matrix_indices, f, packed, kind)
 
     def row_of(i: int) -> np.ndarray:
         na = addT[mulT[a[i], a], mulT[b[i], c]]
         nb = addT[mulT[a[i], b], mulT[b[i], d]]
         nc = addT[mulT[c[i], a], mulT[d[i], c]]
         nd = addT[mulT[c[i], b], mulT[d[i], d]]
-        return _matrix_indices(f, packed, kind, _pack(q, na, nb, nc, nd))
+        return index(_pack(q, na, nb, nc, nd))
 
-    ident = int(_matrix_indices(f, packed, kind, _pack(q, f.one, 0, 0, f.one)))
-    g = FiniteGroup(name, _cayley_table(len(packed), ident, row_of), ident, field=f, kind=kind)
+    lower = index(_pack(q, f.one, 0, np.arange(q), f.one))  # L(t), t = 0 the identity
+    borel = np.flatnonzero(c == 0)
+    ident, r = int(lower[0]), q + 1 + len(borel)
+    unit = q + 1 + int(np.searchsorted(borel, index(_pack(q, f.one, f.one, 0, f.one))))  # U(1) = (1 1; 0 1)
+    rows = np.empty((2 * r, n), dtype=_table_dtype(n))
+
+    def compose(base: int, row_of: Callable) -> None:
+        """The R rows of one action from base: L(t), then w, then B; the
+        products that place them are read off the product rows."""
+        _compose_rows(rows[base : base + q], lower, ident, row_of, rows[:q])
+        _compose_rows(rows[base + q + 1 : base + r], borel, ident, row_of, rows[q + 1 : r])
+        minus = rows[base + f.minus_one]  # w = L(-1) U(1) L(-1): compose their rows
+        rows[base + q] = minus[rows[base + unit][minus]]
+
+    compose(0, row_of)
+    top, inv_a = a != 0, f.inv_table[a]
+    u_row = np.where(top, mulT[c, inv_a], q)
+    v = np.where(top, _pack(q, a, b, 0, inv_a), _pack(q, negT[c], negT[d], 0, b))
+    v_row = q + 1 + np.searchsorted(borel, index(v))
+    g = FiniteGroup(name, rows, ident, field=f, kind=kind, factors=(u_row, v_row))
+    y = np.arange(n)
+    compose(r, lambda e: g.mul(g.mul(e, y), g.inv[e]))  # e y e^-1
     g.elements = packed
     return g
 
@@ -359,9 +451,9 @@ def _closures(G: FiniteGroup, gens, generation: bool = False) -> np.ndarray:
     the identity that runs every row in lockstep.
 
     A row's elements are the flat ids p * n + e.  Each step reads the
-    products mult[e, gens[p]] of every frontier id at once, drops the ids
+    products gens[p] e of every frontier id at once, drops the ids
     already visited and dedupes the rest by sorting, so no step allocates
-    an index array over all P * n ids.  Right multiplication by the
+    an index array over all P * n ids.  Left multiplication by the
     generators reaches exactly the generated subgroup, since every
     generator has finite order.  Rows run _BLOCK_ENTRIES // n at a time.
 
@@ -371,7 +463,6 @@ def _closures(G: FiniteGroup, gens, generation: bool = False) -> np.ndarray:
     """
     n = G.n
     gens = np.asarray(gens, dtype=np.intp)
-    flat = G.mult.reshape(-1)
     out = np.zeros(len(gens) if generation else (len(gens), n), dtype=bool)
     block = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, len(gens), block):
@@ -386,7 +477,7 @@ def _closures(G: FiniteGroup, gens, generation: bool = False) -> np.ndarray:
         while frontier.size:
             row = frontier // n
             base = row * n
-            products = flat.take((frontier - base)[:, None] * n + rows[row])  # mult[e, gens[p]]
+            products = G.mul(rows[row], (frontier - base)[:, None])  # gens[p] e
             ids = (base[:, None] + products).reshape(-1)
             ids = ids[~visited[ids]]
             ids.sort()
@@ -412,8 +503,7 @@ def closure_mask(G: FiniteGroup, gens: Sequence[int]) -> np.ndarray:
 
 def commutators(G: FiniteGroup, i, j) -> np.ndarray:
     """The commutators [i, j] = i^-1 j^-1 i j, elementwise over broadcast index arrays."""
-    m = G.mult
-    return m[m[G.inv[i], G.inv[j]], m[i, j]]
+    return G.mul(G.inv[i], G.conj(G.inv[j], i))  # i^-1 (j^-1 i j)
 
 
 def generates(G: FiniteGroup, a, b) -> np.ndarray:
@@ -436,7 +526,7 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
             continue
         cid = len(reps)
         reps.append(g)
-        cls = G.mult[G.mult[G.inv, g], allx]  # x^-1 g x for every x
+        cls = G.conj(G.inv, g)  # x^-1 g x for every x
         class_of[cls] = cid
         conjugator[cls] = allx
     G._classes = ConjugacyClasses(class_of=class_of, representatives=reps, conjugator=conjugator)
@@ -457,7 +547,8 @@ def centralizer_generators(G: FiniteGroup) -> list[np.ndarray]:
     cls = conjugacy_classes(G)
     if cls.centralizer_gens is None:
         reps = np.asarray(cls.representatives, dtype=np.intp)
-        cent = G.mult[reps] == G.mult[:, reps].T  # r x == x r, a row per representative
+        allx = np.arange(G.n)
+        cent = G.conj(reps[:, None], allx) == allx  # r x r^-1 == x, a row per representative
         reached = np.zeros_like(cent)
         reached[:, G.identity] = True
         gens = np.empty((len(reps), 0), dtype=np.intp)

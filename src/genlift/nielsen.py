@@ -40,8 +40,13 @@ vectorized map from pairs to their keys (`_pair_keys`) serves the move
 edges and `orbit_ids`, and through it `orbit_of`, `labels` and the joint
 merge edges.
 
+Every product and conjugate is read through `FiniteGroup.mul` and
+`FiniteGroup.conj`, elementwise over index arrays: a key's conjugate
+x b x^-1 costs the gathers of one product, also in a matrix group, which
+stores only the rows of its factors.
+
 Orbit records come from arrays: the commutator orders of all
-representative pairs by table lookups, and for PSL(2,q) their trace
+representative pairs by products, and for PSL(2,q) their trace
 invariants by the Fricke identity on the entry arrays of the elements, in
 the field tables.  `orbit_tau` re-derives tau with scalar matrix
 arithmetic, as an independent check, on the matrices of its sampled
@@ -144,18 +149,16 @@ class OrbitDecomposition:
         block: (g, x^-1 y x) for g in class k, x = conjugator[g] and
         rep_rows[k, y] == orbit_id."""
         G = self.group
-        cls, flat = conjugacy_classes(G), G.mult.reshape(-1)
+        cls = conjugacy_classes(G)
         for k, row in enumerate(self.rep_rows == orbit_id):
-            y_inv = G.inv.take(np.flatnonzero(row))
-            if not y_inv.size:
+            y = np.flatnonzero(row)
+            if not y.size:
                 continue
             members = np.flatnonzero(cls.class_of == k)
-            step = max(1, _BLOCK_ENTRIES // y_inv.size)
+            step = max(1, _BLOCK_ENTRIES // y.size)
             for lo in range(0, members.size, step):
                 g = members[lo : lo + step, None]
-                x_row = G.inv[cls.conjugator[g]] * np.int64(G.n)
-                # x^-1 y x = x^-1 (x^-1 y^-1)^-1, by flat gathers from row x^-1
-                yield g, flat.take(x_row + G.inv.take(flat.take(x_row + y_inv)))
+                yield g, G.conj(G.inv[cls.conjugator[g]], y)  # x^-1 y x
 
     def gamma_size(self) -> int:
         return sum(o.size for o in self.orbits)
@@ -207,7 +210,7 @@ class OrbitDecomposition:
 
 def _nielsen_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
     """The three basic moves (g1^-1, g2), (g1 g2^-1, g2), (g2, g1), vectorized over pairs."""
-    return [(G.inv[i], j), (G.mult[i, G.inv[j]], j), (j, i)]
+    return [(G.inv[i], j), (G.mul(i, G.inv[j]), j), (j, i)]
 
 
 def _components(nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -240,7 +243,7 @@ def _pair_classes(G: FiniteGroup, cls: ConjugacyClasses) -> tuple[np.ndarray, np
         n, gens = G.n, centralizer_generators(G)
         k = np.repeat(np.arange(len(gens)) * n, [len(zs) for zs in gens])[:, None]
         z = np.concatenate(gens)
-        src, dst = k + np.arange(n), k + G.mult[G.mult[z], G.inv[z][:, None]]
+        src, dst = k + np.arange(n), k + G.conj(z[:, None], np.arange(n))
         lab = _components(len(gens) * n, src.reshape(-1), dst.reshape(-1))
         is_least = lab == np.arange(lab.size)
         rank = np.cumsum(is_least, dtype=np.int32) - 1  # at a least key, its place in `least`
@@ -275,9 +278,7 @@ def _pair_keys(G: FiniteGroup, cls: ConjugacyClasses, a, b) -> np.ndarray:
     """Keys k * n + y of the pairs (a, b), elementwise: k the class of a and
     y = x b x^-1, x = conjugator[a], so (reps[k], y) is conjugate to (a, b).
     Widened to int64 before packing, as the table entries may be int16."""
-    x_row, flat = cls.conjugator[a] * G.n, G.mult.reshape(-1)
-    # x b x^-1 = x (x b^-1)^-1: flat gathers from row x only, not from column x^-1
-    y = flat.take(x_row + G.inv.take(flat.take(x_row + G.inv.take(b))))
+    y = G.conj(cls.conjugator[a], b)
     return np.multiply(cls.class_of[a], G.n, dtype=np.int64) + y
 
 

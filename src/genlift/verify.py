@@ -231,7 +231,7 @@ def _cube_in_center(G: FiniteGroup) -> np.ndarray:
     e = G.identity
     minus_e = G.index_of_matrix(G.matrix(e).neg())
     g = np.arange(G.n)
-    return np.flatnonzero(np.isin(G.mult[G.mult[g, g], g], (e, minus_e)))
+    return np.flatnonzero(np.isin(G.mul(G.mul(g, g), g), (e, minus_e)))
 
 
 def _lemma_scan(q: int, bad_traces: set[int], pair_budget: int) -> tuple[bool, dict]:

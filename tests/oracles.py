@@ -101,21 +101,30 @@ def element_order_sl(m) -> int:
     raise RuntimeError("order exceeded |SL(2,q)|")  # unreachable for valid input
 
 
+def cayley_table(G, rows=None) -> np.ndarray:
+    """Rows `rows` (default: all) of the full table, table[x, y] = x y,
+    through `G.mul`, the library's one product: a matrix group stores
+    only the rows of its factors, never this table."""
+    rows = np.arange(G.n) if rows is None else np.asarray(rows)
+    return G.mul(rows[:, None], np.arange(G.n))
+
+
 def validate_group(G) -> None:
-    """Assert that G's tables form a group table: Latin square rows and
+    """Assert that G's products form a group table: Latin square rows and
     columns, a two-sided identity and a working inverse table."""
     n = G.n
     ref = np.arange(n)
     expected = np.tile(ref, (n, 1))
-    if not np.array_equal(np.sort(G.mult, axis=1), expected):
+    mult = cayley_table(G)
+    if not np.array_equal(np.sort(mult, axis=1), expected):
         raise AssertionError("some row is not a permutation")
-    if not np.array_equal(np.sort(G.mult, axis=0), expected.T):
+    if not np.array_equal(np.sort(mult, axis=0), expected.T):
         raise AssertionError("some column is not a permutation")
-    if not np.array_equal(G.mult[G.identity], ref):
+    if not np.array_equal(mult[G.identity], ref):
         raise AssertionError("identity fails on the left")
-    if not np.array_equal(G.mult[:, G.identity], ref):
+    if not np.array_equal(mult[:, G.identity], ref):
         raise AssertionError("identity fails on the right")
-    if not np.all(G.mult[ref, G.inv] == G.identity):
+    if not np.all(mult[ref, G.inv] == G.identity):
         raise AssertionError("inverse table broken")
 
 
@@ -130,24 +139,24 @@ def psl_canonical(m):
 
 
 def power(G, g: int, e: int) -> int:
-    """g^e by e table lookups (e >= 0)."""
+    """g^e by e scalar products (e >= 0)."""
     acc = G.identity
     for _ in range(e):
-        acc = int(G.mult[acc, g])
+        acc = int(G.mul(acc, g))
     return acc
 
 
 def commutator(G, i: int, j: int) -> int:
-    """[i, j] = i^-1 j^-1 i j by four table lookups."""
-    m, inv = G.mult, G.inv
-    return int(m[m[inv[i], inv[j]], m[i, j]])
+    """[i, j] = i^-1 j^-1 i j by three scalar products."""
+    mul, inv = G.mul, G.inv
+    return int(mul(mul(inv[i], inv[j]), mul(i, j)))
 
 
 def element_order(G, g: int) -> int:
-    """The least e >= 1 with g^e = 1, by successive table lookups."""
+    """The least e >= 1 with g^e = 1, by successive scalar products."""
     acc, e = int(g), 1
     while acc != G.identity:
-        acc, e = int(G.mult[acc, g]), e + 1
+        acc, e = int(G.mul(acc, g)), e + 1
     return e
 
 
@@ -163,7 +172,7 @@ def closure_mask(G, gens) -> np.ndarray:
     frontier = np.array([G.identity], dtype=np.int64)
     while frontier.size:
         fresh = np.zeros(G.n, dtype=bool)
-        fresh[G.mult[frontier[:, None], garr]] = True
+        fresh[G.mul(frontier[:, None], garr)] = True
         fresh &= ~visited
         visited |= fresh
         frontier = np.flatnonzero(fresh)
@@ -421,7 +430,7 @@ def _pair_space_targets(G, action: str) -> list:
     permutations plus conjugation by both members of a generating pair."""
     n = G.n
     # widened first: a pair id outgrows the table's entry type
-    mult, inv = G.mult.astype(np.int64), G.inv.astype(np.int64)
+    mult, inv = cayley_table(G).astype(np.int64), G.inv.astype(np.int64)
     ids = np.arange(n * n, dtype=np.int64)
     i, j = ids // n, ids % n
     targets = []
@@ -473,7 +482,7 @@ def pair_class_labels(G) -> np.ndarray:
     the centralizer C(reps[k]), the stabilizer of reps[k] under conjugation."""
     from genlift.groupcore import conjugacy_classes
 
-    n, mult, inv = G.n, G.mult.astype(np.int64), G.inv.astype(np.int64)
+    n, mult, inv = G.n, cayley_table(G).astype(np.int64), G.inv.astype(np.int64)
     rows = []
     for k, r in enumerate(conjugacy_classes(G).representatives):
         cent = np.flatnonzero(mult[r] == mult[:, r])
@@ -493,6 +502,7 @@ def rep_rows_single_graph(G, moves) -> np.ndarray:
     n, cls = G.n, conjugacy_classes(G)
     reps = np.asarray(cls.representatives, dtype=np.int64)
     keys = np.arange(len(reps) * n, dtype=np.int64)
+    mult = cayley_table(G).astype(np.int64)
     src, dst = [], []
     for a, b in moves(G, reps[keys // n], keys % n):
         src.append(keys)
@@ -500,7 +510,7 @@ def rep_rows_single_graph(G, moves) -> np.ndarray:
     for k, zs in enumerate(centralizer_generators(G)):
         for z in zs.tolist():
             src.append(keys[k * n : (k + 1) * n])
-            dst.append(k * n + G.mult[G.mult[z], G.inv[z]].astype(np.int64))
+            dst.append(k * n + mult[mult[z], G.inv[z]])
     return _components(len(keys), np.concatenate(src), np.concatenate(dst)).reshape(len(reps), n)
 
 
@@ -532,7 +542,7 @@ def nielsen_moves(G, pair):
     g1, g2 = pair
     return (
         (int(G.inv[g1]), g2),
-        (int(G.mult[g1, G.inv[g2]]), g2),
+        (int(G.mul(g1, G.inv[g2])), g2),
         (g2, g1),
     )
 

@@ -334,7 +334,11 @@ def test_scale_probe_script():
         assert all(float(r[f]) >= 0 for f in ("build_s", "decompose_s", "aut_s", "verify_s", "verify_peak_mb"))
         assert int(r["decompose_minflt"]) >= 0
         assert float(r["peak_rss_mb"]) > 0
-    assert [r["table_mb"] for r in lines] == [f"{60 * 60 * 2 / 2**20:.1f}", f"{168 * 168 * 2 / 2**20:.1f}"]
+    # the stored int16 rows, not |G|^2 entries: products and conjugations of the
+    # q + 1 + q(q-1)/2 elements of U and B/+-1
+    assert [r["table_mb"] for r in lines] == [
+        f"{2 * (q + 1 + q * (q - 1) // 2) * n * 2 / 2**20:.1f}" for q, n in ((5, 60), (7, 168))
+    ]
     proc = subprocess.run([sys.executable, str(script), "5", "7", "--pair-budget", "10000"],
                           capture_output=True, text=True)
     assert proc.returncode == EXIT_BUDGET and "PSL(2,7) refused" in proc.stderr

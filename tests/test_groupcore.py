@@ -15,6 +15,7 @@ from genlift.groupcore import (
     build_psl2,
     build_sl2,
     closure_mask,
+    commutators,
     conjugacy_classes,
     derived_series,
     generates,
@@ -23,6 +24,7 @@ from genlift.groupcore import (
 from genlift.matrices import PslElement, mat_from_ints
 from oracles import (
     build_cyclic,
+    cayley_table,
     closure_mask as closure_mask_oracle,
     derived_length,
     dihedral_cayley_table,
@@ -63,18 +65,77 @@ def test_cayley_table_valid(build):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_matrix_tables_entry_for_entry(q):
     for G in (build_sl2(q), build_psl2(q)):
-        assert G.mult.tolist() == matrix_cayley_table(G), G.name
+        assert cayley_table(G).tolist() == matrix_cayley_table(G), G.name
 
 
 @pytest.mark.parametrize("build,q", [(build_psl2, 16), (build_psl2, 19), (build_sl2, 13)])
 def test_multi_block_tables_entry_for_entry(build, q):
-    # groups where some composition step spans several blocks of
-    # _BLOCK_ENTRIES // n rows (16, 19 and 4 such steps); below them every
-    # step fits in one, so the oracle tests above never leave the first block
+    # the largest groups checked entry for entry; at PSL(2,16) some
+    # composition steps span several blocks of _BLOCK_ENTRIES // n rows
     G = build(q)
     for first, rows in matrix_table_blocks(G):
-        np.testing.assert_array_equal(G.mult[first : first + len(rows)], rows)
+        np.testing.assert_array_equal(cayley_table(G, range(first, first + len(rows))), rows)
     np.testing.assert_array_equal(G.inv, matrix_inverses(G))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_matrix_groups_store_the_rows_of_u_and_b(q):
+    # a matrix group stores no n x n table: 2R rows for the R = q + 1 + |B|
+    # elements of U and B (products, then conjugations), and every element is
+    # x = u v with u's and v's rows among them, checked in scalar Mat2 products
+    for G in (build_sl2(q), build_psl2(q)):
+        f, case = G.field, G.name
+        borel = [x for x in range(G.n) if G.matrix(x).c == 0]
+        r = q + 1 + len(borel)
+        assert G.mult.shape == (2 * r, G.n), case
+        held = G.mult[:r, G.identity].tolist()  # row e holds e x for every x; at x = 1, e
+        signs = (lambda m: {m.entries(), m.neg().entries()}) if G.kind == "psl2" else (lambda m: {m.entries()})
+        for t in range(q):
+            assert (f.one, 0, t, f.one) in signs(G.matrix(held[t])), case
+        assert (0, f.one, f.minus_one, 0) in signs(G.matrix(held[q])), case
+        assert held[q + 1 :] == borel, case
+        u_row, v_row = (offsets // G.n for offsets in G._factors[0])
+        assert u_row.max() <= q and v_row.min() > q and v_row.max() < r, case
+        for x in range(G.n):
+            u, v = G.matrix(held[u_row[x]]), G.matrix(held[v_row[x]])
+            assert (u * v).entries() in signs(G.matrix(x)), (case, x)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_conjugates_match_products(q):
+    # conj reads stored conjugation rows; the full table is checked against
+    # scalar Mat2 products above
+    for G in (build_sl2(q), build_psl2(q)):
+        table, g = cayley_table(G), np.arange(G.n)
+        np.testing.assert_array_equal(G.conj(g[:, None], g), table[table[g[:, None], g], G.inv[g][:, None]])
+
+
+@pytest.mark.parametrize("build", [lambda: build_psl2(7), lambda: build_sl2(5), lambda: build_dihedral(6),
+                                   lambda: build_cyclic(12)])
+def test_mul_and_conj_broadcast_over_any_integer_indices(build):
+    G = build()
+    table = cayley_table(G)
+    rng = np.random.default_rng(G.n)
+    a, b = rng.integers(0, G.n, size=(2, 5, 1)), rng.integers(0, G.n, size=(2, 1, 7))
+    for dtype in (np.int16, np.int32, np.int64, np.intp):
+        x, y = a.astype(dtype), b.astype(dtype)
+        prod = G.mul(x, y)
+        assert prod.shape == (2, 5, 7) and prod.dtype == G.mult.dtype
+        np.testing.assert_array_equal(prod, table[a, b])
+        np.testing.assert_array_equal(G.conj(x, y), table[table[a, b], G.inv[a]])
+        # the same broadcasting as commutators, which is built on them
+        np.testing.assert_array_equal(
+            commutators(G, x, y), table[table[G.inv[a], G.inv[b]], table[a, b]]
+        )
+    assert int(G.mul(int(a[0, 0, 0]), int(b[0, 0, 0]))) == table[a[0, 0, 0], b[0, 0, 0]]
+
+
+def test_one_row_blocks_compose_the_same_tables(monkeypatch):
+    # blocks of one row: every composition step of these builds spans several
+    monkeypatch.setattr(groupcore, "_BLOCK_ENTRIES", 1)
+    for G in (build_psl2(9), build_sl2(5)):
+        assert cayley_table(G).tolist() == matrix_cayley_table(G), G.name
+    assert build_dihedral(7).mult.tolist() == dihedral_cayley_table(7)
 
 
 def test_dihedral_tables_entry_for_entry():
@@ -120,7 +181,7 @@ def test_conjugator_transversal():
         for a in range(G.n):
             x = int(cc.conjugator[a])
             rep = cc.representatives[cc.class_of[a]]
-            assert G.mult[G.mult[x, a], G.inv[x]] == rep
+            assert G.mul(G.mul(x, a), G.inv[x]) == rep
             assert rep <= a  # each representative is its class's least member
 
 
