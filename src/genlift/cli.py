@@ -100,15 +100,17 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    G = V.psl(args.q, args.pair_budget)
-    dec, hit = V.gamma_orbits(G, args.cache_dir)
     mn_pairs = []
     for item in args.mn or []:
         try:
             m, n = (int(x) for x in item.split(","))
         except ValueError:
-            raise _UsageError(f"--mn wants 'm,n', got {item!r}")
+            m = n = 0  # refused below
+        if min(m, n) < 1:
+            raise _UsageError(f"--mn wants 'm,n' with m, n >= 1, got {item!r}")
         mn_pairs.append((m, n))
+    G = V.psl(args.q, args.pair_budget)
+    dec, hit = V.gamma_orbits(G, args.cache_dir)
     report = dec.report(mn_pairs=tuple(mn_pairs))
     report = {"schema": SCHEMA, "tool_version": TOOL_VERSION, "cache_hit": hit, **report}
     if args.aut:

@@ -93,7 +93,7 @@ class FiniteGroup:
     `labels`, a Mat2 (SL) or PslElement (PSL) per element, are built from
     them on first read.  Other groups take their labels, if any, at
     construction.  `_classes` keeps the conjugacy classes and `_nielsen`
-    the records and rep rows of the Nielsen decomposition, once computed.
+    the parts of the Nielsen decomposition, once computed.
     """
 
     def __init__(
@@ -123,7 +123,7 @@ class FiniteGroup:
         self.kind = kind
         self.orders, self.inv = self._orders_and_inverses()
         self._classes: Optional[ConjugacyClasses] = None
-        self._nielsen: Optional[tuple] = None  # (records, rep rows), set by decompose_nielsen_orbits
+        self._nielsen: Optional[tuple] = None  # set by decompose_nielsen_orbits
         self.elements: Optional[np.ndarray] = None  # sorted packed matrices
 
     @functools.cached_property

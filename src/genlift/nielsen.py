@@ -31,14 +31,16 @@ Nielsen classes, as automorphisms preserve generation; joint orbits are
 Nielsen orbits merged under the outer generators, which commute with the
 moves.
 
-A group's Nielsen decomposition is computed once: the records and rep
-rows of a fresh one are kept on the group (`G._nielsen`), and later
-calls, the Aut and joint decompositions among them, start from them.
-One built from cached rep rows is never kept, so Aut and joint never see
-the disk cache.  The K x n rep rows are the only labelling kept; one
-vectorized map from pairs to their keys (`_pair_keys`) serves the move
-edges and `orbit_ids`, and through it `orbit_of`, `labels` and the joint
-merge edges.
+A group's Nielsen decomposition is computed once: the parts of a fresh
+one (records, rep rows, representative orders) are kept on the group
+(`G._nielsen`), and later calls, the Aut and joint decompositions among
+them, start from them.  One built from cached rep rows is never kept, so
+Aut and joint never see the disk cache.  The parts are read-only values,
+a tuple of frozen records and arrays that are not writeable, and
+`mn_free_flags` reads them on every call.  The K x n rep rows are the
+only labelling kept; one vectorized map from pairs to their keys
+(`_pair_keys`) serves the move edges and `orbit_ids`, and through it
+`orbit_of`, `labels` and the joint merge edges.
 
 Every product and conjugate is read through `FiniteGroup.mul` and
 `FiniteGroup.conj`, elementwise over index arrays: a key's conjugate
@@ -59,7 +61,7 @@ blocks.  Rep rows, `labels` and member ids are int32 while their ids fit
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,14 +75,13 @@ from .matrices import PslElement, trace_invariant
 Pair = tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrbitRecord:
     orbit_id: int
     size: int
     canonical_rep: Pair
     tau: Optional[int]  # field element; only for PSL(2,q) hosts
     commutator_order: int
-    mn_free: dict = dc_field(default_factory=dict)
 
 
 class OrbitDecomposition:
@@ -88,19 +89,21 @@ class OrbitDecomposition:
 
     `rep_rows[k, y]` is the orbit id of the pair (reps[k], y), reps the
     conjugacy class representatives of G, and -1 if that pair does not
-    generate G.  Orbit ids increase with the lex-least member pair, so the
-    numbering is reproducible; `orbits[k]` is the record of orbit id k.
-    `orbit_ids` reads the orbit of any pairs off the rep rows, and
+    generate G; `rep_orders[k]` is the element order of reps[k].  Orbit
+    ids increase with the lex-least member pair, so the numbering is
+    reproducible; `orbits[k]` is the record of orbit id k.  `orbit_ids`
+    reads the orbit of any pairs off the rep rows, and
     `labels[first * n + second]`, one entry per pair, is built from it
     on first read.  Both have the rep rows' type, int32 below 2^31 keys.
     """
 
     restricted = True  # generating pairs only; read by perfbench's span counters
 
-    def __init__(self, group: FiniteGroup, orbits: list[OrbitRecord], rep_rows: np.ndarray):
+    def __init__(self, group: FiniteGroup, orbits: tuple[OrbitRecord, ...], rep_rows, rep_orders):
         self.group = group
         self.orbits = orbits
         self.rep_rows = rep_rows
+        self.rep_orders = rep_orders
 
     @functools.cached_property
     def labels(self) -> np.ndarray:
@@ -164,24 +167,16 @@ class OrbitDecomposition:
         return sum(o.size for o in self.orbits)
 
     def mn_free_flags(self, m: int, n: int) -> dict[int, bool]:
-        """(m,n)-freeness of every orbit, read off the rep rows: a pair and
-        its conjugate in a rep row have the same element orders."""
-        key = (m, n)
-        if self.orbits and key in self.orbits[0].mn_free:
-            return {o.orbit_id: o.mn_free[key] for o in self.orbits}
-        G = self.group
-        reps = conjugacy_classes(G).representatives
-        ok = ((m % G.orders[reps]) == 0)[:, None] & ((n % G.orders) == 0)
-        witnessed = np.zeros(len(self.orbits), dtype=bool)
-        witnessed[self.rep_rows[ok & (self.rep_rows >= 0)]] = True
-        for o in self.orbits:
-            o.mn_free[key] = not bool(witnessed[o.orbit_id])
-        return {o.orbit_id: o.mn_free[key] for o in self.orbits}
+        """(m,n)-freeness of every orbit from the rep-row entries (reps[k], y), ord(reps[k]) | m
+        and ord(y) | n: a pair and its conjugates have the same element orders."""
+        k, y = np.flatnonzero(m % self.rep_orders == 0), np.flatnonzero(n % self.group.orders == 0)
+        witnessed = np.zeros(len(self.orbits) + 1, dtype=bool)  # -1 lands on the last entry
+        witnessed[self.rep_rows[np.ix_(k, y)]] = True
+        return dict(enumerate((~witnessed[:-1]).tolist()))
 
     def report(self, mn_pairs: tuple[tuple[int, int], ...] = ()) -> dict:
         G = self.group
-        for m, n in mn_pairs:
-            self.mn_free_flags(m, n)
+        columns = {f"{m},{n}": self.mn_free_flags(m, n) for m, n in sorted(set(mn_pairs))}
         orbits = []
         for o in self.orbits:
             entry = {
@@ -190,7 +185,7 @@ class OrbitDecomposition:
                 "rep": list(o.canonical_rep),
                 "is_generating": True,
                 "commutator_order": o.commutator_order,
-                "mn_free": {f"{m},{n}": v for (m, n), v in sorted(o.mn_free.items())},
+                "mn_free": {mn: flags[o.orbit_id] for mn, flags in columns.items()},
             }
             if G.kind == "psl2":
                 entry["tau"] = G.field.format_element(o.tau)
@@ -303,11 +298,11 @@ def _bracket_traces(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> OrbitDecomposition:
-    """Orbits given by rep rows of generating classes (any ids, -1 outside
-    them), numbered in least-key order, which is least-member order.  The
-    commutator orders and trace invariants of all the representative pairs
-    are computed at once, as arrays."""
-    n, rows = G.n, _least_keys(rows)
+    """Orbits given by rep rows of generating classes, each labelled by its
+    least key (-1 outside them), numbered in least-key order, which is
+    least-member order.  The commutator orders and trace invariants of all
+    the representative pairs are computed at once, as arrays."""
+    n = G.n
     # an entry stands for one pair per member of its class; index 0 counts the -1s
     sizes = np.bincount(rows.reshape(-1) + 1, np.repeat(np.bincount(cls.class_of), n))[1:]
     keys = np.flatnonzero(sizes)
@@ -321,8 +316,11 @@ def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> Orbit
         taus,
         G.orders[commutators(G, i, j)].tolist(),
     )
-    orbits = [OrbitRecord(oid, *record) for oid, record in enumerate(columns)]
-    return OrbitDecomposition(G, orbits, remap[rows])
+    orbits = tuple(OrbitRecord(oid, *record) for oid, record in enumerate(columns))
+    parts = remap[rows], G.orders[cls.representatives]
+    for part in parts:
+        part.flags.writeable = False
+    return OrbitDecomposition(G, orbits, *parts)
 
 
 def decompose_nielsen_orbits(
@@ -346,7 +344,7 @@ def decompose_nielsen_orbits(
     if rep_rows is None:
         # its parts, not dec itself: dec.group -> G -> dec would be a reference
         # cycle, and would keep every such G alive until a full garbage collection
-        G._nielsen = (dec.orbits, dec.rep_rows)
+        G._nielsen = (dec.orbits, dec.rep_rows, dec.rep_orders)
     return dec
 
 
@@ -439,7 +437,7 @@ def joint_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
     src = np.tile(np.arange(len(nielsen.orbits)), len(perms))
     dst = np.array([nielsen.orbit_ids(perm[i], perm[j]) for perm in perms], np.int64).reshape(-1)
     merged = np.append(_components(len(nielsen.orbits), src, dst), -1)  # -1 stays -1
-    return _decompose(G, conjugacy_classes(G), merged[nielsen.rep_rows])
+    return _decompose(G, conjugacy_classes(G), _least_keys(merged[nielsen.rep_rows]))
 
 
 def trace_spectrum(dec: OrbitDecomposition) -> set[int]:

@@ -12,7 +12,7 @@ desk-scale battery as (claim id, parameters) entries in report order;
 `verify_all` runs each entry whose q, where it has one, is at most max_q.
 
 Nielsen decompositions are memoized per process by group name
-(`_DECOMP`) as their records and rep rows, never with a group:
+(`_DECOMP`) as their read-only parts, never with a group:
 `gamma_orbits` wraps them for the caller's group on every call, so a
 group its callers drop is freed, table included, even while the memo
 answers for a rebuild of it.
@@ -94,11 +94,11 @@ def _built(build, q: int, pair_budget: int) -> FiniteGroup:
     return build(q, pair_budget)
 
 
-# group name -> (orbit records, rep rows, disk cache hit); equal names mean
-# equal tables.  No entry holds a group: every call wraps the parts for the
-# caller's group, so a dropped group is freed at once, not kept beside its
-# rebuild
-_DECOMP: dict[str, tuple[list[OrbitRecord], np.ndarray, bool]] = {}
+# group name -> ((orbit records, rep rows, rep orders), disk cache hit);
+# equal names mean equal tables.  No entry holds a group: every call wraps
+# the parts for the caller's group, so a dropped group is freed at once,
+# not kept beside its rebuild
+_DECOMP: dict[str, tuple[tuple[tuple[OrbitRecord, ...], np.ndarray, np.ndarray], bool]] = {}
 
 
 def gamma_orbits(
@@ -120,18 +120,17 @@ def gamma_orbits(
         dec = decompose_nielsen_orbits(G, rep_rows=rows)
         if cache_dir is not None and not hit:
             cache_mod.save_labels(cache_dir, G.name, labels=dec.rep_rows)
-        entry = _DECOMP[G.name] = (dec.orbits, dec.rep_rows, hit)
-    elif cache_dir is not None and not entry[2] and not cache_mod.has_labels(cache_dir, G.name):
+        entry = _DECOMP[G.name] = ((dec.orbits, dec.rep_rows, dec.rep_orders), hit)
+    elif cache_dir is not None and not entry[1] and not cache_mod.has_labels(cache_dir, G.name):
         # a memo entry computed here, reaching a cache directory that lacks it
-        cache_mod.save_labels(cache_dir, G.name, labels=entry[1])
-    records, rows, hit = entry
+        cache_mod.save_labels(cache_dir, G.name, labels=entry[0][1])
+    parts, hit = entry
     if not hit and G._nielsen is None:
-        G._nielsen = (records, rows)
-    return OrbitDecomposition(G, records, rows), hit
+        G._nielsen = parts
+    return OrbitDecomposition(G, *parts), hit
 
 
-def _orbit_evidence(dec: OrbitDecomposition, mn: tuple[int, int]) -> list[dict]:
-    flags = dec.mn_free_flags(*mn)
+def _orbit_evidence(dec: OrbitDecomposition, mn: tuple[int, int], flags: dict) -> list[dict]:
     f = dec.group.field
     out = []
     for o in dec.orbits:
@@ -199,6 +198,20 @@ def _traces(G: FiniteGroup) -> np.ndarray:
     return G.field.add_table[a, d]
 
 
+def _bad_trace_scan(G: FiniteGroup, a: np.ndarray, b: np.ndarray, bad_traces: set[int]):
+    """The pairs (a[x], b[y]) whose commutator trace is in bad_traces, tested
+    for generation in one call: how many there are, and the first in row-major
+    (x, y) order that generates G, as (a, b, trace), or None."""
+    traces = _traces(G)[commutators(G, a[:, None], b[None, :])]
+    x, y = np.nonzero(np.isin(traces, list(bad_traces)))  # row-major
+    generating = generates(G, a[x], b[y])
+    if not generating.any():
+        return len(x), None
+    first = int(np.argmax(generating))
+    i, j = x[first], y[first]
+    return len(x), (int(a[i]), int(b[j]), int(traces[i, j]))
+
+
 def verify_prop_key(q: int, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
     """No generating pair (A,B) of SL(2,q), q = 3 mod 4, with A^4 = I has
     tr([A,B]) = -2.  One A per conjugacy class; B exhaustive."""
@@ -207,22 +220,16 @@ def verify_prop_key(q: int, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport
         raise PreconditionError(f"q = {q} is not congruent to 3 mod 4")
     G = sl(q, pair_budget)
     f = G.field
-    minus_two = f.neg(f.two)
     reps = np.asarray(conjugacy_classes(G).representatives)
     reps4 = reps[4 % G.orders[reps] == 0]
-    # every suspect pair (a, b), row-major, is tested for generation in one call
-    x, b = np.nonzero(_traces(G)[commutators(G, reps4[:, None], np.arange(G.n))] == minus_two)
-    a = reps4[x]
-    generating = generates(G, a, b)
-    if generating.any():
-        first = int(np.argmax(generating))
-        pair = (int(a[first]), int(b[first]))
-        evidence = {"violating_pair": [G.matrix(g).serialize() for g in pair]}
+    suspects, witness = _bad_trace_scan(G, reps4, np.arange(G.n), {f.neg(f.two)})
+    if witness is not None:
+        evidence = {"violating_pair": [G.matrix(g).serialize() for g in witness[:2]]}
         return _timed("prop-key", {"q": q}, t0, False, evidence)
     evidence = {
         "class_reps_with_A4_eq_I": len(reps4),
         "pairs_scanned": len(reps4) * G.n,
-        "trace_minus2_pairs_all_nongenerating": len(a),
+        "trace_minus2_pairs_all_nongenerating": suspects,
     }
     return _timed("prop-key", {"q": q}, t0, True, evidence)
 
@@ -236,27 +243,19 @@ def _cube_in_center(G: FiniteGroup) -> np.ndarray:
 
 def _lemma_scan(q: int, bad_traces: set[int], pair_budget: int) -> tuple[bool, dict]:
     """Every pair (a, b) of elements with cube +-I whose commutator trace is
-    in bad_traces must not generate SL(2,q); on failure, the first such
-    generating pair in row-major (a, b) order is the witness."""
+    in bad_traces must not generate SL(2,q); `_bad_trace_scan` finds the witness."""
     G = sl(q, pair_budget)
-    f = G.field
     qualifying = _cube_in_center(G)
-    traces = _traces(G)
-    comms = commutators(G, qualifying[:, None], qualifying[None, :])
-    suspects = np.isin(traces[comms], list(bad_traces))
-    x, y = np.nonzero(suspects)  # row-major
-    generating = generates(G, qualifying[x], qualifying[y])
-    if generating.any():
-        first = int(np.argmax(generating))
-        x, y = int(x[first]), int(y[first])
+    suspects, witness = _bad_trace_scan(G, qualifying, qualifying, bad_traces)
+    if witness is not None:
         return False, {
-            "violating_pair": [G.matrix(int(g)).serialize() for g in qualifying[[x, y]]],
-            "trace": f.format_element(int(traces[comms[x, y]])),
+            "violating_pair": [G.matrix(g).serialize() for g in witness[:2]],
+            "trace": G.field.format_element(witness[2]),
         }
     return True, {
         "qualifying_elements": len(qualifying),
         "pairs_scanned": len(qualifying) ** 2,
-        "bad_trace_pairs_all_nongenerating": int(suspects.sum()),
+        "bad_trace_pairs_all_nongenerating": suspects,
     }
 
 
@@ -307,8 +306,8 @@ def _theorem_mn(case: str, q: int, m: Optional[int]) -> tuple[int, int]:
     if case == "iii":
         if q % 4 != 3 or q == 3:
             raise PreconditionError("case (iii) needs q = 3 mod 4, q != 3")
-        if m is None:
-            raise PreconditionError("case (iii) needs m")
+        if m is None or m < 1:
+            raise PreconditionError("case (iii) needs m >= 1")
         import math
 
         if not (m % p == 0 or math.gcd(m, (q + 1) // 2) >= 3 or math.gcd(m, (q - 1) // 2) >= 3):
@@ -363,7 +362,7 @@ def verify_theorem(
         "free_orbit_count": len(free),
         "mechanism": mechanism,
         "mechanism_ok": mechanism_ok,
-        "orbits": _orbit_evidence(dec, mn),
+        "orbits": _orbit_evidence(dec, mn, flags),
     }
     params = {"case": case, "q": q}
     if m is not None:
@@ -454,8 +453,8 @@ def _remark_precondition(m: int, q: int) -> None:
     if q < 4 or q % 4 == 3 or q in (5, 9):
         raise PreconditionError("remark needs q = 1 mod 4 or q even, q >= 4, q not 5 or 9")
     tori = (q - 1, q + 1) if q % 2 == 0 else ((q - 1) // 2, (q + 1) // 2)
-    if all(m % d for d in tori):
-        raise PreconditionError(f"remark needs m a multiple of {tori[0]} or {tori[1]} at q = {q}")
+    if m < 1 or all(m % d for d in tori):
+        raise PreconditionError(f"remark needs m >= 1 divisible by {tori[0]} or {tori[1]} at q = {q}")
 
 
 def verify_remark(m: int, q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:

@@ -116,6 +116,23 @@ def test_remark_outside_its_hypothesis_is_usage(capsys):
     assert run(capsys, "--no-cache", "verify", "remark", "--q", "13", "--m", "7")[0] == EXIT_PASS
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm-iii", "--q", "7", "--m", "0"),
+    ("verify", "thm-iii", "--q", "7", "--m", "-7"),
+    ("verify", "remark", "--q", "13", "--m", "0"),
+    ("orbits", "--q", "5", "--mn", "0,3"),
+    ("orbits", "--q", "5", "--mn", "3,-1"),
+])
+def test_m_or_n_below_one_is_refused_before_build(capsys, monkeypatch, argv):
+    def no_build(*args):
+        raise AssertionError("group built before m and n were checked")
+
+    monkeypatch.setattr(V, "_built", no_build)
+    monkeypatch.setattr(groupcore, "_sl2_matrices", no_build)
+    code, out = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+
+
 def test_thm_iv_at_even_q_is_usage(capsys):
     for q in ("8", "16"):
         assert run(capsys, "verify", "thm-iv", "--q", q)[0] == EXIT_USAGE
@@ -304,21 +321,6 @@ def test_cli_runs_without_scipy():
     assert proc.returncode == EXIT_PASS, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
     assert proc.stderr.strip().splitlines()[-1] == "[]"
-
-
-def test_orbit_report_script():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "orbit_report.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "5", "7", "--mn", "2,3"], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    spectra = [line for line in proc.stdout.splitlines() if line.strip().startswith("spectrum:")]
-    assert len(spectra) == 2  # one per q
-    proc = subprocess.run([sys.executable, str(script), "23"], capture_output=True, text=True)
-    assert proc.returncode == EXIT_BUDGET and "PSL(2,23) refused" in proc.stderr
-    proc = subprocess.run([sys.executable, str(script), "6"], capture_output=True, text=True)
-    assert proc.returncode == 2 and "6 is not a prime power" in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 def test_scale_probe_script():

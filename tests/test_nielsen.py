@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -418,6 +420,39 @@ def test_cached_labels_round_trip():
         assert redo.orbits == dec.orbits
 
 
+def _mn_columns(report) -> list[list[str]]:
+    return [list(o["mn_free"]) for o in report["orbits"]]
+
+
+def test_report_columns_are_exactly_the_requested_ones():
+    # earlier flag queries leave no column behind; repeats are shown once, sorted
+    dec = decompose_nielsen_orbits(build_psl2(7))
+    expected = dec.mn_free_flags(2, 3)
+    dec.mn_free_flags(3, 3)
+    report = dec.report(mn_pairs=((2, 3),))
+    assert _mn_columns(report) == [["2,3"]] * len(dec.orbits)
+    assert [o["mn_free"]["2,3"] for o in report["orbits"]] == list(expected.values())
+    report = dec.report(mn_pairs=((3, 3), (2, 3), (3, 3)))
+    assert _mn_columns(report) == [["2,3", "3,3"]] * len(dec.orbits)
+    assert _mn_columns(dec.report()) == [[]] * len(dec.orbits)
+
+
+def test_decomposition_parts_are_read_only():
+    G = build_psl2(7)
+    fresh = decompose_nielsen_orbits(G)
+    cached = decompose_nielsen_orbits(G, rep_rows=fresh.rep_rows.copy())
+    for dec in (fresh, cached, aut_orbit_decomposition(G), joint_orbit_decomposition(G)):
+        assert isinstance(dec.orbits, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            dec.rep_rows[0, 0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.orbits[0].size = 0
+        with pytest.raises(ValueError, match="read-only"):
+            dec.rep_orders[0] = 0
+    records, rows, orders = G._nielsen
+    assert records is fresh.orbits and not (rows.flags.writeable or orders.flags.writeable)
+
+
 def test_orbit_of_refuses_entries_outside_the_group():
     G = build_psl2(5)
     dec = decompose_nielsen_orbits(G)
@@ -507,7 +542,8 @@ def test_higman_check_reaches_the_last_member_block(monkeypatch, block_entries):
             continue
         rows = dec.rep_rows.copy()
         rows[k, np.flatnonzero(foreign)[-1]] = o.orbit_id
-        assert not higman_check(OrbitDecomposition(G, dec.orbits, rows), o)[1], o.orbit_id
+        broken = OrbitDecomposition(G, dec.orbits, rows, dec.rep_orders)
+        assert not higman_check(broken, o)[1], o.orbit_id
         break
     else:
         raise AssertionError("no orbit with a foreign key in the last generating class row")

@@ -288,7 +288,7 @@ def test_memo_entry_reaches_a_new_cache_dir(tmp_path, monkeypatch):
         again = V.verify_trace_table(7, cache_dir=tmp_path)
         assert not again.cache_hit and again.evidence == first.evidence
     assert writes == [tmp_path]
-    _records, rows, _hit = V._DECOMP["PSL(2,7)"]
+    (_records, rows, _orders), _hit = V._DECOMP["PSL(2,7)"]
     assert np.array_equal(cache.load_labels(tmp_path, "PSL(2,7)", rows.shape), rows)
     monkeypatch.setattr(V, "_DECOMP", {})
     assert V.verify_trace_table(7, cache_dir=tmp_path).cache_hit
@@ -308,6 +308,20 @@ def test_memo_pins_no_group(monkeypatch):
     G = build_psl2(7)
     dec, hit = V.gamma_orbits(G, None)
     assert dec.group is G and not hit and G._nielsen is not None
+
+
+def test_rebuilt_group_reports_only_the_requested_columns(monkeypatch):
+    # the memo shares records and rep rows with every rebuild of the group,
+    # so flags asked for earlier must not show up in a later report
+    monkeypatch.setattr(V, "_DECOMP", {})
+    dec, _hit = V.gamma_orbits(build_psl2(7), None)
+    dec.mn_free_flags(2, 3)
+    dec.mn_free_flags(3, 3)
+    V.verify_theorem("iii", 7, 7)  # its (2,7) flags
+    rebuilt, _hit = V.gamma_orbits(build_psl2(7), None)
+    assert rebuilt.orbits is dec.orbits
+    report = rebuilt.report(mn_pairs=((2, 7),))
+    assert all(list(o["mn_free"]) == ["2,7"] for o in report["orbits"])
 
 
 def test_int64_cache_entry_gives_identical_records(tmp_path, monkeypatch):
