@@ -1,7 +1,6 @@
 """Generating pairs of finite groups: Nielsen orbits, trace invariants,
 and lifting to free products of cyclic groups."""
 
-from .cache import TOOL_VERSION as __version__
 from .field import GF, field_for_q, make_field
 from .fpgroups import (
     Presentation,
@@ -26,7 +25,7 @@ from .nielsen import (
     joint_orbit_decomposition,
     trace_spectrum,
 )
-from .verify import ClaimReport, verify_all
+from .verify import TOOL_VERSION as __version__, ClaimReport, verify_all
 
 __all__ = [
     "GF",

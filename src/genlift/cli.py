@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import verify as V
-from .cache import ENV_CACHE_DIR, TOOL_VERSION, default_cache_dir
 from .fpgroups import (
     CosetEnumerationOverflow,
     PresentationParseError,
@@ -29,9 +28,10 @@ from .fpgroups import (
     todd_coxeter,
 )
 from .groupcore import DEFAULT_PAIR_BUDGET, PairBudgetExceeded
-from .nielsen import aut_orbit_decomposition
+from .nielsen import aut_orbit_decomposition, decompose_nielsen_orbits
+from .verify import TOOL_VERSION
 
-SCHEMA = 1
+SCHEMA = 2
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -85,7 +85,7 @@ def _render_table(report: dict, indent: str = "") -> str:
 
 
 def cmd_spectrum(args) -> int:
-    claim = V.verify_trace_table(args.q, args.cache_dir, args.pair_budget)
+    claim = V.verify_trace_table(args.q, args.pair_budget)
     report = {
         "schema": SCHEMA,
         "tool_version": TOOL_VERSION,
@@ -93,7 +93,6 @@ def cmd_spectrum(args) -> int:
         "spectrum": claim.evidence["spectrum"],
         "expected": claim.evidence["expected"],
         "match": claim.passed,
-        "cache_hit": claim.cache_hit,
     }
     _emit(report, args)
     return EXIT_PASS if claim.passed else EXIT_FAIL
@@ -110,9 +109,8 @@ def cmd_orbits(args) -> int:
             raise _UsageError(f"--mn wants 'm,n' with m, n >= 1, got {item!r}")
         mn_pairs.append((m, n))
     G = V.psl(args.q, args.pair_budget)
-    dec, hit = V.gamma_orbits(G, args.cache_dir)
-    report = dec.report(mn_pairs=tuple(mn_pairs))
-    report = {"schema": SCHEMA, "tool_version": TOOL_VERSION, "cache_hit": hit, **report}
+    report = decompose_nielsen_orbits(G).report(mn_pairs=tuple(mn_pairs))
+    report = {"schema": SCHEMA, "tool_version": TOOL_VERSION, **report}
     if args.aut:
         aut = aut_orbit_decomposition(G)
         report["aut_orbits"] = {
@@ -124,7 +122,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kw = {"cache_dir": args.cache_dir, "pair_budget": args.pair_budget}
+    kw = {"pair_budget": args.pair_budget}
     if args.claim == "all":
         reports = V.verify_all(max_q=args.max_q, **kw)
         passed = all(r.passed for r in reports)
@@ -179,10 +177,6 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
     # registered on the top parser with real defaults and on every
     # subparser with SUPPRESS, so flags work in either position
     kw = {} if top else {"default": argparse.SUPPRESS}
-    parser.add_argument("--cache-dir", type=Path, **({"default": None} if top else kw),
-                        help=f"orbit cache directory (default: ${ENV_CACHE_DIR} or ~/.cache/genlift)")
-    parser.add_argument("--no-cache", action="store_true",
-                        **({} if top else kw), help="disable the disk cache")
     parser.add_argument("--pair-budget", type=int,
                         **({"default": DEFAULT_PAIR_BUDGET} if top else kw),
                         help="refuse groups whose |G|^2 table entries exceed this")
@@ -235,7 +229,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.pair_budget < 1:
             raise _UsageError("pair_budget must be >= 1")
-        args.cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

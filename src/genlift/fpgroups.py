@@ -414,8 +414,8 @@ def group_from_coset_table(
     for col in range(2 * table.generator_count):
         if mult[:, table.action[0][col]].tolist() != [row[col] for row in table.action]:
             raise ValueError("coset table does not define a regular representation")
-    # equal names mean equal tables, as the orbit memo and the disk cache key on
-    # names; zlib's checksums, as hashlib would load OpenSSL (about 3.6 MB resident)
+    # equal names mean equal tables, as the Nielsen orbit memo keys on names;
+    # zlib's checksums, as hashlib would load OpenSSL (about 3.6 MB resident)
     columns = repr([row[::2] for row in table.action]).encode()
     name = f"fp-group-{n}-{zlib.crc32(columns):08x}{zlib.adler32(columns):08x}"
     return FiniteGroup(name, mult, 0, kind="coset")

@@ -92,8 +92,7 @@ class FiniteGroup:
     A matrix group also keeps `elements`, its sorted packed matrices; its
     `labels`, a Mat2 (SL) or PslElement (PSL) per element, are built from
     them on first read.  Other groups take their labels, if any, at
-    construction.  `_classes` keeps the conjugacy classes and `_nielsen`
-    the parts of the Nielsen decomposition, once computed.
+    construction.  `_classes` keeps the conjugacy classes, once computed.
     """
 
     def __init__(
@@ -123,7 +122,6 @@ class FiniteGroup:
         self.kind = kind
         self.orders, self.inv = self._orders_and_inverses()
         self._classes: Optional[ConjugacyClasses] = None
-        self._nielsen: Optional[tuple] = None  # set by decompose_nielsen_orbits
         self.elements: Optional[np.ndarray] = None  # sorted packed matrices
 
     @functools.cached_property

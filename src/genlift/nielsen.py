@@ -24,23 +24,23 @@ simultaneous conjugation, so they are applied to the least key of each
 class only, and their images are read through the stage-1 labels.
 Nielsen and Aut share stage 1 and differ in stage 2.
 
-Generation is decided for every Nielsen class, fresh or cached, by one
-`generates` call on the least members, whose lockstep closures stop at
-more than n/2 elements.  Aut keeps the components inside generating
-Nielsen classes, as automorphisms preserve generation; joint orbits are
-Nielsen orbits merged under the outer generators, which commute with the
-moves.
+Generation is decided for every Nielsen class by one `generates` call
+on the least members, whose lockstep closures stop at more than n/2
+elements.  Aut keeps the components inside generating Nielsen classes,
+as automorphisms preserve generation; joint orbits are Nielsen orbits
+merged under the outer generators, which commute with the moves.
 
-A group's Nielsen decomposition is computed once: the parts of a fresh
-one (records, rep rows, representative orders) are kept on the group
-(`G._nielsen`), and later calls, the Aut and joint decompositions among
-them, start from them.  One built from cached rep rows is never kept, so
-Aut and joint never see the disk cache.  The parts are read-only values,
-a tuple of frozen records and arrays that are not writeable, and
-`mn_free_flags` reads them on every call.  The K x n rep rows are the
-only labelling kept; one vectorized map from pairs to their keys
-(`_pair_keys`) serves the move edges and `orbit_ids`, and through it
-`orbit_of`, `labels` and the joint merge edges.
+A group's Nielsen decomposition is computed once per process: its parts
+(records, rep rows, representative orders) are memoized by group name
+(`_MEMO`; equal names mean equal tables), and later calls, the Aut and
+joint decompositions among them, wrap them for the caller's group.  No
+entry holds a group, so a group its callers drop is freed, table
+included, while the memo answers for a rebuild of it.  The parts are
+read-only values, a tuple of frozen records and arrays that are not
+writeable, and `mn_free_flags` reads them on every call.  The K x n rep
+rows are the only labelling kept; one vectorized map from pairs to their
+keys (`_pair_keys`) serves the move edges and `orbit_ids`, and through
+it `orbit_of`, `labels` and the joint merge edges.
 
 Every product and conjugate is read through `FiniteGroup.mul` and
 `FiniteGroup.conj`, elementwise over index arrays: a key's conjugate
@@ -61,6 +61,7 @@ blocks.  Rep rows, `labels` and member ids are int32 while their ids fit
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -168,7 +169,14 @@ class OrbitDecomposition:
 
     def mn_free_flags(self, m: int, n: int) -> dict[int, bool]:
         """(m,n)-freeness of every orbit from the rep-row entries (reps[k], y), ord(reps[k]) | m
-        and ord(y) | n: a pair and its conjugates have the same element orders."""
+        and ord(y) | n: a pair and its conjugates have the same element orders.  ValueError
+        unless m, n >= 1."""
+        if m < 1 or n < 1:
+            raise ValueError(f"(m,n)-freeness needs m, n >= 1, got ({m}, {n})")
+        # an order divides m iff it divides gcd(m, exponent), which fits the order arrays;
+        # every element is conjugate to a representative, so their orders give the exponent
+        exponent = math.lcm(*self.rep_orders.tolist())
+        m, n = math.gcd(m, exponent), math.gcd(n, exponent)
         k, y = np.flatnonzero(m % self.rep_orders == 0), np.flatnonzero(n % self.group.orders == 0)
         witnessed = np.zeros(len(self.orbits) + 1, dtype=bool)  # -1 lands on the last entry
         witnessed[self.rep_rows[np.ix_(k, y)]] = True
@@ -323,28 +331,25 @@ def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> Orbit
     return OrbitDecomposition(G, orbits, *parts)
 
 
-def decompose_nielsen_orbits(
-    G: FiniteGroup, rep_rows: Optional[np.ndarray] = None
-) -> OrbitDecomposition:
-    """Orbits of the generating pairs under the three Nielsen moves.
+# group name -> (orbit records, rep rows, rep orders) of its Nielsen
+# decomposition; parts only, never a group or a decomposition, whose
+# dec.group would pin the group and its table for the life of the process
+_MEMO: dict[str, tuple[tuple[OrbitRecord, ...], np.ndarray, np.ndarray]] = {}
 
-    `rep_rows` short-circuits the component search with cached rep rows;
-    classes are renumbered canonically, so any run's rep rows are
-    acceptable input.  Without them, the decomposition is computed once
-    per group and kept on it.
-    """
-    if rep_rows is None and G._nielsen is not None:
-        return OrbitDecomposition(G, *G._nielsen)
+
+def decompose_nielsen_orbits(G: FiniteGroup) -> OrbitDecomposition:
+    """Orbits of the generating pairs under the three Nielsen moves,
+    computed once per group name and process (`_MEMO`)."""
+    parts = _MEMO.get(G.name)
+    if parts is not None:
+        return OrbitDecomposition(G, *parts)
     n, cls = G.n, conjugacy_classes(G)
-    rows = _rep_rows(G, cls, _nielsen_moves) if rep_rows is None else _least_keys(rep_rows)
+    rows = _rep_rows(G, cls, _nielsen_moves)
     keys = np.flatnonzero(np.bincount(rows[rows >= 0], minlength=rows.size))  # one per class
     generating = np.zeros(rows.size, dtype=bool)
     generating[keys] = generates(G, np.asarray(cls.representatives)[keys // n], keys % n)
     dec = _decompose(G, cls, np.where((rows >= 0) & generating[rows], rows, -1))
-    if rep_rows is None:
-        # its parts, not dec itself: dec.group -> G -> dec would be a reference
-        # cycle, and would keep every such G alive until a full garbage collection
-        G._nielsen = (dec.orbits, dec.rep_rows, dec.rep_orders)
+    _MEMO[G.name] = dec.orbits, dec.rep_rows, dec.rep_orders
     return dec
 
 

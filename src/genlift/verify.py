@@ -11,11 +11,10 @@ parameter names), which the CLI dispatches through.  `BATTERY` is the
 desk-scale battery as (claim id, parameters) entries in report order;
 `verify_all` runs each entry whose q, where it has one, is at most max_q.
 
-Nielsen decompositions are memoized per process by group name
-(`_DECOMP`) as their read-only parts, never with a group:
-`gamma_orbits` wraps them for the caller's group on every call, so a
-group its callers drop is freed, table included, even while the memo
-answers for a rebuild of it.
+Groups are memoized per process by (builder, q, budget) in `psl` and
+`sl`; every driver reads a group's Nielsen orbits through
+`nielsen.decompose_nielsen_orbits`, which computes them once per group
+name.
 """
 
 from __future__ import annotations
@@ -23,12 +22,10 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import cache as cache_mod
 from .field import field_for_q
 from .fpgroups import abelianization, group_from_coset_table, parse_presentation, todd_coxeter
 from .groupcore import (
@@ -47,11 +44,13 @@ from .groupcore import (
 from .matrices import mat_from_ints
 from .nielsen import (
     OrbitDecomposition,
-    OrbitRecord,
     aut_orbit_decomposition,
     decompose_nielsen_orbits,
     joint_orbit_decomposition,
 )
+
+
+TOOL_VERSION = "0.1.0"
 
 
 class PreconditionError(ValueError):
@@ -65,8 +64,7 @@ class ClaimReport:
     passed: bool
     evidence: dict
     elapsed_ms: float
-    tool_version: str = cache_mod.TOOL_VERSION
-    cache_hit: bool = False
+    tool_version: str = TOOL_VERSION
 
     def to_dict(self) -> dict:
         # shallow: json.dumps walks the nested evidence anyway, and a deep copy
@@ -76,7 +74,7 @@ class ClaimReport:
 
 # ---------------------------------------------------------------------------
 # shared builders (memoized per process and budget, so a smaller budget
-# meets the builder's check again; orbit rep rows optionally disk-cached)
+# meets the builder's check again)
 # ---------------------------------------------------------------------------
 
 
@@ -94,40 +92,10 @@ def _built(build, q: int, pair_budget: int) -> FiniteGroup:
     return build(q, pair_budget)
 
 
-# group name -> ((orbit records, rep rows, rep orders), disk cache hit);
-# equal names mean equal tables.  No entry holds a group: every call wraps
-# the parts for the caller's group, so a dropped group is freed at once,
-# not kept beside its rebuild
-_DECOMP: dict[str, tuple[tuple[tuple[OrbitRecord, ...], np.ndarray, np.ndarray], bool]] = {}
-
-
-def gamma_orbits(
-    G: FiniteGroup, cache_dir: Optional[Path] = None
-) -> tuple[OrbitDecomposition, bool]:
-    """Nielsen decomposition of the generating pairs, with caching.  A
-    decomposition computed in this process is saved to each cache
-    directory passed with it that lacks the group's entry; one read from
-    a cache directory is not copied to another.  Unless its parts came
-    from the disk cache, a group that lacks a Nielsen base gets them as
-    one, the way decompose_nielsen_orbits keeps a fresh decomposition."""
-    entry = _DECOMP.get(G.name)
-    if entry is None:
-        rows = None
-        if cache_dir is not None:
-            shape = (len(conjugacy_classes(G).representatives), G.n)
-            rows = cache_mod.load_labels(cache_dir, G.name, shape)
-        hit = rows is not None
-        dec = decompose_nielsen_orbits(G, rep_rows=rows)
-        if cache_dir is not None and not hit:
-            cache_mod.save_labels(cache_dir, G.name, labels=dec.rep_rows)
-        entry = _DECOMP[G.name] = ((dec.orbits, dec.rep_rows, dec.rep_orders), hit)
-    elif cache_dir is not None and not entry[1] and not cache_mod.has_labels(cache_dir, G.name):
-        # a memo entry computed here, reaching a cache directory that lacks it
-        cache_mod.save_labels(cache_dir, G.name, labels=entry[0][1])
-    parts, hit = entry
-    if not hit and G._nielsen is None:
-        G._nielsen = parts
-    return OrbitDecomposition(G, *parts), hit
+def gamma_orbits(G: FiniteGroup, _unused=None) -> tuple[OrbitDecomposition, bool]:
+    # kept only for perfbench's workloads, which call gamma_orbits(G, None) and
+    # unpack two values; ROADMAP item 4a removes it.  Nothing in src/ calls it
+    return decompose_nielsen_orbits(G), False
 
 
 def _orbit_evidence(dec: OrbitDecomposition, mn: tuple[int, int], flags: dict) -> list[dict]:
@@ -159,14 +127,13 @@ def expected_trace_spectrum(q: int) -> set[int]:
     return allv - {f.two}
 
 
-def _timed(claim_id: str, parameters: dict, t0: float, passed: bool, evidence: dict, hit=False):
+def _timed(claim_id: str, parameters: dict, t0: float, passed: bool, evidence: dict):
     return ClaimReport(
         claim_id=claim_id,
         parameters=parameters,
         passed=passed,
         evidence=evidence,
         elapsed_ms=round((time.perf_counter() - t0) * 1000.0, 3),
-        cache_hit=hit,
     )
 
 
@@ -175,11 +142,11 @@ def _timed(claim_id: str, parameters: dict, t0: float, passed: bool, evidence: d
 # ---------------------------------------------------------------------------
 
 
-def verify_trace_table(q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
+def verify_trace_table(q: int, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """Spectrum of trace invariants over generating pairs matches the table."""
     t0 = time.perf_counter()
     G = psl(q, pair_budget)
-    dec, hit = gamma_orbits(G, cache_dir)
+    dec = decompose_nielsen_orbits(G)
     spectrum = {o.tau for o in dec.orbits}
     expected = expected_trace_spectrum(q)
     f = G.field
@@ -189,7 +156,7 @@ def verify_trace_table(q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) 
         "orbit_count": len(dec.orbits),
         "gamma_size": dec.gamma_size(),
     }
-    return _timed("trace-table", {"q": q}, t0, spectrum == expected, evidence, hit)
+    return _timed("trace-table", {"q": q}, t0, spectrum == expected, evidence)
 
 
 def _traces(G: FiniteGroup) -> np.ndarray:
@@ -212,7 +179,7 @@ def _bad_trace_scan(G: FiniteGroup, a: np.ndarray, b: np.ndarray, bad_traces: se
     return len(x), (int(a[i]), int(b[j]), int(traces[i, j]))
 
 
-def verify_prop_key(q: int, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
+def verify_prop_key(q: int, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """No generating pair (A,B) of SL(2,q), q = 3 mod 4, with A^4 = I has
     tr([A,B]) = -2.  One A per conjugacy class; B exhaustive."""
     t0 = time.perf_counter()
@@ -259,7 +226,7 @@ def _lemma_scan(q: int, bad_traces: set[int], pair_budget: int) -> tuple[bool, d
     }
 
 
-def verify_lemma5(pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
+def verify_lemma5(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """Generating pairs of SL(2,5) with A^3, B^3 in {I,-I} avoid trace -2."""
     t0 = time.perf_counter()
     f5 = field_for_q(5)
@@ -274,7 +241,7 @@ def verify_lemma5(pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
     return _timed("lemma5", {"q": 5}, t0, ok, evidence)
 
 
-def verify_lemma7(pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
+def verify_lemma7(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """Generating pairs of SL(2,7) with A^3, B^3 in {I,-I} avoid traces +-3."""
     t0 = time.perf_counter()
     f7 = field_for_q(7)
@@ -328,7 +295,6 @@ def verify_theorem(
     case: str,
     q: int,
     m: Optional[int] = None,
-    cache_dir=None,
     pair_budget=DEFAULT_PAIR_BUDGET,
 ) -> ClaimReport:
     """Main non-lifting claim: PSL(2,q) is (m,n)-generated yet some
@@ -336,7 +302,7 @@ def verify_theorem(
     t0 = time.perf_counter()
     mn = _theorem_mn(case, q, m)
     G = psl(q, pair_budget)
-    dec, hit = gamma_orbits(G, cache_dir)
+    dec = decompose_nielsen_orbits(G)
     flags = dec.mn_free_flags(*mn)
     free = [o for o in dec.orbits if flags[o.orbit_id]]
     witnessed = [o for o in dec.orbits if not flags[o.orbit_id]]
@@ -367,10 +333,10 @@ def verify_theorem(
     params = {"case": case, "q": q}
     if m is not None:
         params["m"] = m
-    return _timed(f"thm-{case}", params, t0, passed, evidence, hit)
+    return _timed(f"thm-{case}", params, t0, passed, evidence)
 
 
-def verify_s2p2(q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
+def verify_s2p2(q: int, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """(2,p)-generating pairs only reach traces of the form s^2+2, and the
     full spectrum is strictly larger."""
     t0 = time.perf_counter()
@@ -378,7 +344,7 @@ def verify_s2p2(q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> Clai
     if q % 2 == 0 or not (q % 4 == 1 or q >= 11):
         raise PreconditionError("needs odd q with q = 1 mod 4 or q >= 11")
     G = psl(q, pair_budget)
-    dec, hit = gamma_orbits(G, cache_dir)
+    dec = decompose_nielsen_orbits(G)
     s2p2 = f.squares_plus_two()
     flags = dec.mn_free_flags(2, f.p)
     inside = all(o.tau in s2p2 for o in dec.orbits if not flags[o.orbit_id])
@@ -389,16 +355,16 @@ def verify_s2p2(q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> Clai
         "2p_pairs_inside_set": inside,
         "spectrum_values_outside_set": [f.format_element(v) for v in outside],
     }
-    return _timed("s2p2", {"q": q}, t0, inside and bool(outside), evidence, hit)
+    return _timed("s2p2", {"q": q}, t0, inside and bool(outside), evidence)
 
 
-def verify_psl25_lift(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
+def verify_psl25_lift(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """Every generating pair of PSL(2,5) lifts to C_2 * C_5: all three
     Nielsen orbits contain a (2,5)-generating pair; plus the published
     representatives land in three distinct orbits."""
     t0 = time.perf_counter()
     G = psl(5, pair_budget)
-    dec, hit = gamma_orbits(G, cache_dir)
+    dec = decompose_nielsen_orbits(G)
     flags = dec.mn_free_flags(2, 5)
     all_liftable = not any(flags.values())
     f = G.field
@@ -432,7 +398,7 @@ def verify_psl25_lift(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> C
         "representative_taus": [f.format_element(t) for t in taus],
         "tau3_orbits_separated_by_conjugacy": separated,
     }
-    return _timed("psl25-lift", {}, t0, passed, evidence, hit)
+    return _timed("psl25-lift", {}, t0, passed, evidence)
 
 
 def _remark_precondition(m: int, q: int) -> None:
@@ -457,14 +423,14 @@ def _remark_precondition(m: int, q: int) -> None:
         raise PreconditionError(f"remark needs m >= 1 divisible by {tori[0]} or {tori[1]} at q = {q}")
 
 
-def verify_remark(m: int, q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
+def verify_remark(m: int, q: int, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """Traces over (2,m)-generating pairs hit every value except 2, under
     the hypothesis of `_remark_precondition`."""
     t0 = time.perf_counter()
     _remark_precondition(m, q)
     G = psl(q, pair_budget)
     f = G.field
-    dec, hit = gamma_orbits(G, cache_dir)
+    dec = decompose_nielsen_orbits(G)
     flags = dec.mn_free_flags(2, m)
     values = {o.tau for o in dec.orbits if not flags[o.orbit_id]}
     expected = set(range(f.q)) - {f.two}
@@ -472,10 +438,10 @@ def verify_remark(m: int, q: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGE
         "tau_over_2m_pairs": sorted(f.format_element(v) for v in values),
         "expected": sorted(f.format_element(v) for v in expected),
     }
-    return _timed("remark", {"m": m, "q": q}, t0, values == expected, evidence, hit)
+    return _timed("remark", {"m": m, "q": q}, t0, values == expected, evidence)
 
 
-def verify_miller_332(pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
+def verify_miller_332(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """The (3,3,2) Miller group: order 288, derived length 3,
     abelianization C3 x C3, second derived subgroup C2."""
     t0 = time.perf_counter()
@@ -502,14 +468,14 @@ def verify_miller_332(pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
     return _timed("miller-332", {}, t0, passed, evidence)
 
 
-def verify_dihedral(m: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
+def verify_dihedral(m: int, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """Every Nielsen orbit of the generating pairs of D_2m contains a
     (2,2)-generating pair (so all generating pairs lift to C_2 * C_2)."""
     t0 = time.perf_counter()
     if m < 3:
         raise PreconditionError("dihedral claim stated for m >= 3")
     G = build_dihedral(m, pair_budget)
-    dec, hit = gamma_orbits(G, cache_dir)
+    dec = decompose_nielsen_orbits(G)
     flags = dec.mn_free_flags(2, 2)
     stuck = [o.orbit_id for o in dec.orbits if flags[o.orbit_id]]
     squares_to_one = 2 % G.orders == 0
@@ -525,16 +491,16 @@ def verify_dihedral(m: int, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> 
         "orbits_without_22_pair": stuck,
         "witnesses": witnesses,
     }
-    return _timed("dihedral", {"m": m}, t0, not stuck, evidence, hit)
+    return _timed("dihedral", {"m": m}, t0, not stuck, evidence)
 
 
-def verify_example_alt5(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
+def verify_example_alt5(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """The PSL(2,5) = Alt(5) example: 2280 generating pairs; Nielsen orbit
     sizes {600,600,1080}; 19 automorphism orbits of size 120; joint
     orbits of sizes {1080,1200}."""
     t0 = time.perf_counter()
     G = psl(5, pair_budget)
-    dec, hit = gamma_orbits(G, cache_dir)
+    dec = decompose_nielsen_orbits(G)
     nielsen_sizes = sorted(o.size for o in dec.orbits)
     aut = aut_orbit_decomposition(G)
     aut_sizes = [o.size for o in aut.orbits]
@@ -555,16 +521,16 @@ def verify_example_alt5(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) ->
         "aut_orbit_sizes": sorted(set(aut_sizes)),
         "joint_orbit_sizes": joint_sizes,
     }
-    return _timed("example-alt5", {}, t0, passed, evidence, hit)
+    return _timed("example-alt5", {}, t0, passed, evidence)
 
 
-def verify_small_q_lifting(cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET, **_) -> ClaimReport:
+def verify_small_q_lifting(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """For q in {2,3} every Nielsen orbit contains a (2,3)-generating pair."""
     t0 = time.perf_counter()
     results = {}
     for q in (2, 3):
         G = psl(q, pair_budget)
-        dec, _hit = gamma_orbits(G, cache_dir)
+        dec = decompose_nielsen_orbits(G)
         flags = dec.mn_free_flags(2, 3)
         results[q] = {
             "orbit_count": len(dec.orbits),
@@ -582,7 +548,7 @@ def _driver(name: str, *args) -> Callable[..., ClaimReport]:
 
 
 # claim id -> (driver, required parameter names); every driver also takes
-# cache_dir and pair_budget
+# pair_budget
 CLAIMS: dict[str, tuple[Callable[..., ClaimReport], tuple[str, ...]]] = {
     "trace-table": (_driver("verify_trace_table"), ("q",)),
     "prop-key": (_driver("verify_prop_key"), ("q",)),
@@ -616,9 +582,10 @@ BATTERY: list[tuple[str, dict]] = (
 )
 
 
-def verify_all(max_q: int = 11, cache_dir=None, pair_budget=DEFAULT_PAIR_BUDGET) -> list[ClaimReport]:
+def verify_all(max_q: int = 11, pair_budget=DEFAULT_PAIR_BUDGET) -> list[ClaimReport]:
     """The claims of BATTERY whose q, where they have one, is at most max_q."""
-    kw = {"cache_dir": cache_dir, "pair_budget": pair_budget}
     return [
-        CLAIMS[cid][0](**params, **kw) for cid, params in BATTERY if params.get("q", max_q) <= max_q
+        CLAIMS[cid][0](**params, pair_budget=pair_budget)
+        for cid, params in BATTERY
+        if params.get("q", max_q) <= max_q
     ]

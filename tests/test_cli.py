@@ -4,10 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from genlift import cli, fpgroups, groupcore
+from genlift import cli, fpgroups, groupcore, nielsen
 from genlift import verify as V
 from genlift.cli import (
     EXIT_BUDGET,
@@ -20,15 +19,8 @@ from genlift.cli import (
 )
 
 
-@pytest.fixture(autouse=True)
-def fresh_decomp_cache():
-    V._DECOMP.clear()
-    yield
-    V._DECOMP.clear()
-
-
 def run(capsys, *argv):
-    code = main(["--no-cache", *argv])
+    code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
 
@@ -41,7 +33,7 @@ def run_json(capsys, *argv):
 def test_spectrum_pass(capsys):
     code, report = run_json(capsys, "spectrum", "--q", "5")
     assert code == EXIT_PASS
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["spectrum"] == ["1", "3"]
     assert report["match"] is True
 
@@ -104,6 +96,8 @@ def test_precondition_is_usage(capsys):
     ("dihedral", "--m", "4", "--q", "9"),
     ("trace-table", "--q", "5", "--m", "3"),
     ("psl25-lift", "--m", "5"),
+    ("lemma5", "--no-cache"),  # options of the deleted disk cache
+    ("lemma5", "--cache-dir", "DIR"),
 ])
 def test_parameter_the_claim_does_not_take_is_usage(capsys, argv):
     code, out = run(capsys, "verify", *argv)
@@ -113,7 +107,7 @@ def test_parameter_the_claim_does_not_take_is_usage(capsys, argv):
 def test_remark_outside_its_hypothesis_is_usage(capsys):
     for q, m in (("19", "9"), ("23", "11")):
         assert run(capsys, "verify", "remark", "--q", q, "--m", m)[0] == EXIT_USAGE
-    assert run(capsys, "--no-cache", "verify", "remark", "--q", "13", "--m", "7")[0] == EXIT_PASS
+    assert run(capsys, "verify", "remark", "--q", "13", "--m", "7")[0] == EXIT_PASS
 
 
 @pytest.mark.parametrize("argv", [
@@ -242,56 +236,35 @@ def _strip_volatile(node):
         return {
             k: _strip_volatile(v)
             for k, v in node.items()
-            if k not in ("elapsed_ms", "cache_hit")
+            if k != "elapsed_ms"
         }
     if isinstance(node, list):
         return [_strip_volatile(v) for v in node]
     return node
 
 
-def test_cold_and_warm_cache_identical(capsys, tmp_path):
-    argv = ["--cache-dir", str(tmp_path), "verify", "thm-i", "--q", "7"]
+def test_cold_and_warm_memo_identical(capsys):
+    # the second run reads the Nielsen orbits the first one memoized
+    argv = ["verify", "thm-i", "--q", "7"]
     code1 = main(argv)
     cold = json.loads(capsys.readouterr().out)
-    V._DECOMP.clear()
+    assert "PSL(2,7)" in nielsen._MEMO
     code2 = main(argv)
     warm = json.loads(capsys.readouterr().out)
     assert code1 == code2 == EXIT_PASS
-    assert not cold["cache_hit"] and warm["cache_hit"]
     assert _strip_volatile(cold) == _strip_volatile(warm)
 
 
-def test_damaged_cache_entry_is_recomputed(capsys, tmp_path):
-    argv = ["--cache-dir", str(tmp_path), "spectrum", "--q", "7"]
-    assert main(argv) == EXIT_PASS
-    cold = json.loads(capsys.readouterr().out)
-    (npy,) = tmp_path.glob("*.npy")
-    entry = npy.read_bytes()
-    npy.write_bytes(entry[:50])
-    V._DECOMP.clear()
-    assert main(argv) == EXIT_PASS
-    again = json.loads(capsys.readouterr().out)
-    assert again == cold and not again["cache_hit"]
-    assert npy.read_bytes() == entry
-
-
-def test_schema1_cache_entry_is_ignored(capsys, tmp_path):
-    # an entry of the old layout: |G|^2 labels plus JSON metadata, here
-    # claiming one orbit, which would change the spectrum if it were read
-    n = 168
-    np.save(tmp_path / "v0-1-0_PSL_2-7_gamma.npy", np.zeros(n * n, dtype=np.int64))
-    meta = {"schema": 1, "tool_version": "0.1.0", "group": "PSL(2,7)", "n": n}
-    (tmp_path / "v0-1-0_PSL_2-7_gamma.json").write_text(json.dumps(meta))
-    _, expected = run_json(capsys, "spectrum", "--q", "7")
-    V._DECOMP.clear()
-    assert main(["--cache-dir", str(tmp_path), "spectrum", "--q", "7"]) == EXIT_PASS
-    report = json.loads(capsys.readouterr().out)
-    assert report == expected and not report["cache_hit"]
-    assert len(list(tmp_path.glob("*.npy"))) == 2  # the old entry and the new one
+def test_run_writes_only_its_output(monkeypatch, tmp_path):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["verify", "trace-table", "--q", "5", "--output", str(out)]) == EXIT_PASS
+    assert list(tmp_path.rglob("*")) == [out]
 
 
 def test_verify_all_is_deterministic():
-    argv = [sys.executable, "-m", "genlift.cli", "--no-cache", "verify", "all", "--max-q", "13"]
+    argv = [sys.executable, "-m", "genlift.cli", "verify", "all", "--max-q", "13"]
     procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) for _ in range(2)]
     outs = [re.sub(r'\n *"elapsed_ms": [^\n]*', "", p.communicate()[0]) for p in procs]
     assert [p.returncode for p in procs] == [EXIT_PASS, EXIT_PASS]
@@ -301,7 +274,7 @@ def test_verify_all_is_deterministic():
 
 def test_console_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "genlift.cli", "--no-cache", "verify", "lemma5"],
+        [sys.executable, "-m", "genlift.cli", "verify", "lemma5"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
@@ -311,7 +284,7 @@ def test_console_entry_point():
 def test_cli_runs_without_scipy():
     wrapper = (
         "import runpy, sys\n"
-        "sys.argv = ['genlift', '--no-cache', 'verify', 'trace-table', '--q', '5']\n"
+        "sys.argv = ['genlift', 'verify', 'trace-table', '--q', '5']\n"
         "try:\n"
         "    runpy.run_module('genlift.cli', run_name='__main__')\n"
         "finally:\n"

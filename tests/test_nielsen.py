@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -268,18 +269,24 @@ def test_mn_flags_match_full_scan():
         orders = sorted(set(G.orders.tolist()))
         mn_pairs = [(m, n) for m in orders for n in orders]
         for action, decompose in ACTIONS.items():
-            fresh = decompose(G)
-            # the cached path renumbers the given rep rows, whatever their ids
-            cached = [
-                decompose_nielsen_orbits(G, rep_rows=rows)
-                for rows in (fresh.rep_rows.copy(), _scrambled(fresh))
-            ]
-            for dec in cached:
-                assert np.array_equal(dec.rep_rows, fresh.rep_rows), (action, G.name)
-                assert np.array_equal(dec.labels, fresh.labels), (action, G.name)
-            for dec in (fresh, *cached):
-                for (m, n), expected in mn_free_flags_scan(dec, mn_pairs).items():
-                    assert dec.mn_free_flags(m, n) == expected, (action, G.name, m, n)
+            dec = decompose(G)
+            for (m, n), expected in mn_free_flags_scan(dec, mn_pairs).items():
+                assert dec.mn_free_flags(m, n) == expected, (action, G.name, m, n)
+
+
+def test_mn_flags_reduce_m_and_n_by_the_exponent():
+    # m and n beyond int64 are reduced to their gcd with the exponent, lcm of
+    # the element orders, before any array test; below 1 they are refused
+    G = build_psl2(7)
+    dec = decompose_nielsen_orbits(G)
+    exponent = math.lcm(*set(G.orders.tolist()))
+    assert exponent == 84
+    big = 10**23
+    assert dec.mn_free_flags(big, 3) == dec.mn_free_flags(math.gcd(big, exponent), 3)
+    assert dec.mn_free_flags(3, big) == dec.mn_free_flags(3, math.gcd(big, exponent))
+    for m, n in ((0, 3), (-2, 3), (3, 0), (3, -2)):
+        with pytest.raises(ValueError):
+            dec.mn_free_flags(m, n)
 
 
 def test_trace_spectrum_psl25():
@@ -341,10 +348,7 @@ def test_aut_and_joint_test_generation_through_nielsen(monkeypatch):
 
 
 def test_one_nielsen_base_per_group(monkeypatch):
-    # gamma_orbits, Aut and joint on one group run one Nielsen component search
-    import genlift.nielsen
-    from genlift import verify as V
-
+    # Nielsen, Aut and joint on one group run one Nielsen component search
     rep_rows = genlift.nielsen._rep_rows
     actions = []
 
@@ -353,9 +357,8 @@ def test_one_nielsen_base_per_group(monkeypatch):
         return rep_rows(G, cls, moves)
 
     monkeypatch.setattr(genlift.nielsen, "_rep_rows", counted)
-    monkeypatch.setattr(V, "_DECOMP", {})
     G = build_psl2(13)
-    V.gamma_orbits(G, None)
+    decompose_nielsen_orbits(G)
     aut_orbit_decomposition(G)
     joint_orbit_decomposition(G)
     assert actions.count(_nielsen_moves) == 1, actions
@@ -403,23 +406,6 @@ def test_joint_orbits_psl25():
     assert sorted(o.size for o in dec.orbits) == [1080, 1200]
 
 
-def _scrambled(dec):
-    """The rep rows with the orbit ids permuted and shifted."""
-    ids = np.random.default_rng(len(dec.orbits)).permutation(len(dec.orbits)) + 5
-    return np.where(dec.rep_rows >= 0, ids[dec.rep_rows], -1)
-
-
-def test_cached_labels_round_trip():
-    G = build_psl2(7)
-    dec = decompose_nielsen_orbits(G)
-    # any class numbering is accepted, so scrambled ids must come back canonical
-    for cached in (dec.rep_rows.copy(), _scrambled(dec)):
-        redo = decompose_nielsen_orbits(G, rep_rows=cached)
-        assert np.array_equal(dec.rep_rows, redo.rep_rows)
-        assert np.array_equal(dec.labels, redo.labels)
-        assert redo.orbits == dec.orbits
-
-
 def _mn_columns(report) -> list[list[str]]:
     return [list(o["mn_free"]) for o in report["orbits"]]
 
@@ -440,8 +426,7 @@ def test_report_columns_are_exactly_the_requested_ones():
 def test_decomposition_parts_are_read_only():
     G = build_psl2(7)
     fresh = decompose_nielsen_orbits(G)
-    cached = decompose_nielsen_orbits(G, rep_rows=fresh.rep_rows.copy())
-    for dec in (fresh, cached, aut_orbit_decomposition(G), joint_orbit_decomposition(G)):
+    for dec in (fresh, aut_orbit_decomposition(G), joint_orbit_decomposition(G)):
         assert isinstance(dec.orbits, tuple)
         with pytest.raises(ValueError, match="read-only"):
             dec.rep_rows[0, 0] = 0
@@ -449,7 +434,7 @@ def test_decomposition_parts_are_read_only():
             dec.orbits[0].size = 0
         with pytest.raises(ValueError, match="read-only"):
             dec.rep_orders[0] = 0
-    records, rows, orders = G._nielsen
+    records, rows, orders = genlift.nielsen._MEMO[G.name]
     assert records is fresh.orbits and not (rows.flags.writeable or orders.flags.writeable)
 
 

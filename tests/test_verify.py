@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from genlift import cache
+from genlift import nielsen
 from genlift import verify as V
 from genlift.field import field_for_q
 from genlift.fpgroups import group_from_coset_table, parse_presentation, todd_coxeter
@@ -26,7 +26,7 @@ def check(report, claim_id):
     d = report.to_dict()
     assert set(d) == {
         "claim_id", "parameters", "passed", "evidence",
-        "elapsed_ms", "tool_version", "cache_hit",
+        "elapsed_ms", "tool_version",
     }
     json.dumps(d, default=str)  # reports must be serializable
     return report
@@ -121,7 +121,7 @@ def test_remark_budget():
 def test_smaller_budget_refused_after_memo_hit():
     # the group memos are keyed on the budget, so an earlier default-budget
     # build must not let a smaller budget through
-    V.gamma_orbits(V.psl(7), None)
+    decompose_nielsen_orbits(V.psl(7))
     with pytest.raises(PairBudgetExceeded):
         V.psl(7, pair_budget=10)
     V.sl(7)
@@ -260,126 +260,36 @@ def test_claims_look_their_drivers_up_when_called(monkeypatch):
     assert calls[1:] == [("i",), ("i",), ("iv",)]
 
 
-def test_disk_cache(tmp_path):
-    V._DECOMP.clear()
-    cold = V.verify_trace_table(7, cache_dir=tmp_path)
-    V._DECOMP.clear()
-    warm = V.verify_trace_table(7, cache_dir=tmp_path)
-    assert not cold.cache_hit and warm.cache_hit
-    assert cold.evidence == warm.evidence
-    assert cold.passed and warm.passed
-    V._DECOMP.clear()
-
-
-def test_memo_entry_reaches_a_new_cache_dir(tmp_path, monkeypatch):
-    # a decomposition memoized without a cache directory is written to the
-    # first one passed, once; a memo entry read from a cache is not copied
-    monkeypatch.setattr(V, "_DECOMP", {})
-    writes, save = [], cache.save_labels
-
-    def counted(cache_dir, *args, **kwargs):
-        writes.append(cache_dir)
-        save(cache_dir, *args, **kwargs)
-
-    monkeypatch.setattr(cache, "save_labels", counted)
-    first = V.verify_trace_table(7)
-    assert writes == []
-    for _ in range(2):
-        again = V.verify_trace_table(7, cache_dir=tmp_path)
-        assert not again.cache_hit and again.evidence == first.evidence
-    assert writes == [tmp_path]
-    (_records, rows, _orders), _hit = V._DECOMP["PSL(2,7)"]
-    assert np.array_equal(cache.load_labels(tmp_path, "PSL(2,7)", rows.shape), rows)
-    monkeypatch.setattr(V, "_DECOMP", {})
-    assert V.verify_trace_table(7, cache_dir=tmp_path).cache_hit
-    V.verify_trace_table(7, cache_dir=tmp_path / "other")
-    assert writes == [tmp_path] and not (tmp_path / "other").exists()
-
-
-def test_memo_pins_no_group(monkeypatch):
+def test_memo_pins_no_group():
     # the memo keeps records and rep rows, so a group the caller drops, with
     # its decomposition, is freed at once, and a rebuild still hits the memo
-    monkeypatch.setattr(V, "_DECOMP", {})
     G = build_psl2(7)
-    dec, _hit = V.gamma_orbits(G, None)
-    ref = weakref.ref(G)
+    dec = decompose_nielsen_orbits(G)
+    records, ref = dec.orbits, weakref.ref(G)
     del G, dec
     assert ref() is None
     G = build_psl2(7)
-    dec, hit = V.gamma_orbits(G, None)
-    assert dec.group is G and not hit and G._nielsen is not None
+    dec = decompose_nielsen_orbits(G)
+    assert dec.group is G and dec.orbits is records
 
 
-def test_rebuilt_group_reports_only_the_requested_columns(monkeypatch):
+def test_rebuilt_group_reports_only_the_requested_columns():
     # the memo shares records and rep rows with every rebuild of the group,
     # so flags asked for earlier must not show up in a later report
-    monkeypatch.setattr(V, "_DECOMP", {})
-    dec, _hit = V.gamma_orbits(build_psl2(7), None)
+    dec = decompose_nielsen_orbits(build_psl2(7))
     dec.mn_free_flags(2, 3)
     dec.mn_free_flags(3, 3)
     V.verify_theorem("iii", 7, 7)  # its (2,7) flags
-    rebuilt, _hit = V.gamma_orbits(build_psl2(7), None)
+    rebuilt = decompose_nielsen_orbits(build_psl2(7))
     assert rebuilt.orbits is dec.orbits
     report = rebuilt.report(mn_pairs=((2, 7),))
     assert all(list(o["mn_free"]) == ["2,7"] for o in report["orbits"])
 
 
-def test_int64_cache_entry_gives_identical_records(tmp_path, monkeypatch):
-    # entries were int64 before the rep rows became int32; such an entry is
-    # still a hit and gives the records of a fresh decomposition
-    monkeypatch.setattr(V, "_DECOMP", {})
-    fresh = decompose_nielsen_orbits(build_psl2(7))
-    assert fresh.rep_rows.dtype == np.int32
-    cache.save_labels(tmp_path, "PSL(2,7)", labels=fresh.rep_rows.astype(np.int64))
-    dec, hit = V.gamma_orbits(build_psl2(7), tmp_path)
-    assert hit and dec.rep_rows.dtype == np.int32
-    assert np.array_equal(dec.rep_rows, fresh.rep_rows)
-    assert [vars(o) for o in dec.orbits] == [vars(o) for o in fresh.orbits]
-
-
-@pytest.mark.parametrize(
-    "damage",
-    ["truncated header", "truncated data", "float dtype", "label below -1",
-     "label beyond pairs", "wrong shape"],
-)
-def test_damaged_cache_entry_is_a_miss(tmp_path, damage):
-    shape = (5, 60)  # the rep rows of PSL(2,5): 5 conjugacy classes by 60 elements
-    labels = np.arange(300, dtype=np.int64).reshape(shape) % 7 - 1
-    cache.save_labels(tmp_path, "PSL(2,5)", labels=labels)
-    assert np.array_equal(cache.load_labels(tmp_path, "PSL(2,5)", shape), labels)
-    (npy,) = tmp_path.glob("*.npy")
-    data = npy.read_bytes()
-    bad = {
-        "float dtype": labels.astype(np.float64),
-        "label below -1": labels - 1,
-        "label beyond pairs": labels + 300,
-        "wrong shape": labels[:-1],
-    }
-    if damage == "truncated header":
-        npy.write_bytes(data[:50])
-    elif damage == "truncated data":
-        npy.write_bytes(data[:-8])
-    else:
-        np.save(npy, bad[damage])
-    assert cache.load_labels(tmp_path, "PSL(2,5)", shape) is None
-
-
-def test_budget_checked_before_cache_read(tmp_path, monkeypatch):
-    V._DECOMP.clear()
-
-    def read(*args):
-        raise AssertionError("cache read before the budget check")
-
-    monkeypatch.setattr(cache, "load_labels", read)
-    with pytest.raises(PairBudgetExceeded):
-        V.verify_trace_table(7, cache_dir=tmp_path, pair_budget=10)
-
-
-def test_queries_leave_the_dense_labels_unbuilt(tmp_path):
+def test_queries_leave_the_dense_labels_unbuilt():
     G = V.psl(7)
-    for cache_dir in (None, tmp_path, tmp_path):  # no cache, miss, hit
-        V._DECOMP.clear()
-        dec, _hit = V.gamma_orbits(G, cache_dir)
+    for _computed_then_memoized in range(2):
+        dec = decompose_nielsen_orbits(G)
         dec.report(mn_pairs=((2, 3), (3, 3)))
         for o in dec.orbits:
             assert dec.orbit_of(o.canonical_rep) is o
@@ -387,14 +297,11 @@ def test_queries_leave_the_dense_labels_unbuilt(tmp_path):
             assert orbit_tau(dec, o, check_members=None) == o.tau
             assert higman_check(dec, o)[1]
         assert "labels" not in dec.__dict__
-    assert _hit
-    V._DECOMP.clear()
 
 
-def test_orbit_queries_leave_the_matrix_labels_unbuilt(monkeypatch):
-    monkeypatch.setattr(V, "_DECOMP", {})
+def test_orbit_queries_leave_the_matrix_labels_unbuilt():
     G = build_psl2(19)
-    dec, _hit = V.gamma_orbits(G, None)
+    dec = decompose_nielsen_orbits(G)
     report = dec.report(mn_pairs=((2, 3), (3, 3)))
     aut_orbit_decomposition(G)
     joint_orbit_decomposition(G)
@@ -404,10 +311,9 @@ def test_orbit_queries_leave_the_matrix_labels_unbuilt(monkeypatch):
         assert entry["rep_matrices"] == [G.labels[g].serialize() for g in entry["rep"]]
 
 
-def test_coset_groups_get_their_own_orbits(tmp_path, monkeypatch):
-    # the memo and the disk cache key on the group name, so two coset-table
-    # groups must not share one; the same table gives the same name
-    monkeypatch.setattr(V, "_DECOMP", {})
+def test_coset_groups_get_their_own_orbits():
+    # the memo keys on the group name, so two coset-table groups must not
+    # share one; the same table gives the same name
     presentations = {
         "Q8": "gens: a b\nrels: a^4 a^2b^-2 b^-1aba",
         "D8": "gens: x y\nrels: x^4 y^2 (xy)^2",
@@ -417,9 +323,10 @@ def test_coset_groups_get_their_own_orbits(tmp_path, monkeypatch):
     for label, text in presentations.items():
         table = todd_coxeter(parse_presentation(text))
         G = group_from_coset_table(table)
-        dec, hit = V.gamma_orbits(G, tmp_path)
+        dec = decompose_nielsen_orbits(G)
+        nielsen._MEMO.clear()  # so that fresh is computed, not read back from the memo
         fresh = decompose_nielsen_orbits(group_from_coset_table(table))
-        assert not hit and dec.group is G, label
+        assert dec.group is G, label
         assert np.array_equal(dec.rep_rows, fresh.rep_rows), label
         assert [(o.size, o.canonical_rep, o.commutator_order) for o in dec.orbits] == [
             (o.size, o.canonical_rep, o.commutator_order) for o in fresh.orbits
@@ -428,40 +335,23 @@ def test_coset_groups_get_their_own_orbits(tmp_path, monkeypatch):
         assert group_from_coset_table(table).name == G.name
         names.add(G.name)
     assert len(names) == 3
-    assert len(list(tmp_path.glob("*.npy"))) == 3
 
 
 def test_rebuilt_group_gets_its_own_decomposition(monkeypatch):
-    # a memo hit for a rebuilt group wraps the stored parts for that group and
-    # hands them to it, so its Aut and joint orbits run no Nielsen search
-    import genlift.nielsen
-
-    monkeypatch.setattr(V, "_DECOMP", {})
-    first, _hit = V.gamma_orbits(build_psl2(13), None)
+    # a memo hit for a rebuilt group wraps the stored parts for that group,
+    # so its Aut and joint orbits run no Nielsen search
+    first = decompose_nielsen_orbits(build_psl2(13))
     G = build_psl2(13)
-    dec, hit = V.gamma_orbits(G, None)
-    assert dec.group is G and not hit
+    dec = decompose_nielsen_orbits(G)
+    assert dec.group is G
     assert np.array_equal(dec.rep_rows, first.rep_rows)
-    rep_rows, actions = genlift.nielsen._rep_rows, []
+    rep_rows, actions = nielsen._rep_rows, []
 
     def counted(G, cls, moves):
         actions.append(moves)
         return rep_rows(G, cls, moves)
 
-    monkeypatch.setattr(genlift.nielsen, "_rep_rows", counted)
+    monkeypatch.setattr(nielsen, "_rep_rows", counted)
     aut_orbit_decomposition(G)
     joint_orbit_decomposition(G)
-    assert genlift.nielsen._nielsen_moves not in actions, actions
-
-
-def test_foreign_cache_entry_does_not_reach_aut_or_joint(tmp_path, monkeypatch):
-    # a well-formed PSL(2,5) entry that puts every generating pair in one class
-    monkeypatch.setattr(V, "_DECOMP", {})
-    generating = decompose_nielsen_orbits(build_psl2(5)).rep_rows >= 0
-    cache.save_labels(tmp_path, "PSL(2,5)", labels=np.where(generating, 0, -1))
-    G = build_psl2(5)
-    dec, hit = V.gamma_orbits(G, tmp_path)
-    assert hit and [o.size for o in dec.orbits] == [2280]
-    aut = aut_orbit_decomposition(G)
-    assert len(aut.orbits) == 19 and {o.size for o in aut.orbits} == {120}
-    assert sorted(o.size for o in joint_orbit_decomposition(G).orbits) == [1080, 1200]
+    assert nielsen._nielsen_moves not in actions, actions
