@@ -8,7 +8,7 @@ Usage:
 Each q runs in a fresh interpreter, so its memos and ru_maxrss start
 clean.  One line per q:
 
-    q=19 order=3420 build_s=0.011 decompose_s=0.016 decompose_minflt=689 aut_s=0.005 verify_s=0.046 verify_peak_mb=4.6 table_mb=2.5 peak_rss_mb=39.2
+    q=19 order=3420 build_s=0.005 decompose_s=0.010 decompose_minflt=728 aut_s=0.004 verify_s=0.036 verify_peak_mb=4.7 table_mb=0.6 peak_rss_mb=37.1
 
 build_s is `build_psl2`, decompose_s is `decompose_nielsen_orbits` on
 that group and decompose_minflt the minor page faults the process took
@@ -17,11 +17,13 @@ during it, aut_s is `aut_orbit_decomposition` after it.  verify_s is
 orbit, and verify_peak_mb the most memory they hold at once beyond what
 was allocated before them, numpy arrays included, by tracemalloc in a
 second, untimed run.  table_mb is the size of the stored rows, `G.mult`:
-PSL(2,q) stores the product and conjugation rows of its q + 1 + |B|
-factor elements (B the upper triangular subgroup mod +-1), 2(q + 1 + |B|)
-rows of |G| entries, not a |G| x |G| table.  peak_rss_mb is the process's
-peak resident set (MB = 2^20 bytes).  A q whose |G|^2 pairs exceed the
-pair budget is refused, exit 2, before any probe runs.
+PSL(2,q) stores the product and conjugation rows of its R factor
+elements (the q lower unitriangular matrices and w, the diagonal torus
+mod +-1, the q upper unitriangular matrices; R = 3q at even q and
+2q + 1 + (q - 1)/2 at odd q), 2R rows of |G| entries, not a |G| x |G|
+table.  peak_rss_mb is the process's peak resident set (MB = 2^20
+bytes).  A q whose |G|^2 pairs exceed the pair budget is refused, exit
+2, before any probe runs.
 """
 
 import argparse

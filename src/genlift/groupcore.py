@@ -16,12 +16,14 @@ centralizer generators of all class representatives are picked in
 lockstep rounds of it and kept with the conjugacy classes.
 
 Dihedral and coset-table groups store the dense n x n table.  SL and PSL
-store no such table: every element factors as x = u v, u in the q + 1
-elements L(t) = (1 0; t 1) and w = (0 1; -1 0), v in the Borel subgroup
-B of upper triangular matrices, so x y = u (v y) reads the rows of v and
-u, and x y x^-1 reads their conjugation rows; the rows of U and B are
-2(q + 1 + |B|) x n entries, 2.5 MB at q = 19 where the dense table took
-22.3 MB (`_matrix_group`).  Every builder computes only the rows of a
+store no such table: every element factors as x = u t s, u one of the
+q + 1 elements L(e) = (1 0; e 1) and w = (0 1; -1 0), t in the torus of
+diagonal matrices D(e) = diag(e, 1/e) and s one of the q elements
+U(e) = (1 e; 0 1), so x y = u (t (s y)) reads the rows of s, t and u,
+and x y x^-1 reads their conjugation rows; the rows of these three
+factor sets are 2R x n entries, R = 3q (2q + 1 + (q - 1)/2 for PSL at
+odd q), 0.63 MB at q = 19 where the dense table took 22.3 MB
+(`_matrix_group`).  Every builder computes only the rows of a
 few generators directly and composes every other row of a subgroup from
 them by right multiplication (`_compose_rows`):
 row[p s] = row[p][row[s]], row p read through the row of generator s.
@@ -42,11 +44,12 @@ elements, n^2, and every builder (these three and
 Element indexing is by lex order of canonical matrix entries (matrix
 groups) or by the obvious shift/reflection layout (dihedral), so element
 indices, orbit representatives and reports are reproducible across runs.
-A matrix group keeps its sorted packed elements; `_matrix_indices`
-(canonicalize, then binary search) is its one map back to indices, and
-`matrix_entries` unpacks them into the entry arrays (a, b, c, d) that
-vectorized callers compute with.  Its `labels`, one matrix object per
-element, are built only when something reads them.
+A matrix group keeps its sorted packed elements and one map back to
+indices, `G.matrix_indices` (`_matrix_indices`): the closed-form rank of
+a matrix in the sorted SL listing, read through one array of PSL indices
+for PSL.  `matrix_entries` unpacks the elements into the entry arrays
+(a, b, c, d) that vectorized callers compute with.  Its `labels`, one
+matrix object per element, are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -82,16 +85,18 @@ class FiniteGroup:
 
     `mult` holds the stored rows: a dense group stores all n x n products
     (row x is x y for every y).  A matrix group (SL/PSL) factors every
-    element x = u v (`_matrix_group`) and stores 2R rows for the R
-    elements of U and B: their products, then their conjugations
-    y -> e y e^-1; `factors` = (u_row, v_row) gives the places of u and v
-    among the R.  `inv` has the entry dtype (int16 from the builders up to
-    2^15 elements), so a value read from it, `mul` or `conj` must be
-    widened before it is packed into a pair id such as first * n + second.
+    element x = u t s (`_matrix_group`) and stores 2R rows for the R
+    elements of the three factor sets: their products, then their
+    conjugations y -> e y e^-1; `factors` = (u_row, t_row, s_row) gives
+    the places of each element's factors among the R.  `inv` has the
+    entry dtype (int16 from the builders up to 2^15 elements), so a value
+    read from it, `mul` or `conj` must be widened before it is packed
+    into a pair id such as first * n + second.
 
-    A matrix group also keeps `elements`, its sorted packed matrices; its
+    A matrix group also keeps `elements`, its sorted packed matrices, and
+    `matrix_indices`, its map from packed det-1 matrices to indices; its
     `labels`, a Mat2 (SL) or PslElement (PSL) per element, are built from
-    them on first read.  Other groups take their labels, if any, at
+    the elements on first read.  Other groups take their labels, if any, at
     construction.  `_classes` keeps the conjugacy classes, once computed.
     """
 
@@ -103,18 +108,18 @@ class FiniteGroup:
         labels: Optional[list] = None,
         field: Optional[GF] = None,
         kind: str = "generic",
-        factors: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        factors: Optional[tuple[np.ndarray, ...]] = None,
     ):
         self.name = name
         self.n = mult.shape[1]
         self.mult = mult
-        # flat offsets of the rows of u and v: (u, v) for products, then for
-        # conjugations, which fill the second half of mult
+        # flat offsets of the rows of each factor, outermost first: for
+        # products, then for conjugations, which fill the second half of mult
         self._factors = None
         if factors is not None:
-            u, v = (np.asarray(r, dtype=np.intp) * self.n for r in factors)
+            offsets = tuple(np.asarray(r, dtype=np.intp) * self.n for r in factors)
             half = mult.size // 2
-            self._factors = ((u, v), (u + half, v + half))
+            self._factors = (offsets, tuple(o + half for o in offsets))
         self.identity = identity
         if labels is not None:
             self.labels = labels
@@ -123,6 +128,7 @@ class FiniteGroup:
         self.orders, self.inv = self._orders_and_inverses()
         self._classes: Optional[ConjugacyClasses] = None
         self.elements: Optional[np.ndarray] = None  # sorted packed matrices
+        self.matrix_indices: Optional[Callable] = None  # packed matrices -> indices
 
     @functools.cached_property
     def labels(self) -> Optional[list]:
@@ -133,8 +139,8 @@ class FiniteGroup:
     def mul(self, a, b) -> np.ndarray:
         """The products a b, elementwise over broadcast index arrays of any
         integer type, in the table's entry type, by flat gathers: mult[a, b]
-        for a dense table; u (v b) for a factored one, a = u v, through the
-        rows of v and then u."""
+        for a dense table; u (t (s b)) for a factored one, a = u t s,
+        through the rows of s, then t, then u."""
         if self._factors is None:
             return self.mult.reshape(-1).take(np.multiply(a, self.n, dtype=np.intp) + b)
         return self._through_factors(self._factors[0], a, b)
@@ -142,15 +148,17 @@ class FiniteGroup:
     def conj(self, x, b) -> np.ndarray:
         """The conjugates x b x^-1, elementwise over broadcast index arrays,
         in the table's entry type.  For a factored table, conjugation by
-        x = u v is conjugation by v and then by u, read from the stored
+        x = u t s is conjugation by s, then t, then u, read from the stored
         conjugation rows at the gathers of one product."""
         if self._factors is None:
             return self.mul(self.mul(x, b), self.inv[x])
         return self._through_factors(self._factors[1], x, b)
 
-    def _through_factors(self, offsets: tuple[np.ndarray, np.ndarray], a, b) -> np.ndarray:
-        flat, (u, v) = self.mult.reshape(-1), offsets
-        return flat.take(u.take(a) + flat.take(v.take(a) + b))
+    def _through_factors(self, offsets: tuple[np.ndarray, ...], a, b) -> np.ndarray:
+        flat, a = self.mult.reshape(-1), np.asarray(a, dtype=np.intp)  # a widened once, not per gather
+        for rows in reversed(offsets):  # innermost factor first
+            b = flat.take(rows.take(a) + b)
+        return b
 
     # -- table derivation --
 
@@ -183,7 +191,7 @@ class FiniteGroup:
             raise ValueError("group carries no matrix labels")
         if not isinstance(m, (Mat2, PslElement)):
             raise TypeError("expected Mat2 or PslElement")
-        return int(_matrix_indices(self.field, self.elements, self.kind, m.packed()))
+        return int(self.matrix_indices(m.packed()))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.n})"
@@ -234,12 +242,13 @@ def _compose_rows(
 
     Each generator is the first member, in the order given, that has no
     row yet, and `row_of(g)` computes its row directly.  Every other row
-    is composed breadth-first by right multiplication inside the
-    subgroup, the products p s read at column s of the left
-    multiplication rows (`products`, by default `rows` itself).  The
-    index is generator s's row, widened to intp once, and the source rows
-    are read through it a block at a time into one reused buffer, then
-    written straight into `rows`.
+    is composed by right multiplication inside the subgroup, the products
+    p s read at column s of the left multiplication rows (`products`, by
+    default `rows` itself): first the powers of the new generator, one
+    row at a time, then breadth-first from every member reached so far.
+    The index is generator s's row, widened to intp once, and the source
+    rows are read through it a block at a time into one reused buffer,
+    then written straight into `rows`.
     """
     n, products = rows.shape[1], rows if products is None else products
     local = np.full(n, -1, dtype=np.intp)  # element -> its place in members
@@ -254,7 +263,15 @@ def _compose_rows(
         s = int(np.argmin(done))
         rows[s] = row_of(int(members[s]))
         done[s] = True
-        gens.append((int(members[s]), rows[s].astype(np.intp)))
+        g, g_row = int(members[s]), rows[s].astype(np.intp)
+        gens.append((g, g_row))
+        # the new generator's powers first, a row each, so a cyclic subgroup
+        # takes no breadth-first step per member
+        p, power = s, local[products[s, g]]
+        while not done[power]:
+            np.take(rows[p], g_row, out=rows[power], mode="clip")
+            done[power] = True
+            p, power = power, local[products[power, g]]
         frontier = np.flatnonzero(done)
         while frontier.size:
             reached = []
@@ -306,76 +323,94 @@ def _unpack(packed: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
     return packed // q**3, packed // q**2 % q, packed // q % q, packed % q
 
 
-def _negated(f: GF, packed: np.ndarray) -> np.ndarray:
-    """Packed -M of packed matrices M."""
-    return _pack(f.q, *(f.neg_table[e] for e in _unpack(packed, f.q)))
+def _sl_rank(q: int, a, b, c, d) -> np.ndarray:
+    """Places of det-1 matrices (a b; c d) in the sorted SL(2,q) listing of
+    `_sl2_matrices`, in closed form: (b - 1) q + d in the a = 0 block,
+    q(q - 1) + ((a - 1) q + b) q + c after it."""
+    return np.where(a == 0, (b - 1) * q + d, q * (q - 1) + ((a - 1) * q + b) * q + c)
 
 
-def _matrix_indices(f: GF, elements: np.ndarray, kind: str, packed) -> np.ndarray:
-    """Indices of packed det-1 matrices among the sorted packed elements
-    of a matrix group: PSL takes the sign representative min(M, -M)
-    first, then a binary search finds each one.  KeyError if some matrix
-    is not an element (det != 1 included)."""
-    packed = np.asarray(packed, dtype=np.int64)
-    if kind == "psl2":
-        packed = np.minimum(packed, _negated(f, packed))
-    idx = np.minimum(np.searchsorted(elements, packed), len(elements) - 1)
-    if not np.array_equal(elements[idx], packed):
+def _entry_indices(f: GF, psl_of: Optional[np.ndarray], a, b, c, d) -> np.ndarray:
+    """Indices of the det-1 matrices (a b; c d) in a matrix group,
+    elementwise over broadcast entry arrays: their SL rank (`_sl_rank`),
+    read through `psl_of`, the PSL index of every SL rank, for PSL.
+    KeyError if some matrix has det != 1, ad - bc read off the field
+    tables."""
+    q, mul, add = f.q, f.mul_table.reshape(-1), f.add_table.reshape(-1)
+    if (add.take(mul.take(a * q + d) * q + f.neg_table.take(mul.take(b * q + c))) != f.one).any():
         raise KeyError("matrix is not an element of the group")
-    return idx
+    rank = _sl_rank(q, a, b, c, d)
+    return rank if psl_of is None else psl_of.take(rank)
 
 
-def _matrix_group(name: str, f: GF, packed: np.ndarray, kind: str) -> FiniteGroup:
-    """Shared SL/PSL construction from the sorted packed element matrices.
+def _matrix_indices(f: GF, psl_of: Optional[np.ndarray], packed) -> np.ndarray:
+    """`_entry_indices` of packed matrices.  KeyError also if some packed
+    int is outside [0, q^4)."""
+    packed = np.asarray(packed, dtype=np.int64)
+    if ((packed < 0) | (packed >= f.q**4)).any():
+        raise KeyError("packed int is not a matrix over the field")
+    return _entry_indices(f, psl_of, *_unpack(packed, f.q))
 
-    Every element x = (a b; c d) factors as x = u v, u in
-    U = {L(t) = (1 0; t 1)} + {w = (0 1; -1 0)} and v in the Borel
-    subgroup B of upper triangular matrices (B/+-1 in PSL):
-    x = L(c/a) (a b; 0 1/a) if a != 0, x = w (-c -d; 0 b) if a = 0.  So
-    the group stores the rows of U and B only, R = q + 1 + |B| of them:
-    L(t) at row t, w at row q, then B in index order, the rows of the
-    subgroups {L(t)} and B composed by `_compose_rows` and w's from
-    w = L(-1) U(1) L(-1); then, at R + r, the conjugation rows of the same
-    elements, composed the same way.  Generator rows of products are
-    computed over the field tables, mapped back to indices by
-    `_matrix_indices`, the group's one index map; those of conjugations
-    by two products each.
+
+def _matrix_group(
+    name: str, f: GF, packed: np.ndarray, kind: str, psl_of: Optional[np.ndarray]
+) -> FiniteGroup:
+    """Shared SL/PSL construction from the sorted packed element matrices
+    and the group's index map (`_entry_indices` through `psl_of`).
+
+    Every element x = (a b; c d) factors as x = u t s, u in
+    {L(e) = (1 0; e 1)} + {w = (0 1; -1 0)}, t in the torus
+    {D(e) = diag(e, 1/e)} (mod +-1 in PSL) and s in {U(e) = (1 e; 0 1)}:
+    x = L(c/a) D(a) U(b/a) if a != 0, x = w D(-c) U(d/c) if a = 0.  So the
+    group stores the rows of these three factor sets only, R of them:
+    L(e) at row e, w at row q, the torus in index order, then U(e) at row
+    U0 + e; R = 3q, or 2q + 1 + (q - 1)/2 for PSL at odd q.  The rows of
+    {L(e)}, the torus and {U(e)} are composed by `_compose_rows` and w's
+    from w = L(-1) U(1) L(-1); then, at R + r, the conjugation rows of the
+    same elements, composed the same way.  Generator rows of products are
+    computed over the field tables and mapped back to indices by the
+    index map; those of conjugations by two products each.
     """
     q, n = f.q, len(packed)
     a, b, c, d = _unpack(packed, q)
-    mulT, addT, negT = f.mul_table, f.add_table, f.neg_table
-    index = functools.partial(_matrix_indices, f, packed, kind)
+    mulT, add, negT, invT = f.mul_table, f.add_table.reshape(-1), f.neg_table, f.inv_table
+    index = functools.partial(_entry_indices, f, psl_of)
 
     def row_of(i: int) -> np.ndarray:
-        na = addT[mulT[a[i], a], mulT[b[i], c]]
-        nb = addT[mulT[a[i], b], mulT[b[i], d]]
-        nc = addT[mulT[c[i], a], mulT[d[i], c]]
-        nd = addT[mulT[c[i], b], mulT[d[i], d]]
-        return index(_pack(q, na, nb, nc, nd))
+        # the entries of x_i y for every y, each a sum of two products read
+        # off the rows of the multiplication table at x_i's entries
+        ai, bi, ci, di = mulT[a[i]], mulT[b[i]], mulT[c[i]], mulT[d[i]]
+        return index(add.take(ai.take(a) * q + bi.take(c)), add.take(ai.take(b) * q + bi.take(d)),
+                     add.take(ci.take(a) * q + di.take(c)), add.take(ci.take(b) * q + di.take(d)))
 
-    lower = index(_pack(q, f.one, 0, np.arange(q), f.one))  # L(t), t = 0 the identity
-    borel = np.flatnonzero(c == 0)
-    ident, r = int(lower[0]), q + 1 + len(borel)
-    unit = q + 1 + int(np.searchsorted(borel, index(_pack(q, f.one, f.one, 0, f.one))))  # U(1) = (1 1; 0 1)
+    elts = np.arange(q)
+    lower = index(f.one, 0, elts, f.one)  # L(e), e = 0 the identity
+    unipotent = index(f.one, elts, 0, f.one)  # U(e)
+    torus = np.flatnonzero((b == 0) & (c == 0))
+    ident, u0 = int(lower[0]), q + 1 + len(torus)
+    r = u0 + q
+    torus_row = np.zeros(q, dtype=np.intp)  # e -> the row of D(e), e != 0
+    torus_row[1:] = q + 1 + np.searchsorted(torus, index(elts[1:], 0, 0, invT[1:]))
     rows = np.empty((2 * r, n), dtype=_table_dtype(n))
 
     def compose(base: int, row_of: Callable) -> None:
-        """The R rows of one action from base: L(t), then w, then B; the
-        products that place them are read off the product rows."""
-        _compose_rows(rows[base : base + q], lower, ident, row_of, rows[:q])
-        _compose_rows(rows[base + q + 1 : base + r], borel, ident, row_of, rows[q + 1 : r])
+        """The R rows of one action from base: L(e), then w, the torus and
+        U(e); the products that place them are read off the product rows."""
+        for lo, members in ((0, lower), (q + 1, torus), (u0, unipotent)):
+            hi = lo + len(members)
+            _compose_rows(rows[base + lo : base + hi], members, ident, row_of, rows[lo:hi])
         minus = rows[base + f.minus_one]  # w = L(-1) U(1) L(-1): compose their rows
-        rows[base + q] = minus[rows[base + unit][minus]]
+        rows[base + q] = minus[rows[base + u0 + f.one][minus]]
 
     compose(0, row_of)
-    top, inv_a = a != 0, f.inv_table[a]
+    top, inv_a = a != 0, invT[a]
     u_row = np.where(top, mulT[c, inv_a], q)
-    v = np.where(top, _pack(q, a, b, 0, inv_a), _pack(q, negT[c], negT[d], 0, b))
-    v_row = q + 1 + np.searchsorted(borel, index(v))
-    g = FiniteGroup(name, rows, ident, field=f, kind=kind, factors=(u_row, v_row))
+    t_row = torus_row[np.where(top, a, negT[c])]
+    s_row = u0 + np.where(top, mulT[b, inv_a], mulT[d, invT[c]])
+    g = FiniteGroup(name, rows, ident, field=f, kind=kind, factors=(u_row, t_row, s_row))
     y = np.arange(n)
     compose(r, lambda e: g.mul(g.mul(e, y), g.inv[e]))  # e y e^-1
-    g.elements = packed
+    g.elements, g.matrix_indices = packed, functools.partial(_matrix_indices, f, psl_of)
     return g
 
 
@@ -387,8 +422,7 @@ def matrix_entries(G: FiniteGroup) -> tuple[np.ndarray, ...]:
 def entry_perm(G: FiniteGroup, entry_map: Callable) -> np.ndarray:
     """Index permutation of a matrix group induced by a map on the entry
     arrays (a, b, c, d) of all its elements, re-canonicalized."""
-    images = _pack(G.field.q, *entry_map(*matrix_entries(G)))
-    return _matrix_indices(G.field, G.elements, G.kind, images)
+    return G.matrix_indices(_pack(G.field.q, *entry_map(*matrix_entries(G))))
 
 
 def _matrix_labels(f: GF, a, b, c, d, kind: str) -> list:
@@ -402,7 +436,7 @@ def build_sl2(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
     """SL(2,q); order q(q^2-1); elements indexed in lex order of entries."""
     f = field_for_q(q)
     check_pair_budget(q * (q * q - 1), pair_budget)
-    return _matrix_group(f"SL(2,{q})", f, _sl2_matrices(f), "sl2")
+    return _matrix_group(f"SL(2,{q})", f, _sl2_matrices(f), "sl2", None)
 
 
 def psl2_order(q: int) -> int:
@@ -416,8 +450,13 @@ def build_psl2(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
     check_pair_budget(psl2_order(q), pair_budget)
     f = field_for_q(q)
     sl = _sl2_matrices(f)
-    # the sign representatives M <= -M of the sorted list stay sorted and distinct
-    return _matrix_group(f"PSL(2,{q})", f, sl[sl <= _negated(f, sl)], "psl2")
+    neg = f.neg_table
+    minus = _sl_rank(q, *(neg[e] for e in _unpack(sl, q)))  # the SL rank of -M
+    # the sign representatives M <= -M of the sorted list stay sorted and
+    # distinct; -M takes its representative's place
+    is_rep = np.arange(len(sl)) <= minus
+    pos = np.cumsum(is_rep) - 1
+    return _matrix_group(f"PSL(2,{q})", f, sl[is_rep], "psl2", np.where(is_rep, pos, pos[minus]))
 
 
 def build_dihedral(m: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:

@@ -39,7 +39,6 @@ from .groupcore import (
     derived_series,
     generates,
     matrix_entries,
-    _matrix_indices,
 )
 from .matrices import mat_from_ints
 from .nielsen import (
@@ -252,7 +251,7 @@ def verify_lemma7(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     orders8 = set(G.orders[pm3].tolist())
     evidence["orders_of_trace_pm3_elements"] = sorted(orders8)
     P = psl(7, pair_budget)
-    images = _matrix_indices(P.field, P.elements, P.kind, G.elements[pm3])
+    images = P.matrix_indices(G.elements[pm3])
     psl_orders = set(P.orders[images].tolist())
     evidence["psl_image_orders"] = sorted(psl_orders)
     ok = ok and orders8 == {8} and psl_orders == {4}

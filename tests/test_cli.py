@@ -296,6 +296,21 @@ def test_cli_runs_without_scipy():
     assert proc.stderr.strip().splitlines()[-1] == "[]"
 
 
+def test_cli_runs_without_numpy_ma():
+    # numpy 2.x imports numpy.ma lazily (np.unique does, on its first call),
+    # which costs a fresh interpreter about 15 ms
+    script = (
+        "import sys\n"
+        "from genlift.cli import main\n"
+        "codes = [main(['orbits', '--q', '13', '--aut', '--mn', '2,3']),\n"
+        "         main(['verify', 'all', '--max-q', '5'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == f"[{EXIT_PASS}, {EXIT_PASS}] False"
+
+
 def test_scale_probe_script():
     script = Path(__file__).resolve().parent.parent / "scripts" / "scale_probe.py"
     proc = subprocess.run([sys.executable, str(script), "5", "7"], capture_output=True, text=True)
@@ -310,9 +325,9 @@ def test_scale_probe_script():
         assert int(r["decompose_minflt"]) >= 0
         assert float(r["peak_rss_mb"]) > 0
     # the stored int16 rows, not |G|^2 entries: products and conjugations of the
-    # q + 1 + q(q-1)/2 elements of U and B/+-1
+    # R = 2q + 1 + (q-1)/2 elements of the three factor sets at odd q
     assert [r["table_mb"] for r in lines] == [
-        f"{2 * (q + 1 + q * (q - 1) // 2) * n * 2 / 2**20:.1f}" for q, n in ((5, 60), (7, 168))
+        f"{2 * (2 * q + 1 + (q - 1) // 2) * n * 2 / 2**20:.1f}" for q, n in ((5, 60), (7, 168))
     ]
     proc = subprocess.run([sys.executable, str(script), "5", "7", "--pair-budget", "10000"],
                           capture_output=True, text=True)

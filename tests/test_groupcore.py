@@ -35,6 +35,7 @@ from oracles import (
     power,
     sl2_matrices_grid,
     subgroup_closure,
+    _dense_index,
     validate_group,
 )
 
@@ -79,26 +80,53 @@ def test_multi_block_tables_entry_for_entry(build, q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_matrix_groups_store_the_rows_of_u_and_b(q):
-    # a matrix group stores no n x n table: 2R rows for the R = q + 1 + |B|
-    # elements of U and B (products, then conjugations), and every element is
-    # x = u v with u's and v's rows among them, checked in scalar Mat2 products
+def test_matrix_groups_store_the_rows_of_three_factors(q):
+    # a matrix group stores no n x n table: 2R rows for the R elements of
+    # {L(e)} + {w}, the torus and {U(e)} (products, then conjugations), and
+    # every element is x = u t s with the three factors' rows among them,
+    # checked in scalar Mat2 products
     for G in (build_sl2(q), build_psl2(q)):
         f, case = G.field, G.name
-        borel = [x for x in range(G.n) if G.matrix(x).c == 0]
-        r = q + 1 + len(borel)
+        psl_odd = G.kind == "psl2" and q % 2
+        r = 2 * q + 1 + (q - 1) // 2 if psl_odd else 3 * q
         assert G.mult.shape == (2 * r, G.n), case
         held = G.mult[:r, G.identity].tolist()  # row e holds e x for every x; at x = 1, e
         signs = (lambda m: {m.entries(), m.neg().entries()}) if G.kind == "psl2" else (lambda m: {m.entries()})
         for t in range(q):
             assert (f.one, 0, t, f.one) in signs(G.matrix(held[t])), case
         assert (0, f.one, f.minus_one, 0) in signs(G.matrix(held[q])), case
-        assert held[q + 1 :] == borel, case
-        u_row, v_row = (offsets // G.n for offsets in G._factors[0])
-        assert u_row.max() <= q and v_row.min() > q and v_row.max() < r, case
+        torus = [x for x in range(G.n) if G.matrix(x).b == G.matrix(x).c == 0]
+        u0 = q + 1 + len(torus)
+        assert len(torus) == ((q - 1) // 2 if psl_odd else q - 1), case
+        assert held[q + 1 : u0] == torus, case
+        for s in range(q):
+            assert (f.one, s, 0, f.one) in signs(G.matrix(held[u0 + s])), case
+        u_row, t_row, s_row = (offsets // G.n for offsets in G._factors[0])
+        assert u_row.max() <= q < t_row.min() and t_row.max() < u0 <= s_row.min() and s_row.max() < r, case
         for x in range(G.n):
-            u, v = G.matrix(held[u_row[x]]), G.matrix(held[v_row[x]])
-            assert (u * v).entries() in signs(G.matrix(x)), (case, x)
+            u, t, s = (G.matrix(held[row[x]]) for row in (u_row, t_row, s_row))
+            assert (u * t * s).entries() in signs(G.matrix(x)), (case, x)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_closed_form_index_matches_the_dense_oracle(q):
+    # every det-1 matrix and its negation, through the one index map
+    f = field_for_q(q)
+    sl = sl2_matrices_grid(q)
+    neg = f.neg_table
+    minus = (((neg[sl // q**3] * q + neg[sl // q**2 % q]) * q + neg[sl // q % q]) * q + neg[sl % q])
+    for G in (build_sl2(q), build_psl2(q)):
+        dense = _dense_index(G)
+        for packed in (sl, minus):
+            expected = dense[packed]
+            assert (expected >= 0).all(), G.name  # -M is an element of SL, and maps to M's in PSL
+            np.testing.assert_array_equal(G.matrix_indices(packed), expected)
+        det2 = mat_from_ints(f, 2, 0, 0, 1).packed()  # det 0 in characteristic 2
+        for bad in (det2, -1, q**4):
+            with pytest.raises(KeyError):
+                G.matrix_indices(bad)
+            with pytest.raises(KeyError):
+                G.matrix_indices(np.concatenate([sl[:3], [bad]]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
