@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time and size the PSL(2,q) table build, Nielsen and Aut decompositions
-and the orbit verifiers.
+"""Time and size the PSL(2,q) table build, Nielsen, Aut and joint
+decompositions and the orbit verifiers.
 
 Usage:
     python3 scripts/scale_probe.py 19 23 27 31 32 --pair-budget 2000000000
@@ -8,13 +8,15 @@ Usage:
 Each q runs in a fresh interpreter, so its memos and ru_maxrss start
 clean.  One line per q:
 
-    q=19 order=3420 build_s=0.005 decompose_s=0.010 decompose_minflt=728 aut_s=0.004 verify_s=0.036 verify_peak_mb=4.7 table_mb=0.6 peak_rss_mb=37.1
+    q=19 order=3420 build_s=0.004 decompose_s=0.020 decompose_minflt=669 aut_s=0.004 joint_s=0.002 verify_s=0.002 verify_peak_mb=0.1 table_mb=0.6 peak_rss_mb=33.9
 
 build_s is `build_psl2`, decompose_s is `decompose_nielsen_orbits` on
 that group and decompose_minflt the minor page faults the process took
-during it, aut_s is `aut_orbit_decomposition` after it.  verify_s is
+during it, aut_s is `aut_orbit_decomposition` after it and joint_s
+`joint_orbit_decomposition` after that.  verify_s is
 `orbit_tau(check_members=64)` plus `higman_check` on the largest Nielsen
-orbit, and verify_peak_mb the most memory they hold at once beyond what
+orbit, both of which read the orbit's keys (reps[k], y), not its
+members, and verify_peak_mb the most memory they hold at once beyond what
 was allocated before them, numpy arrays included, by tracemalloc in a
 second, untimed run.  table_mb is the size of the stored rows, `G.mult`:
 PSL(2,q) stores the product and conjugation rows of its R factor
@@ -42,7 +44,8 @@ PROBE = """
 import resource, sys, time, tracemalloc
 from genlift.groupcore import build_psl2
 from genlift.nielsen import (
-    aut_orbit_decomposition, decompose_nielsen_orbits, higman_check, orbit_tau,
+    aut_orbit_decomposition, decompose_nielsen_orbits, higman_check, joint_orbit_decomposition,
+    orbit_tau,
 )
 usage = lambda: resource.getrusage(resource.RUSAGE_SELF)
 q, budget = int(sys.argv[1]), int(sys.argv[2])
@@ -53,17 +56,19 @@ dec = decompose_nielsen_orbits(G)
 t2, flt = time.perf_counter(), usage().ru_minflt - flt
 aut_orbit_decomposition(G)
 t3 = time.perf_counter()
+joint_orbit_decomposition(G)
+t4 = time.perf_counter()
 largest = max(dec.orbits, key=lambda o: o.size)
 verify = lambda: (orbit_tau(dec, largest, check_members=64), higman_check(dec, largest))
 verify()
-t4 = time.perf_counter()
+t5 = time.perf_counter()
 tracemalloc.start()
 verify()
 verify_peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 rss = usage().ru_maxrss / 1024  # KB on Linux
 print(f"q={q} order={G.n} build_s={t1 - t0:.3f} decompose_s={t2 - t1:.3f} decompose_minflt={flt} "
-      f"aut_s={t3 - t2:.3f} verify_s={t4 - t3:.3f} verify_peak_mb={verify_peak / 2**20:.1f} "
+      f"aut_s={t3 - t2:.3f} joint_s={t4 - t3:.3f} verify_s={t5 - t4:.3f} verify_peak_mb={verify_peak / 2**20:.1f} "
       f"table_mb={G.mult.nbytes / 2**20:.1f} peak_rss_mb={rss:.1f}")
 """
 

@@ -297,9 +297,11 @@ def make_field(p: int, k: int) -> GF:
 
 
 def field_for_q(q: int) -> GF:
-    """GF(q) for a prime power q, factoring q = p^k."""
+    """GF(q) for a prime power q <= SIZE_BOUND, factoring q = p^k."""
     if q < 2:
         raise ValueError("q must be >= 2")
+    if q > SIZE_BOUND:
+        raise ValueError(f"field size {q} exceeds bound {SIZE_BOUND}")
     for p in range(2, q + 1):
         if q % p == 0:
             k = 0

@@ -9,7 +9,7 @@ reduction), so each orbit is a union of conjugation classes of pairs.  A
 pair generating a proper subgroup H only reaches its H-conjugates, which
 splits those classes; such pairs are out of scope and labelled -1.
 
-So Nielsen and Aut orbits are connected components over conjugation
+So Nielsen, Aut and joint orbits are connected components over conjugation
 classes of pairs.  The pair (a, b) is keyed k * n + y by its conjugate
 (reps[k], y), reps[k] = x a x^-1 the class representative of a and
 y = x b x^-1.  The search runs in two stages, each a numpy union-find
@@ -22,13 +22,12 @@ of reps[k], picked greedily once per group by
 classes.  Stage 2 joins the classes: the moves commute with
 simultaneous conjugation, so they are applied to the least key of each
 class only, and their images are read through the stage-1 labels.
-Nielsen and Aut share stage 1 and differ in stage 2.
+The actions share stage 1 and differ only in the moves of stage 2.
 
 Generation is decided for every Nielsen class by one `generates` call
 on the least members, whose lockstep closures stop at more than n/2
-elements.  Aut keeps the components inside generating Nielsen classes,
-as automorphisms preserve generation; joint orbits are Nielsen orbits
-merged under the outer generators, which commute with the moves.
+elements.  Aut and joint keep the components inside generating Nielsen
+classes, as automorphisms and moves preserve generation.
 
 A group's Nielsen decomposition is computed once per process: its parts
 (records, rep rows, representative orders) are memoized by group name
@@ -40,7 +39,7 @@ read-only values, a tuple of frozen records and arrays that are not
 writeable, and `mn_free_flags` reads them on every call.  The K x n rep
 rows are the only labelling kept; one vectorized map from pairs to their
 keys (`_pair_keys`) serves the move edges and `orbit_ids`, and through
-it `orbit_of`, `labels` and the joint merge edges.
+it `orbit_of` and `labels`.
 
 Every product and conjugate is read through `FiniteGroup.mul` and
 `FiniteGroup.conj`, elementwise over index arrays: a key's conjugate
@@ -50,11 +49,11 @@ stores only the rows of its factors.
 Orbit records come from arrays: the commutator orders of all
 representative pairs by products, and for PSL(2,q) their trace
 invariants by the Fricke identity on the entry arrays of the elements, in
-the field tables.  `orbit_tau` re-derives tau with scalar matrix
-arithmetic, as an independent check, on the matrices of its sampled
-members only.  `higman_check` walks every member a bounded block at a
-time (`_member_blocks`), and `member_ids` fills one array from the same
-blocks.  Rep rows, `labels` and member ids are int32 while their ids fit
+the field tables.  `higman_check` and `orbit_tau` read an orbit's keys,
+never its members: a member is a conjugate of its key's pair, with a
+conjugate commutator and the same tau.  `orbit_tau` re-derives tau with
+scalar matrix arithmetic, as an independent check, on sampled keys only.
+Rep rows, `labels` and member ids are int32 while their ids fit
 (`groupcore._id_dtype`); gather indices stay intp.
 """
 
@@ -134,27 +133,14 @@ class OrbitDecomposition:
         return self.orbits[lab]
 
     def member_ids(self, orbit_id: int) -> np.ndarray:
-        """Sorted ids first * n + second of the orbit's pairs, int32 while
-        n^2 < 2^31 (`_id_dtype`), allocated once and filled a block at a time."""
-        G = self.group
+        """Sorted ids first * n + second of the orbit's pairs (g, x^-1 y x),
+        g in class k, x = conjugator[g] and rep_rows[k, y] == orbit_id: int32
+        while n^2 < 2^31, filled _BLOCK_ENTRIES pairs at a time."""
+        G, cls = self.group, conjugacy_classes(self.group)
         in_orbit = self.rep_rows == orbit_id
-        sizes = np.bincount(conjugacy_classes(G).class_of, minlength=len(in_orbit))
+        sizes = np.bincount(cls.class_of, minlength=len(in_orbit))
         ids, at = np.empty(int(in_orbit.sum(axis=1) @ sizes), dtype=_id_dtype(G.n * G.n)), 0
-        for first, second in self._member_blocks(orbit_id):
-            block = (first.astype(ids.dtype) * G.n + second).reshape(-1)
-            ids[at : at + block.size] = block
-            at += block.size
-        ids.sort()
-        return ids
-
-    def _member_blocks(self, orbit_id: int):
-        """The orbit's pairs as blocks (first, second), first a column of
-        elements and second their partners, at most _BLOCK_ENTRIES pairs a
-        block: (g, x^-1 y x) for g in class k, x = conjugator[g] and
-        rep_rows[k, y] == orbit_id."""
-        G = self.group
-        cls = conjugacy_classes(G)
-        for k, row in enumerate(self.rep_rows == orbit_id):
+        for k, row in enumerate(in_orbit):
             y = np.flatnonzero(row)
             if not y.size:
                 continue
@@ -162,7 +148,11 @@ class OrbitDecomposition:
             step = max(1, _BLOCK_ENTRIES // y.size)
             for lo in range(0, members.size, step):
                 g = members[lo : lo + step, None]
-                yield g, G.conj(G.inv[cls.conjugator[g]], y)  # x^-1 y x
+                block = g.astype(ids.dtype) * G.n + G.conj(G.inv[cls.conjugator[g]], y)
+                ids[at : at + block.size] = block.reshape(-1)
+                at += block.size
+        ids.sort()
+        return ids
 
     def gamma_size(self) -> int:
         return sum(o.size for o in self.orbits)
@@ -285,13 +275,6 @@ def _pair_keys(G: FiniteGroup, cls: ConjugacyClasses, a, b) -> np.ndarray:
     return np.multiply(cls.class_of[a], G.n, dtype=np.int64) + y
 
 
-def _least_keys(rows: np.ndarray) -> np.ndarray:
-    """Rep rows with each class relabelled by its least key k * n + y, -1 kept."""
-    first = np.full(int(rows.max()) + 2, rows.size, dtype=np.int64)
-    np.minimum.at(first, rows.reshape(-1) + 1, np.arange(rows.size))
-    return np.where(rows >= 0, first[rows + 1], -1)
-
-
 def _bracket_traces(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """tr [A, B] for the PSL(2,q) pairs (i, j), by the Fricke identity
     tr [A, B] = tA^2 + tB^2 + tAB^2 - tA tB tAB - 2 on sign representatives;
@@ -353,21 +336,28 @@ def decompose_nielsen_orbits(G: FiniteGroup) -> OrbitDecomposition:
     return dec
 
 
+def _key_pairs(dec: OrbitDecomposition, orbit_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit's keys as pairs (reps[k], y), rep_rows[k, y] == orbit_id."""
+    k, y = np.nonzero(dec.rep_rows == orbit_id)
+    return np.asarray(conjugacy_classes(dec.group).representatives)[k], y
+
+
 def orbit_tau(dec: OrbitDecomposition, orbit: OrbitRecord, check_members: int = 16) -> int:
     """Trace invariant of an orbit of a PSL(2,q) host.
 
-    Recomputes tau on up to `check_members` members (all, if the orbit is
-    smaller) and asserts constancy; pass check_members=None to sweep the
-    whole orbit.
+    Recomputes tau on at most `check_members` evenly spaced keys of the
+    orbit and asserts constancy; check_members=None sweeps every key, and
+    so the whole orbit.  ValueError if check_members < 1.
     """
     G = dec.group
     if G.kind != "psl2":
         raise ValueError("trace invariants require a PSL(2,q) host")
-    ids = dec.member_ids(orbit.orbit_id)
-    if check_members is not None and len(ids) > check_members:
-        step = max(1, len(ids) // check_members)
-        ids = ids[::step]
-    first, second = np.divmod(ids, G.n)
+    if check_members is not None and check_members < 1:
+        raise ValueError(f"check_members must be >= 1, got {check_members}")
+    first, second = _key_pairs(dec, orbit.orbit_id)
+    if check_members is not None and len(first) > check_members:
+        pick = np.arange(check_members) * len(first) // check_members
+        first, second = first[pick], second[pick]
     # the matrices of the sampled elements only; G.labels would make one per element
     mats = {g: PslElement(G.matrix(g)) for g in set(first.tolist()) | set(second.tolist())}
     for a, b in zip(first.tolist(), second.tolist()):
@@ -382,18 +372,15 @@ def orbit_tau(dec: OrbitDecomposition, orbit: OrbitRecord, check_members: int = 
 def higman_check(dec: OrbitDecomposition, orbit: OrbitRecord) -> tuple[int, bool]:
     """Commutator order of the orbit, plus the Higman containment check:
     every member's commutator is conjugate to [a,b] or [b,a] of the rep
-    and has the orbit's commutator order, checked a member block at a time."""
+    and has the orbit's commutator order, checked on the orbit's keys,
+    whose commutators are conjugate to those of their members."""
     G = dec.group
-    i, j = orbit.canonical_rep
-    c0 = commutators(G, i, j)
+    c0 = commutators(G, *orbit.canonical_rep)
     class_of = conjugacy_classes(G).class_of
-    allowed = [class_of[c0], class_of[G.inv[c0]]]
-    for first, second in dec._member_blocks(orbit.orbit_id):
-        comms = commutators(G, first, second)
-        conjugate = np.isin(class_of[comms], allowed).all()
-        if not (conjugate and (G.orders[comms] == orbit.commutator_order).all()):
-            return orbit.commutator_order, False
-    return orbit.commutator_order, True
+    comms = commutators(G, *_key_pairs(dec, orbit.orbit_id))
+    conjugate = np.isin(class_of[comms], [class_of[c0], class_of[G.inv[c0]]]).all()
+    orders_match = (G.orders[comms] == orbit.commutator_order).all()
+    return orbit.commutator_order, bool(conjugate and orders_match)
 
 
 # ---------------------------------------------------------------------------
@@ -426,23 +413,27 @@ def _aut_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
     return [(perm[i], perm[j]) for perm in psl_automorphism_perms(G)]
 
 
-def aut_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
-    """Orbits of the generating pairs under the diagonal PGammaL(2,q) action."""
+def _joint_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
+    """The Nielsen moves and the outer automorphism generators together."""
+    return _nielsen_moves(G, i, j) + _aut_moves(G, i, j)
+
+
+def _action_orbits(G: FiniteGroup, moves: Callable) -> OrbitDecomposition:
+    """Orbits of the generating pairs under moves that preserve generation:
+    the engine's rows, masked by the generating rows of the Nielsen orbits."""
     generating = decompose_nielsen_orbits(G).rep_rows >= 0
     cls = conjugacy_classes(G)
-    return _decompose(G, cls, np.where(generating, _rep_rows(G, cls, _aut_moves), -1))
+    return _decompose(G, cls, np.where(generating, _rep_rows(G, cls, moves), -1))
+
+
+def aut_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
+    """Orbits of the generating pairs under the diagonal PGammaL(2,q) action."""
+    return _action_orbits(G, _aut_moves)
 
 
 def joint_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
-    """Orbits of the generating pairs under Nielsen moves and automorphisms:
-    each Nielsen orbit o merged with that of phi(rep(o)), phi an outer generator."""
-    nielsen = decompose_nielsen_orbits(G)
-    i, j = np.array([o.canonical_rep for o in nielsen.orbits], dtype=np.int64).reshape(-1, 2).T
-    perms = psl_automorphism_perms(G)
-    src = np.tile(np.arange(len(nielsen.orbits)), len(perms))
-    dst = np.array([nielsen.orbit_ids(perm[i], perm[j]) for perm in perms], np.int64).reshape(-1)
-    merged = np.append(_components(len(nielsen.orbits), src, dst), -1)  # -1 stays -1
-    return _decompose(G, conjugacy_classes(G), _least_keys(merged[nielsen.rep_rows]))
+    """Orbits of the generating pairs under Nielsen moves and automorphisms."""
+    return _action_orbits(G, _joint_moves)
 
 
 def trace_spectrum(dec: OrbitDecomposition) -> set[int]:

@@ -6,7 +6,9 @@ union-find, a Mat2 and a dict lookup per element.  The vectorized oracles
 are `matrix_table_blocks`, which multiplies entry arrays in the field
 tables so that it reaches tables too large for the scalar ones, and
 `rep_rows_single_graph`, the one-stage component search over every key
-and every edge that the library's two-stage search must reproduce.  None
+and every edge that the library's two-stage search must reproduce.  The
+member-level orbit checks, `member_higman_check` and `member_taus`, walk
+every pair of an orbit where the library reads its keys only.  None
 of it imports the fast paths it is checking beyond what the test needs.
 It also holds the few helpers that only the tests call: cyclic groups,
 derived length, powers and so on.
@@ -512,6 +514,32 @@ def rep_rows_single_graph(G, moves) -> np.ndarray:
             src.append(keys[k * n : (k + 1) * n])
             dst.append(k * n + mult[mult[z], G.inv[z]])
     return _components(len(keys), np.concatenate(src), np.concatenate(dst)).reshape(len(reps), n)
+
+
+def member_higman_check(dec, orbit) -> tuple[int, bool]:
+    """The Higman containment check member by member: every pair of the
+    orbit (from `member_ids`) has a commutator i^-1 j^-1 i j, by three
+    products, in the conjugacy class of [a,b] or [b,a] of the rep and of
+    the orbit's commutator order."""
+    from genlift.groupcore import conjugacy_classes
+
+    G, class_of = dec.group, conjugacy_classes(dec.group).class_of
+    i, j = np.divmod(dec.member_ids(orbit.orbit_id).astype(np.int64), G.n)
+    comms = G.mul(G.mul(G.inv[i], G.inv[j]), G.mul(i, j))
+    c0 = commutator(G, *orbit.canonical_rep)
+    conjugate = np.isin(class_of[comms], [class_of[c0], class_of[G.inv[c0]]]).all()
+    return orbit.commutator_order, bool(conjugate and (G.orders[comms] == orbit.commutator_order).all())
+
+
+def member_taus(dec, orbit) -> set[int]:
+    """The trace invariants of every pair of a PSL(2,q) orbit, by scalar
+    matrix arithmetic on the members from `member_ids`."""
+    from genlift.matrices import PslElement, trace_invariant
+
+    G = dec.group
+    i, j = np.divmod(dec.member_ids(orbit.orbit_id).astype(np.int64), G.n)
+    mats = {g: PslElement(G.matrix(g)) for g in set(i.tolist()) | set(j.tolist())}
+    return {trace_invariant(mats[a], mats[b]) for a, b in zip(i.tolist(), j.tolist())}
 
 
 def orbit_partition_fast(G) -> set[frozenset]:

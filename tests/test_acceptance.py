@@ -19,6 +19,8 @@ from genlift.nielsen import decompose_nielsen_orbits, higman_check, orbit_tau
 from oracles import (
     build_cyclic,
     invariant_factors_via_minors,
+    member_higman_check,
+    member_taus,
     orbit_partition_fast,
     orbit_partition_naive,
 )
@@ -149,12 +151,13 @@ def test_criterion_13_property_suites():
             a, b = S.labels[rng.randrange(S.n)], S.labels[rng.randrange(S.n)]
             ref = bracket(PslElement(a), PslElement(b))
             ok = ok and bracket(PslElement(a.neg()), PslElement(b.neg())) == ref
-    # orbit invariant constancy, exhaustive for q <= 7
+    # orbit invariant constancy, exhaustive for q <= 7: the member oracles
+    # sweep every member, and the library's key-level checks agree
     for q in (2, 3, 4, 5, 7):
         dec = decompose_nielsen_orbits(build_psl2(q))
         for o in dec.orbits:
-            ok = ok and orbit_tau(dec, o, check_members=None) == o.tau
-            ok = ok and higman_check(dec, o)[1]
+            ok = ok and member_taus(dec, o) == {o.tau} and orbit_tau(dec, o, check_members=None) == o.tau
+            ok = ok and member_higman_check(dec, o) == higman_check(dec, o) == (o.commutator_order, True)
     # naive-oracle equivalence for |G| <= 60
     for G in (build_cyclic(8), build_dihedral(5), build_psl2(3), build_psl2(5)):
         ok = ok and orbit_partition_fast(G) == orbit_partition_naive(G)

@@ -142,6 +142,8 @@ def test_field_without_tables_is_refused(capsys):
     # a budget refusal, and within a large one a usage error, not a crash
     assert run(capsys, "spectrum", "--q", "257")[0] == EXIT_BUDGET
     assert run(capsys, "--pair-budget", str(10**20), "spectrum", "--q", "257")[0] == EXIT_USAGE
+    # past the field's SIZE_BOUND, refused before q is factored
+    assert run(capsys, "orbits", "--q", "2147483647")[0] == EXIT_USAGE
     for build in (groupcore.build_sl2, groupcore.build_psl2):
         with pytest.raises(ValueError, match="no arithmetic tables"):
             build(257, 10**20)
@@ -318,10 +320,11 @@ def test_scale_probe_script():
     lines = [dict(f.split("=") for f in line.split()) for line in proc.stdout.splitlines()]
     assert [(r["q"], r["order"]) for r in lines] == [("5", "60"), ("7", "168")]
     for r in lines:
-        fields = {"build_s", "decompose_s", "decompose_minflt", "aut_s", "verify_s", "verify_peak_mb",
-                  "table_mb", "peak_rss_mb"}
+        fields = {"build_s", "decompose_s", "decompose_minflt", "aut_s", "joint_s", "verify_s",
+                  "verify_peak_mb", "table_mb", "peak_rss_mb"}
         assert fields <= r.keys()
-        assert all(float(r[f]) >= 0 for f in ("build_s", "decompose_s", "aut_s", "verify_s", "verify_peak_mb"))
+        timed = ("build_s", "decompose_s", "aut_s", "joint_s", "verify_s", "verify_peak_mb")
+        assert all(float(r[f]) >= 0 for f in timed)
         assert int(r["decompose_minflt"]) >= 0
         assert float(r["peak_rss_mb"]) > 0
     # the stored int16 rows, not |G|^2 entries: products and conjugations of the

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,14 @@ def test_rejections():
         make_field(2, 20)  # over the size bound
     with pytest.raises(ZeroDivisionError):
         field_for_q(5).inv(0)
+
+
+def test_huge_q_refused_before_factoring():
+    # trial division would scan every p up to q; the size bound comes first
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds bound 65536"):
+        field_for_q(100000007)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_make_field_deterministic():

@@ -22,6 +22,7 @@ from genlift.nielsen import (
     OrbitDecomposition,
     _aut_moves,
     _components,
+    _joint_moves,
     _nielsen_moves,
     _pair_classes,
     _rep_rows,
@@ -42,6 +43,8 @@ from oracles import (
     commutator,
     count_generating_pairs,
     element_order,
+    member_higman_check,
+    member_taus,
     mn_free_flags_scan,
     orbit_partition_fast,
     orbit_partition_naive,
@@ -179,12 +182,14 @@ def _presented(text: str):
     return lambda: group_from_coset_table(todd_coxeter(parse_presentation(text), max_cosets=10**5))
 
 
+_miller_group = _presented("gens: x y\nrels: x^3 y^3 [x,y]^2")  # the (3,3,2) group
+
 TWO_STAGE_HOSTS = (
     [lambda q=q: build_psl2(q) for q in (2, 3, 4, 5, 7, 8, 9)]
     + [lambda: build_sl2(3)]
     + [lambda m=m: build_dihedral(m) for m in range(3, 9)]  # D6 to D16
     + [_presented("gens: a b\nrels: a^4 a^2b^-2 b^-1aba")]  # Q8
-    + [_presented("gens: x y\nrels: x^3 y^3 [x,y]^2")]  # the (3,3,2) Miller group
+    + [_miller_group]
 )
 
 
@@ -201,7 +206,7 @@ def test_two_stage_search_matches_oracles(build):
     assert index.dtype == np.int32 and _pair_classes(G, cls)[1] is index  # kept, as int32
     # both stages against one search over every key with every edge; PSL(2,2)
     # has no outer automorphism, so its Aut action has no moves at all
-    actions = [_nielsen_moves] + ([_aut_moves] if G.kind == "psl2" else [])
+    actions = [_nielsen_moves] + ([_aut_moves, _joint_moves] if G.kind == "psl2" else [])
     for moves in actions:
         rows = _rep_rows(G, cls, moves)
         assert np.array_equal(rows, rep_rows_single_graph(G, moves)), (G.name, moves)
@@ -209,14 +214,65 @@ def test_two_stage_search_matches_oracles(build):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_orbit_invariants_constant_exhaustive(q):
+    # the member oracles sweep every member; the library reads the keys.  Only
+    # Nielsen orbits: on an Aut orbit the Frobenius moves tau
     G = build_psl2(q)
     dec = decompose_nielsen_orbits(G)
     for o in dec.orbits:
-        # sweeps every member and asserts constancy internally
+        assert member_taus(dec, o) == {o.tau}, o.orbit_id
         assert orbit_tau(dec, o, check_members=None) == o.tau
-        order, consistent = higman_check(dec, o)
-        assert consistent
-        assert order == o.commutator_order
+        assert member_higman_check(dec, o) == higman_check(dec, o) == (o.commutator_order, True)
+
+
+def _higman_cases():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        for action, decompose in ACTIONS.items():
+            yield f"{action} on PSL(2,{q})", decompose(build_psl2(q))
+    hosts = [build_sl2(3), build_sl2(5), _miller_group()]
+    for G in hosts + [build_dihedral(m) for m in range(3, 13)]:  # D6 to D24
+        yield f"nielsen on {G.name}", decompose_nielsen_orbits(G)
+
+
+def test_higman_check_matches_member_oracle():
+    checked = 0
+    for case, dec in _higman_cases():
+        for o in dec.orbits:
+            assert higman_check(dec, o) == member_higman_check(dec, o), (case, o.orbit_id)
+            checked += 1
+    assert checked == 1159
+
+
+def test_orbit_checks_read_keys_not_members(monkeypatch):
+    def expanded(*args):
+        raise AssertionError("an orbit check expanded the members")
+
+    dec = decompose_nielsen_orbits(build_psl2(13))
+    monkeypatch.setattr(OrbitDecomposition, "member_ids", expanded)
+    monkeypatch.setattr(OrbitDecomposition, "labels", property(expanded))
+    for o in dec.orbits:
+        assert orbit_tau(dec, o, check_members=None) == o.tau
+        assert higman_check(dec, o) == (o.commutator_order, True)
+
+
+def test_orbit_tau_samples_at_most_check_members_keys(monkeypatch):
+    G = build_psl2(7)
+    dec = decompose_nielsen_orbits(G)
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return trace_invariant(a, b)
+
+    monkeypatch.setattr(genlift.nielsen, "trace_invariant", counted)
+    for o in dec.orbits:
+        keys = int((dec.rep_rows == o.orbit_id).sum())
+        for c in (1, 2, 5, 64, max(1, keys - 1), keys, keys + 1, None):
+            calls.clear()
+            assert orbit_tau(dec, o, check_members=c) == o.tau
+            assert len(calls) == (keys if c is None else min(c, keys)), (o.orbit_id, c)
+        for c in (0, -1):
+            with pytest.raises(ValueError):
+                orbit_tau(dec, o, check_members=c)
 
 
 def test_generating_pair_count_vs_oracle():
@@ -508,15 +564,19 @@ def test_id_width_rule_at_its_bounds(monkeypatch):
 @pytest.mark.parametrize("block_entries", [None, 1])
 def test_higman_check_reaches_the_last_member_block(monkeypatch, block_entries):
     # a key of the last class row with generating pairs, from an orbit whose
-    # commutators lie in another class, forged into an orbit's rep rows: its
-    # pairs come in the last blocks, one member of that class per block at
-    # block size 1
-    if block_entries is not None:
-        monkeypatch.setattr(genlift.nielsen, "_BLOCK_ENTRIES", block_entries)
+    # commutators lie in another class, forged into an orbit's rep rows:
+    # higman_check reads that key, and member_ids lists its pairs in the last
+    # blocks, one member of that class per block at block size 1, where the
+    # member oracle finds them
     G = build_psl2(13)
     dec, cls = decompose_nielsen_orbits(G), conjugacy_classes(G)
+    default = [dec.member_ids(o.orbit_id) for o in dec.orbits]
+    if block_entries is not None:
+        monkeypatch.setattr(genlift.nielsen, "_BLOCK_ENTRIES", block_entries)
     k = np.flatnonzero((dec.rep_rows >= 0).any(axis=1))[-1]
     rep = cls.representatives[k]
+    for o in dec.orbits:
+        assert np.array_equal(dec.member_ids(o.orbit_id), default[o.orbit_id]), o.orbit_id
     for o in dec.orbits:
         assert higman_check(dec, o)[1]
         c0 = commutators(G, *o.canonical_rep)
@@ -529,6 +589,7 @@ def test_higman_check_reaches_the_last_member_block(monkeypatch, block_entries):
         rows[k, np.flatnonzero(foreign)[-1]] = o.orbit_id
         broken = OrbitDecomposition(G, dec.orbits, rows, dec.rep_orders)
         assert not higman_check(broken, o)[1], o.orbit_id
+        assert not member_higman_check(broken, o)[1], o.orbit_id
         break
     else:
         raise AssertionError("no orbit with a foreign key in the last generating class row")
