@@ -23,18 +23,28 @@ U(e) = (1 e; 0 1), so x y = u (t (s y)) reads the rows of s, t and u,
 and x y x^-1 reads their conjugation rows; the rows of these three
 factor sets are 2R x n entries, R = 3q (2q + 1 + (q - 1)/2 for PSL at
 odd q), 0.63 MB at q = 19 where the dense table took 22.3 MB
-(`_matrix_group`).  Every builder computes only the rows of a
-few generators directly and composes every other row of a subgroup from
-them by right multiplication (`_compose_rows`):
-row[p s] = row[p][row[s]], row p read through the row of generator s.
-That index is each generator's row, widened once, so a build costs a
-few field-table rows plus one row gather per stored row at fixed
-indices, made a bounded block of rows at a time; the dense table is the
-case where the subgroup is G (`_cayley_table`).  Table entries are int16
-up to 2^15 elements, int32 beyond (`_table_dtype`); stored orbit, key
-and pair ids are int32 while they fit, int64 beyond (`_id_dtype`).
-SL(2,q) is listed directly, q^3 - q matrices from the field tables, not
-filtered from the q^4 grid of entries.
+(`_matrix_group`).  Every builder computes only the rows of a few
+generators directly and composes every other row from them:
+row[p s] = row[p][row[s]], row p read through the row of s, widened
+once, a bounded block of rows at a time.  The three factor sets are
+abelian and the places of their products are known in closed form, so
+their rows are composed by doubling (`_double_rows`): the rows of
+g^(k+1) .. g^(2k) are those of g .. g^k read through the row of g^k, one
+2-D gather per step.  Dense tables know no such places: the rows of the
+subgroup G are composed from each generator's powers, a row at a time,
+then breadth-first (`_compose_rows`, `_cayley_table`).  Table entries
+are int16 up to 2^15 elements, int32 beyond (`_table_dtype`); stored
+orbit, key and pair ids are int32 while they fit, int64 beyond
+(`_id_dtype`).  SL(2,q) is listed directly as entry arrays, q^3 - q
+matrices from the field tables, not filtered from the q^4 grid of
+entries, and packed once, for `G.elements`.
+
+Inverses and element orders: a dense group walks the powers of all its
+elements at once (`FiniteGroup._orders_and_inverses`).  A matrix group
+reads them off the entries: the inverse of (a b; c d) is (d -b; -c a),
+and the order of a non-central element depends only on its trace
+(`_trace_orders`), so the build never walks the powers; FiniteGroup
+checks x inv[x] = 1 for every x.
 
 The pair budget is the one size limit: it counts one entry per pair of
 elements, n^2, and every builder (these three and
@@ -93,6 +103,11 @@ class FiniteGroup:
     read from it, `mul` or `conj` must be widened before it is packed
     into a pair id such as first * n + second.
 
+    `orders` and `inv` are computed by walking the powers of every
+    element (`_orders_and_inverses`), unless the builder passes both, as
+    the SL/PSL builders do from the entries; then x inv[x] = 1 is
+    checked for every x, and ValueError raised if it fails.
+
     A matrix group also keeps `elements`, its sorted packed matrices, and
     `matrix_indices`, its map from packed det-1 matrices to indices; its
     `labels`, a Mat2 (SL) or PslElement (PSL) per element, are built from
@@ -109,6 +124,8 @@ class FiniteGroup:
         field: Optional[GF] = None,
         kind: str = "generic",
         factors: Optional[tuple[np.ndarray, ...]] = None,
+        orders: Optional[np.ndarray] = None,
+        inv: Optional[np.ndarray] = None,
     ):
         self.name = name
         self.n = mult.shape[1]
@@ -125,7 +142,12 @@ class FiniteGroup:
             self.labels = labels
         self.field = field
         self.kind = kind
-        self.orders, self.inv = self._orders_and_inverses()
+        if inv is None:
+            self.orders, self.inv = self._orders_and_inverses()
+        else:
+            self.orders, self.inv = orders, inv
+            if (self.mul(np.arange(self.n), inv) != identity).any():
+                raise ValueError("not a group table: some x inv[x] is not the identity")
         self._classes: Optional[ConjugacyClasses] = None
         self.elements: Optional[np.ndarray] = None  # sorted packed matrices
         self.matrix_indices: Optional[Callable] = None  # packed matrices -> indices
@@ -230,27 +252,21 @@ def _id_dtype(bound: int) -> type:
     return np.int32 if bound < 1 << 31 else np.int64
 
 
-def _compose_rows(
-    rows: np.ndarray, members: np.ndarray, identity: int, row_of: Callable,
-    products: Optional[np.ndarray] = None,
-) -> None:
-    """Fill rows[i] with the row of members[i] under an action of one
-    subgroup on the n elements whose rows compose like permutations,
-    row[p s] = row[p][row[s]]: left multiplication (row x is x y for
-    every y), or conjugation with `products`, the left multiplication
-    rows of the same members.
+def _compose_rows(rows: np.ndarray, members: np.ndarray, identity: int, row_of: Callable) -> None:
+    """Fill rows[i] with the left multiplication row of members[i] (row x
+    is x y for every y), for the members of one subgroup.
 
     Each generator is the first member, in the order given, that has no
     row yet, and `row_of(g)` computes its row directly.  Every other row
-    is composed by right multiplication inside the subgroup, the products
-    p s read at column s of the left multiplication rows (`products`, by
-    default `rows` itself): first the powers of the new generator, one
-    row at a time, then breadth-first from every member reached so far.
-    The index is generator s's row, widened to intp once, and the source
-    rows are read through it a block at a time into one reused buffer,
-    then written straight into `rows`.
+    is composed by right multiplication inside the subgroup,
+    row[p s] = row[p][row[s]], the product p s read at column s of the
+    rows: first the powers of the new generator, one row at a time, then
+    breadth-first from every member reached so far.  The index is
+    generator s's row, widened to intp once, and the source rows are read
+    through it a block at a time into one reused buffer, then written
+    straight into `rows`.
     """
-    n, products = rows.shape[1], rows if products is None else products
+    n = rows.shape[1]
     local = np.full(n, -1, dtype=np.intp)  # element -> its place in members
     local[members] = np.arange(len(members))
     rows[local[identity]] = np.arange(n)
@@ -267,16 +283,16 @@ def _compose_rows(
         gens.append((g, g_row))
         # the new generator's powers first, a row each, so a cyclic subgroup
         # takes no breadth-first step per member
-        p, power = s, local[products[s, g]]
+        p, power = s, local[rows[s, g]]
         while not done[power]:
             np.take(rows[p], g_row, out=rows[power], mode="clip")
             done[power] = True
-            p, power = power, local[products[power, g]]
+            p, power = power, local[rows[power, g]]
         frontier = np.flatnonzero(done)
         while frontier.size:
             reached = []
             for g, g_row in gens:
-                prod = local[products[frontier, g]]
+                prod = local[rows[frontier, g]]
                 new = ~done[prod]
                 # p -> p g is injective, so the new products are distinct
                 targets, sources = prod[new], frontier[new]
@@ -298,11 +314,45 @@ def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) ->
     return mult
 
 
-def _sl2_matrices(f: GF) -> np.ndarray:
-    """All q^3 - q det-1 matrices as packed ints, sorted (= lex order of
-    entries): for a = 0, any b != 0, c = -1/b and any d; for a != 0, any
-    b, c and d = (1 + bc)/a.  Both blocks are listed in lex order, the
-    first below the second.  ValueError if the field has no tables."""
+def _double_rows(rows: np.ndarray, row_of: Callable[[int], np.ndarray], radix: Sequence[int]) -> None:
+    """Fill rows[e] with the row of element e of an abelian subgroup under
+    an action whose rows compose like permutations, row[x y] =
+    row[x][row[y]]: left multiplication (row x is x y for every y) or
+    conjugation (row x is x y x^-1).
+
+    The elements are numbered in mixed radix: e = sum_i j_i B_i,
+    B_0 = 1 and B_(i+1) = B_i radix[i], is the element g_0^j_0 g_1^j_1 ...,
+    so the product of e and k is e + k while no digit reaches its radix.
+    `row_of(B_i)` computes the row of g_i directly, and every other row is
+    composed by doubling: with the rows up to k = j B_i done, the rows
+    k + 1 .. 2k are the rows 1 .. k read through row k, one 2-D take of
+    at most _BLOCK_ENTRIES // n rows at a time.
+    """
+    n = rows.shape[1]
+    rows[0] = np.arange(n)
+    block = max(1, _BLOCK_ENTRIES // n)
+    base = 1
+    for m in radix:
+        end = base * m  # the rows below end are done once this digit is
+        if m > 1:
+            rows[base] = row_of(base)
+        k = base
+        while k + 1 < end:
+            g, hi = rows[k].astype(np.intp), min(2 * k, end - 1)
+            for lo in range(k + 1, hi + 1, block):
+                top = min(lo + block, hi + 1)
+                # the sources lie below k, the targets above; no index is out of range
+                np.take(rows[lo - k : top - k], g, axis=1, out=rows[lo:top], mode="clip")
+            k = hi
+        base = end
+
+
+def _sl2_entries(f: GF) -> tuple[np.ndarray, ...]:
+    """The entry arrays (a, b, c, d), int64, of all q^3 - q det-1
+    matrices in lex order of entries: for a = 0, any b != 0, c = -1/b and
+    any d; for a != 0, any b, c and d = (1 + bc)/a.  Both blocks are
+    listed in lex order, the first below the second.  ValueError if the
+    field has no tables."""
     if f.mul_table is None:
         raise ValueError(f"GF({f.q}) has no arithmetic tables (q > {TABLE_LIMIT})")
     q, mulT, addT, invT = f.q, f.mul_table, f.add_table, f.inv_table
@@ -311,7 +361,8 @@ def _sl2_matrices(f: GF) -> np.ndarray:
     a, b, c = np.indices((q - 1, q, q)).reshape(3, -1)
     a += 1
     d = mulT[addT[f.one, mulT[b, c]], invT[a]]
-    return np.concatenate([_pack(q, 0, b0, f.neg_table[invT[b0]], d0), _pack(q, a, b, c, d)])
+    return (np.concatenate([np.zeros_like(b0), a]), np.concatenate([b0, b]),
+            np.concatenate([f.neg_table[invT[b0]], c]), np.concatenate([d0, d]))
 
 
 def _pack(q: int, a, b, c, d) -> np.ndarray:
@@ -325,7 +376,7 @@ def _unpack(packed: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
 
 def _sl_rank(q: int, a, b, c, d) -> np.ndarray:
     """Places of det-1 matrices (a b; c d) in the sorted SL(2,q) listing of
-    `_sl2_matrices`, in closed form: (b - 1) q + d in the a = 0 block,
+    `_sl2_entries`, in closed form: (b - 1) q + d in the a = 0 block,
     q(q - 1) + ((a - 1) q + b) q + c after it."""
     return np.where(a == 0, (b - 1) * q + d, q * (q - 1) + ((a - 1) * q + b) * q + c)
 
@@ -352,11 +403,50 @@ def _matrix_indices(f: GF, psl_of: Optional[np.ndarray], packed) -> np.ndarray:
     return _entry_indices(f, psl_of, *_unpack(packed, f.q))
 
 
+def _trace_orders(f: GF, psl: bool) -> np.ndarray:
+    """The order of every non-central element of SL(2,q), or PSL(2,q), by
+    its trace t (of a sign representative in PSL), as int32 by t.
+
+    For t != +-2 the element is semisimple, with eigenvalues l and 1/l,
+    and its k-th power has trace s_k = l^k + l^-k: s_0 = 2, s_1 = t,
+    s_(k+1) = t s_k - s_(k-1).  Its order is the least k with s_k = 2
+    (l^k = 1), or s_k = +-2 in PSL (l^k = +-1).  For t = 2 the element is
+    unipotent, of order p; for t = -2 it is minus a unipotent, of order 2p
+    in SL at odd q and p otherwise."""
+    two, minus_two = f.two, f.neg(f.two)
+    add, neg = f.add_table.tolist(), f.neg_table.tolist()
+    ends = (two, minus_two) if psl else (two,)
+    orders = [f.p] * f.q
+    if not psl and f.p != 2:
+        orders[minus_two] = 2 * f.p
+    for t in range(f.q):
+        if t == two or t == minus_two:
+            continue
+        times_t, prev, s, k = f.mul_table[t].tolist(), two, t, 1
+        while s not in ends:
+            prev, s, k = s, add[times_t[s]][neg[prev]], k + 1
+        orders[t] = k
+    return np.array(orders, dtype=np.int32)
+
+
+def _primitive_powers(f: GF) -> list[int]:
+    """The powers 1, nu, ..., nu^(q-2) of the least primitive element nu of
+    GF(q), walked in plain ints along the rows of the multiplication table."""
+    for nu in range(1, f.q):
+        times_nu, powers = f.mul_table[nu].tolist(), [f.one]
+        while (e := times_nu[powers[-1]]) != f.one:
+            powers.append(e)
+        if len(powers) == f.q - 1:
+            return powers
+    raise ValueError(f"GF({f.q}) has no primitive element")
+
+
 def _matrix_group(
-    name: str, f: GF, packed: np.ndarray, kind: str, psl_of: Optional[np.ndarray]
+    name: str, f: GF, entries: tuple[np.ndarray, ...], kind: str, psl_of: Optional[np.ndarray]
 ) -> FiniteGroup:
-    """Shared SL/PSL construction from the sorted packed element matrices
-    and the group's index map (`_entry_indices` through `psl_of`).
+    """Shared SL/PSL construction from the entry arrays of the sorted
+    element matrices and the group's index map (`_entry_indices` through
+    `psl_of`); the elements are packed once, for `G.elements`.
 
     Every element x = (a b; c d) factors as x = u t s, u in
     {L(e) = (1 0; e 1)} + {w = (0 1; -1 0)}, t in the torus
@@ -364,15 +454,24 @@ def _matrix_group(
     x = L(c/a) D(a) U(b/a) if a != 0, x = w D(-c) U(d/c) if a = 0.  So the
     group stores the rows of these three factor sets only, R of them:
     L(e) at row e, w at row q, the torus in index order, then U(e) at row
-    U0 + e; R = 3q, or 2q + 1 + (q - 1)/2 for PSL at odd q.  The rows of
-    {L(e)}, the torus and {U(e)} are composed by `_compose_rows` and w's
-    from w = L(-1) U(1) L(-1); then, at R + r, the conjugation rows of the
-    same elements, composed the same way.  Generator rows of products are
-    computed over the field tables and mapped back to indices by the
-    index map; those of conjugations by two products each.
+    U0 + e; R = 3q, or 2q + 1 + (q - 1)/2 for PSL at odd q.  Then, at
+    R + r, the conjugation rows of the same elements.
+
+    The rows of {L(e)}, the torus and {U(e)} are composed by doubling
+    (`_double_rows`), as the places of their products are known:
+    L(e) L(e') = L(e + e') and U(e) U(e') = U(e + e'), along the
+    coefficient basis of the field, and D(nu)^j = D(nu^j) for a primitive
+    nu.  w's row is composed from w = L(-1) U(1) L(-1).  Generator rows of
+    products are computed over the field tables and mapped back to indices
+    by the index map; those of conjugations by two products each.
+
+    Inverses and orders come from the entries, not from the rows: the
+    inverse of (a b; c d) is (d -b; -c a), and a non-central element's
+    order depends only on its trace (`_trace_orders`).  FiniteGroup checks
+    x inv[x] = 1 for every x.
     """
-    q, n = f.q, len(packed)
-    a, b, c, d = _unpack(packed, q)
+    q, (a, b, c, d) = f.q, entries
+    n = len(a)
     mulT, add, negT, invT = f.mul_table, f.add_table.reshape(-1), f.neg_table, f.inv_table
     index = functools.partial(_entry_indices, f, psl_of)
 
@@ -391,14 +490,18 @@ def _matrix_group(
     r = u0 + q
     torus_row = np.zeros(q, dtype=np.intp)  # e -> the row of D(e), e != 0
     torus_row[1:] = q + 1 + np.searchsorted(torus, index(elts[1:], 0, 0, invT[1:]))
+    # the torus rows of D(nu^j), j = 0 .. T - 1: D(nu) generates the torus
+    by_power = torus_row[_primitive_powers(f)[: len(torus)]]
+    additive = [f.p] * f.k  # L(e) and U(e) along the coefficient basis, e the field int
     rows = np.empty((2 * r, n), dtype=_table_dtype(n))
+    powers = np.empty((len(torus), n), dtype=rows.dtype)
 
     def compose(base: int, row_of: Callable) -> None:
-        """The R rows of one action from base: L(e), then w, the torus and
-        U(e); the products that place them are read off the product rows."""
-        for lo, members in ((0, lower), (q + 1, torus), (u0, unipotent)):
-            hi = lo + len(members)
-            _compose_rows(rows[base + lo : base + hi], members, ident, row_of, rows[lo:hi])
+        """The R rows of one action from base: L(e), then w, the torus and U(e)."""
+        _double_rows(rows[base : base + q], lambda e: row_of(lower[e]), additive)
+        _double_rows(rows[base + u0 : base + r], lambda e: row_of(unipotent[e]), additive)
+        _double_rows(powers, lambda j: row_of(torus[by_power[j] - q - 1]), [len(torus)])
+        rows[base + by_power] = powers
         minus = rows[base + f.minus_one]  # w = L(-1) U(1) L(-1): compose their rows
         rows[base + q] = minus[rows[base + u0 + f.one][minus]]
 
@@ -407,16 +510,23 @@ def _matrix_group(
     u_row = np.where(top, mulT[c, inv_a], q)
     t_row = torus_row[np.where(top, a, negT[c])]
     s_row = u0 + np.where(top, mulT[b, inv_a], mulT[d, invT[c]])
-    g = FiniteGroup(name, rows, ident, field=f, kind=kind, factors=(u_row, t_row, s_row))
+    orders = _trace_orders(f, kind == "psl2")[add.take(a * q + d)]
+    orders[ident] = 1
+    if kind == "sl2" and f.p != 2:
+        orders[torus[torus_row[f.minus_one] - q - 1]] = 2  # -I = D(-1)
+    inv = index(d, negT[b], negT[c], a).astype(rows.dtype)  # (a b; c d)^-1 = (d -b; -c a)
+    g = FiniteGroup(name, rows, ident, field=f, kind=kind, factors=(u_row, t_row, s_row),
+                    orders=orders, inv=inv)
     y = np.arange(n)
     compose(r, lambda e: g.mul(g.mul(e, y), g.inv[e]))  # e y e^-1
-    g.elements, g.matrix_indices = packed, functools.partial(_matrix_indices, f, psl_of)
+    g.elements, g.matrix_indices = _pack(q, a, b, c, d), functools.partial(_matrix_indices, f, psl_of)
     return g
 
 
-def matrix_entries(G: FiniteGroup) -> tuple[np.ndarray, ...]:
-    """The entry arrays (a, b, c, d) of all elements of a matrix group, by index."""
-    return _unpack(G.elements, G.field.q)
+def matrix_entries(G: FiniteGroup, which=slice(None)) -> tuple[np.ndarray, ...]:
+    """The entry arrays (a, b, c, d) of the elements `which` (by default all,
+    by index) of a matrix group."""
+    return _unpack(G.elements[which], G.field.q)
 
 
 def entry_perm(G: FiniteGroup, entry_map: Callable) -> np.ndarray:
@@ -436,7 +546,7 @@ def build_sl2(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
     """SL(2,q); order q(q^2-1); elements indexed in lex order of entries."""
     f = field_for_q(q)
     check_pair_budget(q * (q * q - 1), pair_budget)
-    return _matrix_group(f"SL(2,{q})", f, _sl2_matrices(f), "sl2", None)
+    return _matrix_group(f"SL(2,{q})", f, _sl2_entries(f), "sl2", None)
 
 
 def psl2_order(q: int) -> int:
@@ -449,14 +559,20 @@ def build_psl2(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
     """PSL(2,q) via canonical sign representatives min(M, -M) of SL(2,q)."""
     check_pair_budget(psl2_order(q), pair_budget)
     f = field_for_q(q)
-    sl = _sl2_matrices(f)
-    neg = f.neg_table
-    minus = _sl_rank(q, *(neg[e] for e in _unpack(sl, q)))  # the SL rank of -M
-    # the sign representatives M <= -M of the sorted list stay sorted and
-    # distinct; -M takes its representative's place
-    is_rep = np.arange(len(sl)) <= minus
+    reps, psl_of = _sign_representatives(f, _sl2_entries(f))
+    return _matrix_group(f"PSL(2,{q})", f, reps, "psl2", psl_of)
+
+
+def _sign_representatives(f: GF, sl: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The entry arrays of the sign representatives M <= -M of the sorted
+    SL listing `sl`, which stay sorted and distinct, and the PSL index of
+    every SL rank, -M taking its representative's place.  The listing,
+    four arrays of q^3 - q entries, is freed when this returns, before
+    the group's rows are allocated."""
+    minus = _sl_rank(f.q, *(f.neg_table[e] for e in sl))  # the SL rank of -M
+    is_rep = np.arange(len(minus)) <= minus
     pos = np.cumsum(is_rep) - 1
-    return _matrix_group(f"PSL(2,{q})", f, sl[is_rep], "psl2", np.where(is_rep, pos, pos[minus]))
+    return tuple(e[is_rep] for e in sl), np.where(is_rep, pos, pos[minus])
 
 
 def build_dihedral(m: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:

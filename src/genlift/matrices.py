@@ -60,9 +60,12 @@ class Mat2:
         return ((self.a * q + self.b) * q + self.c) * q + self.d
 
     def serialize(self) -> str:
-        f = self.field
-        fmt = f.format_element
-        return f"[[{fmt(self.a)},{fmt(self.b)}],[{fmt(self.c)},{fmt(self.d)}]]"
+        return format_matrix(*map(self.field.format_element, self.entries()))
+
+
+def format_matrix(a: str, b: str, c: str, d: str) -> str:
+    """The serialized form of the matrix with formatted entries a, b, c, d."""
+    return f"[[{a},{b}],[{c},{d}]]"
 
 
 def mat_from_ints(f: GF, a: int, b: int, c: int, d: int) -> Mat2:

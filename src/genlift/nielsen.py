@@ -22,7 +22,9 @@ of reps[k], picked greedily once per group by
 classes.  Stage 2 joins the classes: the moves commute with
 simultaneous conjugation, so they are applied to the least key of each
 class only, and their images are read through the stage-1 labels.
-The actions share stage 1 and differ only in the moves of stage 2.
+The actions share stage 1 and differ only in the moves of stage 2; the
+outer automorphism permutations are computed once per group name
+(`_AUT_PERMS`), for the Aut and joint moves alike.
 
 Generation is decided for every Nielsen class by one `generates` call
 on the least members, whose lockstep closures stop at more than n/2
@@ -35,11 +37,11 @@ A group's Nielsen decomposition is computed once per process: its parts
 joint decompositions among them, wrap them for the caller's group.  No
 entry holds a group, so a group its callers drop is freed, table
 included, while the memo answers for a rebuild of it.  The parts are
-read-only values, a tuple of frozen records and arrays that are not
-writeable, and `mn_free_flags` reads them on every call.  The K x n rep
-rows are the only labelling kept; one vectorized map from pairs to their
-keys (`_pair_keys`) serves the move edges and `orbit_ids`, and through
-it `orbit_of` and `labels`.
+read-only values, a tuple of immutable records (named tuples) and
+arrays that are not writeable, and `mn_free_flags` reads them on every
+call.  The K x n rep rows are the only labelling kept; one vectorized
+map from pairs to their keys (`_pair_keys`) serves the move edges and
+`orbit_ids`, and through it `orbit_of` and `labels`.
 
 Every product and conjugate is read through `FiniteGroup.mul` and
 `FiniteGroup.conj`, elementwise over index arrays: a key's conjugate
@@ -61,8 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,13 +71,12 @@ from .groupcore import (
     _BLOCK_ENTRIES, ConjugacyClasses, FiniteGroup, _id_dtype, centralizer_generators,
     commutators, conjugacy_classes, entry_perm, generates, matrix_entries,
 )
-from .matrices import PslElement, trace_invariant
+from .matrices import PslElement, format_matrix, trace_invariant
 
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     orbit_id: int
     size: int
     canonical_rep: Pair
@@ -157,26 +157,38 @@ class OrbitDecomposition:
     def gamma_size(self) -> int:
         return sum(o.size for o in self.orbits)
 
+    @functools.cached_property
+    def _exponent(self) -> int:
+        """The exponent of G: every element is conjugate to a representative."""
+        return math.lcm(*self.rep_orders.tolist())
+
     def mn_free_flags(self, m: int, n: int) -> dict[int, bool]:
         """(m,n)-freeness of every orbit from the rep-row entries (reps[k], y), ord(reps[k]) | m
         and ord(y) | n: a pair and its conjugates have the same element orders.  ValueError
         unless m, n >= 1."""
         if m < 1 or n < 1:
             raise ValueError(f"(m,n)-freeness needs m, n >= 1, got ({m}, {n})")
-        # an order divides m iff it divides gcd(m, exponent), which fits the order arrays;
-        # every element is conjugate to a representative, so their orders give the exponent
-        exponent = math.lcm(*self.rep_orders.tolist())
-        m, n = math.gcd(m, exponent), math.gcd(n, exponent)
+        # an order divides m iff it divides gcd(m, exponent), which fits the order arrays
+        m, n = math.gcd(m, self._exponent), math.gcd(n, self._exponent)
         k, y = np.flatnonzero(m % self.rep_orders == 0), np.flatnonzero(n % self.group.orders == 0)
         witnessed = np.zeros(len(self.orbits) + 1, dtype=bool)  # -1 lands on the last entry
-        witnessed[self.rep_rows[np.ix_(k, y)]] = True
+        witnessed[self.rep_rows.take(k, axis=0).take(y, axis=1)] = True
         return dict(enumerate((~witnessed[:-1]).tolist()))
 
     def report(self, mn_pairs: tuple[tuple[int, int], ...] = ()) -> dict:
+        """The orbit table, one entry per orbit, with a freeness column per
+        requested (m, n); for PSL(2,q) also tau and the rep pair's matrices,
+        read from the entries of all rep pairs at once."""
         G = self.group
         columns = {f"{m},{n}": self.mn_free_flags(m, n) for m, n in sorted(set(mn_pairs))}
+        if G.kind == "psl2":
+            # the entries of every rep pair in one gather; each field value formatted once
+            reps = np.array([o.canonical_rep for o in self.orbits], dtype=np.intp).reshape(-1)
+            entries = [e.tolist() for e in matrix_entries(G, reps)]
+            names = {v: G.field.format_element(v) for v in set().union(*entries, (o.tau for o in self.orbits))}
+            mats = [format_matrix(names[a], names[b], names[c], names[d]) for a, b, c, d in zip(*entries)]
         orbits = []
-        for o in self.orbits:
+        for k, o in enumerate(self.orbits):
             entry = {
                 "id": o.orbit_id,
                 "size": o.size,
@@ -186,9 +198,8 @@ class OrbitDecomposition:
                 "mn_free": {mn: flags[o.orbit_id] for mn, flags in columns.items()},
             }
             if G.kind == "psl2":
-                entry["tau"] = G.field.format_element(o.tau)
-                i, j = o.canonical_rep
-                entry["rep_matrices"] = [G.matrix(i).serialize(), G.matrix(j).serialize()]
+                entry["tau"] = names[o.tau]
+                entry["rep_matrices"] = mats[2 * k : 2 * k + 2]
             orbits.append(entry)
         out = {
             "group": G.name,
@@ -301,13 +312,13 @@ def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> Orbit
     remap[keys] = np.arange(len(keys))
     i, j = np.asarray(cls.representatives)[keys // n], keys % n
     taus = _bracket_traces(G, i, j).tolist() if G.kind == "psl2" else [None] * len(keys)
-    columns = zip(
+    orbits = tuple(map(OrbitRecord._make, zip(
+        range(len(keys)),
         sizes[keys].astype(np.int64).tolist(),
         zip(i.tolist(), j.tolist()),
         taus,
         G.orders[commutators(G, i, j)].tolist(),
-    )
-    orbits = tuple(OrbitRecord(oid, *record) for oid, record in enumerate(columns))
+    )))
     parts = remap[rows], G.orders[cls.representatives]
     for part in parts:
         part.flags.writeable = False
@@ -388,13 +399,21 @@ def higman_check(dec: OrbitDecomposition, orbit: OrbitRecord) -> tuple[int, bool
 # ---------------------------------------------------------------------------
 
 
-def psl_automorphism_perms(G: FiniteGroup) -> list[np.ndarray]:
-    """The outer generators of Aut(PSL(2,q)) = PGammaL(2,q) as index
-    permutations: conjugation by diag(nu,1) for a non-square nu (odd q),
-    and the Frobenius (k > 1).  Inner automorphisms fix every conjugation
-    class of pairs, the orbit engine's nodes, so they are left out."""
+# group name -> its outer automorphism permutations, read-only; computed
+# once per name, so the Aut and joint decompositions share them
+_AUT_PERMS: dict[str, tuple[np.ndarray, ...]] = {}
+
+
+def psl_automorphism_perms(G: FiniteGroup) -> tuple[np.ndarray, ...]:
+    """The outer generators of Aut(PSL(2,q)) = PGammaL(2,q) as read-only
+    index permutations: conjugation by diag(nu,1) for a non-square nu
+    (odd q), and the Frobenius (k > 1).  Inner automorphisms fix every
+    conjugation class of pairs, the orbit engine's nodes, so they are left
+    out.  Computed once per group name (`_AUT_PERMS`)."""
     if G.kind != "psl2":
         raise ValueError("automorphism action implemented for PSL(2,q) hosts")
+    if G.name in _AUT_PERMS:
+        return _AUT_PERMS[G.name]
     f = G.field
     perms = []
     if f.q % 2 == 1:
@@ -405,7 +424,10 @@ def psl_automorphism_perms(G: FiniteGroup) -> list[np.ndarray]:
     if f.k > 1:
         frob = np.array([f.pow(e, f.p) for e in range(f.q)])
         perms.append(entry_perm(G, lambda *entries: [frob[e] for e in entries]))
-    return perms
+    for perm in perms:
+        perm.flags.writeable = False
+    _AUT_PERMS[G.name] = tuple(perms)
+    return _AUT_PERMS[G.name]
 
 
 def _aut_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:

@@ -122,7 +122,7 @@ def test_m_or_n_below_one_is_refused_before_build(capsys, monkeypatch, argv):
         raise AssertionError("group built before m and n were checked")
 
     monkeypatch.setattr(V, "_built", no_build)
-    monkeypatch.setattr(groupcore, "_sl2_matrices", no_build)
+    monkeypatch.setattr(groupcore, "_sl2_entries", no_build)
     code, out = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
 
@@ -171,7 +171,7 @@ def test_budget_refused_before_build(capsys, monkeypatch, argv):
 
     # every SL(2,q) and PSL(2,q) build starts by listing the SL matrices,
     # and every dihedral and coset-table build by composing its table
-    monkeypatch.setattr(groupcore, "_sl2_matrices", no_build)
+    monkeypatch.setattr(groupcore, "_sl2_entries", no_build)
     monkeypatch.setattr(groupcore, "_cayley_table", no_build)
     monkeypatch.setattr(fpgroups, "_cayley_table", no_build)
     assert run(capsys, *argv)[0] == EXIT_BUDGET

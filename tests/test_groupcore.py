@@ -159,11 +159,56 @@ def test_mul_and_conj_broadcast_over_any_integer_indices(build):
 
 
 def test_one_row_blocks_compose_the_same_tables(monkeypatch):
-    # blocks of one row: every composition step of these builds spans several
+    # blocks of one row: every composition step of these builds spans
+    # several, the doubling steps of SL and PSL among them (q = 8 and 9
+    # double along two and three coefficient directions)
+    builds = [(build_psl2, 9), (build_sl2, 5), (build_sl2, 8), (build_psl2, 7), (build_sl2, 9)]
+    stored = [build(q).mult for build, q in builds]
     monkeypatch.setattr(groupcore, "_BLOCK_ENTRIES", 1)
-    for G in (build_psl2(9), build_sl2(5)):
+    for (build, q), rows in zip(builds, stored):
+        G = build(q)
+        np.testing.assert_array_equal(G.mult, rows)
         assert cayley_table(G).tolist() == matrix_cayley_table(G), G.name
     assert build_dihedral(7).mult.tolist() == dihedral_cayley_table(7)
+
+
+PRIME_POWERS_TO_27 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_27)
+def test_orders_and_inverses_match_the_power_walk(q):
+    # matrix groups take orders from traces and inverses from entries; the
+    # power walk that dense groups still run is the oracle, dtypes included
+    for G in (build_sl2(q, pair_budget=10**9), build_psl2(q, pair_budget=10**9)):
+        orders, inv = FiniteGroup._orders_and_inverses(G)
+        assert G.orders.dtype == orders.dtype and G.inv.dtype == inv.dtype, G.name
+        np.testing.assert_array_equal(G.orders, orders, err_msg=G.name)
+        np.testing.assert_array_equal(G.inv, inv, err_msg=G.name)
+
+
+def test_matrix_builds_do_not_walk_the_powers(monkeypatch):
+    def no_walk(self):
+        raise AssertionError(f"{self.name} walked the powers of its elements")
+
+    monkeypatch.setattr(FiniteGroup, "_orders_and_inverses", no_walk)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 19):
+        for build in (build_sl2, build_psl2):
+            assert build(q, pair_budget=10**9).n, q
+    with pytest.raises(AssertionError, match="walked"):  # dense groups still walk
+        build_dihedral(5)
+
+
+def test_wrong_inverse_map_refused(monkeypatch):
+    # the build hands its inverses to FiniteGroup, which checks x inv[x] = 1
+    real = groupcore.FiniteGroup
+
+    def forged(*args, inv, **kw):
+        return real(*args, inv=np.roll(inv, 1), **kw)
+
+    monkeypatch.setattr(groupcore, "FiniteGroup", forged)
+    for build in (build_sl2, build_psl2):
+        with pytest.raises(ValueError, match="not a group table"):
+            build(5)
 
 
 def test_dihedral_tables_entry_for_entry():
@@ -357,7 +402,8 @@ def test_mn_generation_small():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
 def test_sl2_listing_matches_grid_filter(q):
-    assert np.array_equal(groupcore._sl2_matrices(field_for_q(q)), sl2_matrices_grid(q))
+    listing = groupcore._pack(q, *groupcore._sl2_entries(field_for_q(q)))
+    assert np.array_equal(listing, sl2_matrices_grid(q))
 
 
 def test_size_guard():
@@ -373,7 +419,7 @@ def test_size_refused_before_listing(monkeypatch):
         raise AssertionError("SL matrices listed before the order check")
 
     # the listing holds several arrays of q^3 entries
-    monkeypatch.setattr(groupcore, "_sl2_matrices", no_listing)
+    monkeypatch.setattr(groupcore, "_sl2_entries", no_listing)
     # the least SL and PSL hosts over the default budget, and two far over it
     for build, q in ((build_sl2, 17), (build_sl2, 43), (build_psl2, 23), (build_psl2, 97)):
         with pytest.raises(PairBudgetExceeded):

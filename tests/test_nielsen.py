@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -479,6 +478,33 @@ def test_report_columns_are_exactly_the_requested_ones():
     assert _mn_columns(dec.report()) == [[]] * len(dec.orbits)
 
 
+@pytest.mark.parametrize("q", [4, 7, 9, 16])
+def test_report_matrices_and_taus_match_scalar_formatting(q):
+    # the report formats each field value once; every rep matrix and tau
+    # must read as Mat2.serialize and format_element give them
+    G = build_psl2(q)
+    for dec in (decompose_nielsen_orbits(G), aut_orbit_decomposition(G)):
+        for o, entry in zip(dec.orbits, dec.report()["orbits"]):
+            assert entry["rep_matrices"] == [G.matrix(g).serialize() for g in o.canonical_rep], (q, o)
+            assert entry["tau"] == G.field.format_element(o.tau), (q, o)
+
+
+def test_automorphism_perms_computed_once_per_group(monkeypatch):
+    # PSL(2,9) has both outer generators; Aut and joint share one computation,
+    # also for a rebuild of the group
+    calls = []
+    real = genlift.nielsen.entry_perm
+    monkeypatch.setattr(genlift.nielsen, "entry_perm", lambda G, m: calls.append(G.name) or real(G, m))
+    G = build_psl2(9)
+    aut_orbit_decomposition(G)
+    joint_orbit_decomposition(G)
+    perms = psl_automorphism_perms(build_psl2(9))
+    assert calls == ["PSL(2,9)"] * 2 and len(perms) == 2
+    for perm in perms:
+        with pytest.raises(ValueError, match="read-only"):
+            perm[0] = 0
+
+
 def test_decomposition_parts_are_read_only():
     G = build_psl2(7)
     fresh = decompose_nielsen_orbits(G)
@@ -486,7 +512,7 @@ def test_decomposition_parts_are_read_only():
         assert isinstance(dec.orbits, tuple)
         with pytest.raises(ValueError, match="read-only"):
             dec.rep_rows[0, 0] = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):  # records are named tuples
             dec.orbits[0].size = 0
         with pytest.raises(ValueError, match="read-only"):
             dec.rep_orders[0] = 0
