@@ -8,11 +8,13 @@ Usage:
 Each q runs in a fresh interpreter, so its memos and ru_maxrss start
 clean.  One line per q:
 
-    q=19 order=3420 build_s=0.004 decompose_s=0.020 decompose_minflt=669 aut_s=0.004 joint_s=0.002 verify_s=0.002 verify_peak_mb=0.1 table_mb=0.6 peak_rss_mb=33.9
+    q=19 order=3420 build_s=0.002 stage1_s=0.003 decompose_s=0.005 decompose_minflt=847 aut_s=0.003 joint_s=0.000 verify_s=0.002 verify_peak_mb=0.1 table_mb=0.6 peak_rss_mb=33.7
 
-build_s is `build_psl2`, decompose_s is `decompose_nielsen_orbits` on
-that group and decompose_minflt the minor page faults the process took
-during it, aut_s is `aut_orbit_decomposition` after it and joint_s
+build_s is `build_psl2`; stage1_s is `conjugacy_classes` plus
+`nielsen._pair_classes`, the conjugation classes of pairs, on that group;
+decompose_s is the rest of `decompose_nielsen_orbits`, which reuses them,
+and decompose_minflt the minor page faults the process took during both.
+aut_s is `aut_orbit_decomposition` after it and joint_s
 `joint_orbit_decomposition` after that.  verify_s is
 `orbit_tau(check_members=64)` plus `higman_check` on the largest Nielsen
 orbit, both of which read the orbit's keys (reps[k], y), not its
@@ -42,16 +44,18 @@ from genlift.groupcore import DEFAULT_PAIR_BUDGET, PairBudgetExceeded, check_pai
 # one probe: argv = [q, pair budget]; prints the line for q
 PROBE = """
 import resource, sys, time, tracemalloc
-from genlift.groupcore import build_psl2
+from genlift.groupcore import build_psl2, conjugacy_classes
 from genlift.nielsen import (
-    aut_orbit_decomposition, decompose_nielsen_orbits, higman_check, joint_orbit_decomposition,
-    orbit_tau,
+    _pair_classes, aut_orbit_decomposition, decompose_nielsen_orbits, higman_check,
+    joint_orbit_decomposition, orbit_tau,
 )
 usage = lambda: resource.getrusage(resource.RUSAGE_SELF)
 q, budget = int(sys.argv[1]), int(sys.argv[2])
 t0 = time.perf_counter()
 G = build_psl2(q, pair_budget=budget)
 t1, flt = time.perf_counter(), usage().ru_minflt
+_pair_classes(G, conjugacy_classes(G))
+t_stage1 = time.perf_counter()
 dec = decompose_nielsen_orbits(G)
 t2, flt = time.perf_counter(), usage().ru_minflt - flt
 aut_orbit_decomposition(G)
@@ -67,7 +71,8 @@ verify()
 verify_peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 rss = usage().ru_maxrss / 1024  # KB on Linux
-print(f"q={q} order={G.n} build_s={t1 - t0:.3f} decompose_s={t2 - t1:.3f} decompose_minflt={flt} "
+print(f"q={q} order={G.n} build_s={t1 - t0:.3f} stage1_s={t_stage1 - t1:.3f} decompose_s={t2 - t_stage1:.3f} "
+      f"decompose_minflt={flt} "
       f"aut_s={t3 - t2:.3f} joint_s={t4 - t3:.3f} verify_s={t5 - t4:.3f} verify_peak_mb={verify_peak / 2**20:.1f} "
       f"table_mb={G.mult.nbytes / 2**20:.1f} peak_rss_mb={rss:.1f}")
 """

@@ -11,40 +11,23 @@ that runs P closures in lockstep on the flat ids p * n + e: one step
 reads the products of every row's generators with that row's frontier
 and dedupes the new ids by sorting.  A generation test (`generates`,
 elementwise over index arrays) stops a row once it has reached more
-than n/2 elements, as a subgroup of index below 2 is G.  The greedy
-centralizer generators of all class representatives are picked in
-lockstep rounds of it and kept with the conjugacy classes.
+than n/2 elements, as a subgroup of index below 2 is G.  The
+centralizer generators of the class representatives are picked in
+lockstep rounds of it; a cyclic centralizer needs no round.
 
 Dihedral and coset-table groups store the dense n x n table.  SL and PSL
-store no such table: every element factors as x = u t s, u one of the
-q + 1 elements L(e) = (1 0; e 1) and w = (0 1; -1 0), t in the torus of
-diagonal matrices D(e) = diag(e, 1/e) and s one of the q elements
-U(e) = (1 e; 0 1), so x y = u (t (s y)) reads the rows of s, t and u,
-and x y x^-1 reads their conjugation rows; the rows of these three
-factor sets are 2R x n entries, R = 3q (2q + 1 + (q - 1)/2 for PSL at
-odd q), 0.63 MB at q = 19 where the dense table took 22.3 MB
-(`_matrix_group`).  Every builder computes only the rows of a few
-generators directly and composes every other row from them:
-row[p s] = row[p][row[s]], row p read through the row of s, widened
-once, a bounded block of rows at a time.  The three factor sets are
-abelian and the places of their products are known in closed form, so
-their rows are composed by doubling (`_double_rows`): the rows of
-g^(k+1) .. g^(2k) are those of g .. g^k read through the row of g^k, one
-2-D gather per step.  Dense tables know no such places: the rows of the
-subgroup G are composed from each generator's powers, a row at a time,
-then breadth-first (`_compose_rows`, `_cayley_table`).  Table entries
-are int16 up to 2^15 elements, int32 beyond (`_table_dtype`); stored
-orbit, key and pair ids are int32 while they fit, int64 beyond
-(`_id_dtype`).  SL(2,q) is listed directly as entry arrays, q^3 - q
-matrices from the field tables, not filtered from the q^4 grid of
-entries, and packed once, for `G.elements`.
-
-Inverses and element orders: a dense group walks the powers of all its
-elements at once (`FiniteGroup._orders_and_inverses`).  A matrix group
-reads them off the entries: the inverse of (a b; c d) is (d -b; -c a),
-and the order of a non-central element depends only on its trace
-(`_trace_orders`), so the build never walks the powers; FiniteGroup
-checks x inv[x] = 1 for every x.
+store only the product and conjugation rows of three factor sets, as
+every element factors as x = u t s (`_matrix_group`): 0.63 MB at q = 19
+where the dense table took 22.3 MB.  Every builder computes the rows of
+a few generators directly and composes the others, row[p s] =
+row[p][row[s]], a bounded block of rows at a time: by doubling
+(`_double_rows`) where the places of products are known in closed form,
+breadth-first from each generator's powers otherwise (`_compose_rows`).
+Table entries are int16 up to 2^15 elements, int32 beyond
+(`_table_dtype`); stored orbit, key and pair ids are int32 while they
+fit, int64 beyond (`_id_dtype`).  A dense group walks the powers of all
+its elements for their orders and inverses; a matrix group reads them
+off the entries (`_trace_orders`), and x inv[x] = 1 is checked.
 
 The pair budget is the one size limit: it counts one entry per pair of
 elements, n^2, and every builder (these three and
@@ -221,11 +204,12 @@ class FiniteGroup:
 
 @dataclass
 class ConjugacyClasses:
-    class_of: np.ndarray
-    representatives: list[int]  # the least member of each class
+    class_of: np.ndarray  # int32: the class of every element
+    representatives: list[int]  # the least member of each class, in increasing order
     conjugator: np.ndarray  # x with x a x^-1 = representatives[class_of[a]]
-    centralizer_gens: Optional[list[np.ndarray]] = None  # set by centralizer_generators
-    pair_classes: Optional[tuple[np.ndarray, np.ndarray]] = None  # set by nielsen._pair_classes
+    # (least, index) of the conjugation classes of pairs: the least key of each
+    # class, increasing, and the class of every key; set by nielsen._pair_classes
+    pair_classes: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -667,53 +651,51 @@ def generates(G: FiniteGroup, a, b) -> np.ndarray:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
+    """The conjugacy classes, once per group: each class is the conjugates
+    x^-1 g x of its least member g, and the next class starts at the least
+    element in no class yet, so there are K starts."""
     if G._classes is not None:
         return G._classes
     n = G.n
     class_of = np.full(n, -1, dtype=np.int32)
     conjugator = np.empty(n, dtype=np.int64)
     reps: list[int] = []
-    allx = np.arange(n)
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(g)
-        cls = G.conj(G.inv, g)  # x^-1 g x for every x
-        class_of[cls] = cid
+    allx, g, inv = np.arange(n), 0, G.inv.astype(np.intp)  # indices widened once, not per use
+    while g < n:
+        cls = G.conj(inv, g).astype(np.intp)  # x^-1 g x for every x
+        class_of[cls] = len(reps)
         conjugator[cls] = allx
+        reps.append(g)
+        rest = np.flatnonzero(class_of[g:] < 0)
+        g = g + int(rest[0]) if rest.size else n
     G._classes = ConjugacyClasses(class_of=class_of, representatives=reps, conjugator=conjugator)
     return G._classes
 
 
 def centralizer_generators(G: FiniteGroup) -> list[np.ndarray]:
-    """Generators of the centralizer C(r) of every class representative r,
-    computed once per group and kept with its conjugacy classes.
+    """Generators of the centralizer C(r) of every class representative r;
+    none for a central r, whose centralizer is G.
 
-    Each row is picked greedily from {identity}: each generator is the
-    least element of C(r) outside the subgroup generated so far, so each
-    at least doubles it and there are at most log2 |C(r)|.  Every
-    representative takes its next pick in the same round, and one call
-    of `_closures` closes all the unfinished rows, finished rows being
-    left out.
+    The first is the least element of C(r) of the largest order, so a
+    cyclic C(r) needs no closure.  Any further generator is the least
+    element of C(r) outside the subgroup generated so far, which it at
+    least doubles.  The unfinished rows take their next pick in the same
+    round, and one call of `_closures` a round closes them all.
     """
-    cls = conjugacy_classes(G)
-    if cls.centralizer_gens is None:
-        reps = np.asarray(cls.representatives, dtype=np.intp)
-        allx = np.arange(G.n)
-        cent = G.conj(reps[:, None], allx) == allx  # r x r^-1 == x, a row per representative
-        reached = np.zeros_like(cent)
-        reached[:, G.identity] = True
-        gens = np.empty((len(reps), 0), dtype=np.intp)
-        live = np.flatnonzero((cent != reached).any(axis=1))
-        while live.size:
-            picks = np.full(len(reps), G.identity, dtype=np.intp)  # finished rows: the identity
-            picks[live] = np.argmax(cent[live] & ~reached[live], axis=1)
-            gens = np.column_stack([gens, picks])
-            reached[live] = _closures(G, gens[live])
-            live = live[(cent[live] != reached[live]).any(axis=1)]
-        cls.centralizer_gens = [row[row != G.identity] for row in gens]
-    return cls.centralizer_gens
+    reps = np.asarray(conjugacy_classes(G).representatives, dtype=np.intp)
+    allx = np.arange(G.n)
+    cent = G.conj(reps[:, None], allx) == allx  # r x r^-1 == x, a row per representative
+    size = cent.sum(axis=1)
+    picks = np.argmax(np.where(cent, G.orders, 0), axis=1)[:, None]  # least of the largest order
+    reached = np.zeros_like(cent)
+    live = np.flatnonzero((G.orders[picks[:, 0]] < size) & (size < G.n))  # C(r) neither cyclic nor G
+    while live.size:
+        reached[live] = _closures(G, picks[live])
+        live = live[(cent[live] != reached[live]).any(axis=1)]
+        pick = np.full(len(reps), G.identity, dtype=np.intp)  # finished rows: the identity
+        pick[live] = np.argmax(cent[live] & ~reached[live], axis=1)
+        picks = np.column_stack([picks, pick])
+    return [p[p != G.identity] if s < G.n else p[:0] for p, s in zip(picks, size)]
 
 
 def derived_series(G: FiniteGroup) -> list[np.ndarray]:

@@ -9,54 +9,42 @@ reduction), so each orbit is a union of conjugation classes of pairs.  A
 pair generating a proper subgroup H only reaches its H-conjugates, which
 splits those classes; such pairs are out of scope and labelled -1.
 
-So Nielsen, Aut and joint orbits are connected components over conjugation
-classes of pairs.  The pair (a, b) is keyed k * n + y by its conjugate
-(reps[k], y), reps[k] = x a x^-1 the class representative of a and
-y = x b x^-1.  The search runs in two stages, each a numpy union-find
-(hooking and pointer jumping) that labels a component by its least key,
-whose pair is its least member, as representatives are least members.
-Stage 1 finds the conjugation classes of pairs: it joins each key to its
-conjugates (reps[k], z y z^-1) by a few generators z of the centralizer
-of reps[k], picked greedily once per group by
-`groupcore.centralizer_generators`, and is kept with the conjugacy
-classes.  Stage 2 joins the classes: the moves commute with
-simultaneous conjugation, so they are applied to the least key of each
-class only, and their images are read through the stage-1 labels.
-The actions share stage 1 and differ only in the moves of stage 2; the
-outer automorphism permutations are computed once per group name
-(`_AUT_PERMS`), for the Aut and joint moves alike.
+The pair (a, b) is keyed k * n + y by its conjugate (reps[k], y),
+reps[k] = x a x^-1 the class representative of a and y = x b x^-1.
+Nielsen and Aut orbits are found in two stages, each labelling a class
+or component by its least key, whose pair is its least member, as
+representatives are least members.  Stage 1 (`_pair_classes`, kept with
+the conjugacy classes) labels the conjugation classes of pairs by orbit
+minima under the centralizers, folded by pointer doubling.  Stage 2
+applies the moves to the least key of each class only, as they commute
+with simultaneous conjugation, reads the images through the stage-1
+labels and joins the classes by a numpy union-find (hooking and pointer
+jumping).  Joint orbits, the Neumanns' T-systems, are the Nielsen orbits
+up to automorphisms, which commute with the moves: components over the
+Nielsen orbit ids, with no pair-level work.  The outer automorphism
+permutations are computed once per group name (`_AUT_PERMS`).
 
 Generation is decided for every Nielsen class by one `generates` call
-on the least members, whose lockstep closures stop at more than n/2
-elements.  Aut and joint keep the components inside generating Nielsen
-classes, as automorphisms and moves preserve generation.
+on the least members.  Aut keeps its components inside generating
+Nielsen classes, as automorphisms preserve generation.  A group's
+Nielsen decomposition is computed once per process: its parts (records,
+rep rows, representative orders) are memoized by group name (`_MEMO`;
+equal names mean equal tables), never with a group, and later calls,
+Aut and joint among them, wrap them for the caller's group.  The parts
+are read-only: a tuple of named tuples and arrays that are not
+writeable.  `mn_free_flags` reads the rep rows on every call; one
+vectorized map from pairs to their keys (`_pair_keys`) serves the move
+edges and `orbit_ids`, and through it `orbit_of` and `labels`.
 
-A group's Nielsen decomposition is computed once per process: its parts
-(records, rep rows, representative orders) are memoized by group name
-(`_MEMO`; equal names mean equal tables), and later calls, the Aut and
-joint decompositions among them, wrap them for the caller's group.  No
-entry holds a group, so a group its callers drop is freed, table
-included, while the memo answers for a rebuild of it.  The parts are
-read-only values, a tuple of immutable records (named tuples) and
-arrays that are not writeable, and `mn_free_flags` reads them on every
-call.  The K x n rep rows are the only labelling kept; one vectorized
-map from pairs to their keys (`_pair_keys`) serves the move edges and
-`orbit_ids`, and through it `orbit_of` and `labels`.
-
-Every product and conjugate is read through `FiniteGroup.mul` and
-`FiniteGroup.conj`, elementwise over index arrays: a key's conjugate
-x b x^-1 costs the gathers of one product, also in a matrix group, which
-stores only the rows of its factors.
-
-Orbit records come from arrays: the commutator orders of all
-representative pairs by products, and for PSL(2,q) their trace
-invariants by the Fricke identity on the entry arrays of the elements, in
-the field tables.  `higman_check` and `orbit_tau` read an orbit's keys,
-never its members: a member is a conjugate of its key's pair, with a
-conjugate commutator and the same tau.  `orbit_tau` re-derives tau with
-scalar matrix arithmetic, as an independent check, on sampled keys only.
-Rep rows, `labels` and member ids are int32 while their ids fit
-(`groupcore._id_dtype`); gather indices stay intp.
+Products and conjugates are read through `FiniteGroup.mul` and
+`FiniteGroup.conj`, elementwise over index arrays.  Orbit records come
+from arrays: commutator orders by products, and for PSL(2,q) trace
+invariants by the Fricke identity on the entries of the rep pairs.
+`higman_check` and `orbit_tau` read an orbit's keys, never its members:
+a member is a conjugate of its key's pair, with a conjugate commutator
+and the same tau; `orbit_tau` re-derives tau by scalar matrix
+arithmetic, on sampled keys.  Rep rows, `labels` and member ids are
+int32 while their ids fit (`groupcore._id_dtype`).
 """
 
 from __future__ import annotations
@@ -240,15 +228,35 @@ def _pair_classes(G: FiniteGroup, cls: ConjugacyClasses) -> tuple[np.ndarray, np
     """Stage 1 of `_rep_rows`: the conjugation classes of pairs, as
     (least, index).  `least` lists the least key of every class in
     increasing order, and key k * n + y lies in class index[k * n + y].
+
     The class of (reps[k], y) is the orbit of y under conjugation by the
-    centralizer of reps[k], so one component search over the edges
-    y -- z y z^-1, z a centralizer generator, finds every class."""
+    centralizer C of reps[k], so its least key is k * n + m[y], m[y] the
+    least z y z^-1 over C: the representative of y's class if C = G.
+    Other rows fold m along each generator z of C in lockstep, by
+    doubling: with sigma: y -> z y z^-1, m <- min(m, m o sigma) and
+    sigma <- sigma o sigma, ceil(log2 ord z) times.  A row with several
+    generators repeats until a pass moves nothing: m is then constant on
+    the orbits of C, and m[y], in y's orbit and at most y, is its least."""
     if cls.pair_classes is None:
         n, gens = G.n, centralizer_generators(G)
-        k = np.repeat(np.arange(len(gens)) * n, [len(zs) for zs in gens])[:, None]
-        z = np.concatenate(gens)
-        src, dst = k + np.arange(n), k + G.conj(z[:, None], np.arange(n))
-        lab = _components(len(gens) * n, src.reshape(-1), dst.reshape(-1))
+        allx, lens = np.arange(n), np.array([len(z) for z in gens])
+        # entries of the table's type: the gathers of the doubling move fewer bytes
+        mins = np.tile(np.asarray(cls.representatives, dtype=G.mult.dtype)[cls.class_of], (len(gens), 1))
+        live = np.flatnonzero(lens)
+        mins[live] = allx
+        while live.size:  # until a pass moves no row with several generators
+            before = mins[live]
+            for s in range(lens[live].max()):
+                rows = live[lens[live] > s]
+                z = np.array([gens[k][s] for k in rows])
+                sigma = (np.arange(len(rows))[:, None] * n + G.conj(z[:, None], allx)).reshape(-1)
+                m = mins[rows].reshape(-1)
+                for _ in range(int(G.orders[z].max() - 1).bit_length()):
+                    np.minimum(m, m.take(sigma), out=m)
+                    sigma = sigma.take(sigma)
+                mins[rows] = m.reshape(len(rows), n)
+            live = live[(lens[live] > 1) & (mins[live] != before).any(axis=1)]
+        lab = (mins + np.arange(len(gens))[:, None] * n).reshape(-1)
         is_least = lab == np.arange(lab.size)
         rank = np.cumsum(is_least, dtype=np.int32) - 1  # at a least key, its place in `least`
         cls.pair_classes = np.flatnonzero(is_least), rank[lab]
@@ -256,20 +264,13 @@ def _pair_classes(G: FiniteGroup, cls: ConjugacyClasses) -> tuple[np.ndarray, np
 
 
 def _rep_rows(G: FiniteGroup, cls: ConjugacyClasses, moves: Callable) -> np.ndarray:
-    """K x n rows: the component of the pair (reps[k], y) in the graph on
-    the K * n keys k * n + y, one per such pair, labelled by its least key.
-    A pair (a, b) is keyed by its conjugate (reps[k], x b x^-1),
-    x = conjugator[a].  The moves, moves(G, i, j) -> [(i', j'), ...],
-    commute with simultaneous conjugation, so each component is a union
-    of conjugation classes of pairs, and the search runs in two stages:
-
-    1. `_pair_classes` labels each key by its conjugation class;
-    2. the moves are applied to the least key of each class only, their
-       images are read through the stage-1 labels, and `_components`
-       joins the classes.
-
-    A component's least key is the least key of one of its classes, so
-    the rows are those of one search over all keys with every edge."""
+    """K x n rows: the component of the pair (reps[k], y) under the moves,
+    moves(G, i, j) -> [(i', j'), ...], in the graph on the K * n keys,
+    labelled by its least key.  The moves are applied to the least key of
+    each conjugation class of pairs (`_pair_classes`) only, and
+    `_components` joins the classes; a component's least key is the least
+    key of one of its classes, so the rows are those of one search over
+    all keys with every edge."""
     n, reps = G.n, np.asarray(cls.representatives)
     least, index = _pair_classes(G, cls)
     images = [index[_pair_keys(G, cls, a, b)] for a, b in moves(G, reps[least // n], least % n)]
@@ -292,9 +293,9 @@ def _bracket_traces(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     flipping the sign of A or B flips tA or tB and tAB, which it leaves alone."""
     f = G.field
     add, mul, neg = f.add_table, f.mul_table, f.neg_table
-    a, b, c, d = matrix_entries(G)
-    tA, tB = add[a[i], d[i]], add[a[j], d[j]]
-    tAB = add[add[mul[a[i], a[j]], mul[b[i], c[j]]], add[mul[c[i], b[j]], mul[d[i], d[j]]]]
+    (ai, bi, ci, di), (aj, bj, cj, dj) = matrix_entries(G, i), matrix_entries(G, j)
+    tA, tB = add[ai, di], add[aj, dj]
+    tAB = add[add[mul[ai, aj], mul[bi, cj]], add[mul[ci, bj], mul[di, dj]]]
     squares = add[add[mul[tA, tA], mul[tB, tB]], mul[tAB, tAB]]
     return add[squares, neg[add[mul[mul[tA, tB], tAB], f.two]]]
 
@@ -435,27 +436,38 @@ def _aut_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
     return [(perm[i], perm[j]) for perm in psl_automorphism_perms(G)]
 
 
-def _joint_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
-    """The Nielsen moves and the outer automorphism generators together."""
-    return _nielsen_moves(G, i, j) + _aut_moves(G, i, j)
-
-
-def _action_orbits(G: FiniteGroup, moves: Callable) -> OrbitDecomposition:
-    """Orbits of the generating pairs under moves that preserve generation:
-    the engine's rows, masked by the generating rows of the Nielsen orbits."""
+def aut_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
+    """Orbits of the generating pairs under the diagonal PGammaL(2,q) action:
+    the engine's rows, masked by the generating rows of the Nielsen orbits,
+    as automorphisms preserve generation."""
     generating = decompose_nielsen_orbits(G).rep_rows >= 0
     cls = conjugacy_classes(G)
-    return _decompose(G, cls, np.where(generating, _rep_rows(G, cls, moves), -1))
-
-
-def aut_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
-    """Orbits of the generating pairs under the diagonal PGammaL(2,q) action."""
-    return _action_orbits(G, _aut_moves)
+    return _decompose(G, cls, np.where(generating, _rep_rows(G, cls, _aut_moves), -1))
 
 
 def joint_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
-    """Orbits of the generating pairs under Nielsen moves and automorphisms."""
-    return _action_orbits(G, _joint_moves)
+    """Orbits of the generating pairs under Nielsen moves and automorphisms.
+    Automorphisms commute with the moves, so an outer generator maps each
+    Nielsen orbit onto the orbit of its image of the orbit's rep, and
+    `_components` over the Nielsen ids, one edge per orbit and generator,
+    joins them.  A joint orbit takes the id order, rep, tau and commutator
+    order of its least Nielsen orbit, whose least member is its own."""
+    dec = decompose_nielsen_orbits(G)
+    i, j = np.array([o.canonical_rep for o in dec.orbits], dtype=np.intp).reshape(-1, 2).T
+    perms = psl_automorphism_perms(G)
+    src = np.tile(np.arange(len(i)), len(perms))
+    dst = np.concatenate([dec.orbit_ids(p[i], p[j]) for p in perms] + [np.empty(0, dtype=np.intp)])
+    least = _components(len(i), src, dst)
+    roots = np.flatnonzero(least == np.arange(len(i)))
+    remap = np.full(len(i) + 1, -1, dtype=dec.rep_rows.dtype)  # its last entry maps -1 to -1
+    remap[:-1] = np.searchsorted(roots, least)
+    sizes = [0] * len(roots)
+    for k, o in zip(remap.tolist(), dec.orbits):
+        sizes[k] += o.size
+    orbits = tuple(dec.orbits[r]._replace(orbit_id=k, size=sizes[k]) for k, r in enumerate(roots.tolist()))
+    rows = remap[dec.rep_rows]
+    rows.flags.writeable = False
+    return OrbitDecomposition(G, orbits, rows, dec.rep_orders)
 
 
 def trace_spectrum(dec: OrbitDecomposition) -> set[int]:

@@ -481,24 +481,28 @@ def pair_space_orbits(G, action: str = "nielsen"):
 def pair_class_labels(G) -> np.ndarray:
     """K x n: the least key k * n + z of the conjugation class of the pair
     (reps[k], y), by brute force: z is the least x y x^-1 over every x in
-    the centralizer C(reps[k]), the stabilizer of reps[k] under conjugation."""
+    the centralizer C(reps[k]), the stabilizer of reps[k] under conjugation,
+    256 elements x at a time."""
     from genlift.groupcore import conjugacy_classes
 
-    n, mult, inv = G.n, cayley_table(G).astype(np.int64), G.inv.astype(np.int64)
+    n, y = G.n, np.arange(G.n)
     rows = []
     for k, r in enumerate(conjugacy_classes(G).representatives):
-        cent = np.flatnonzero(mult[r] == mult[:, r])
-        # x y for every x in C(r), then (x y) x^-1
-        rows.append(k * n + mult[mult[cent], inv[cent][:, None]].min(axis=0))
+        cent = np.flatnonzero(G.mul(r, y) == G.mul(y, r))
+        least = np.full(n, n)
+        for x in np.array_split(cent, -(-len(cent) // 256)):
+            least = np.minimum(least, G.mul(G.mul(x[:, None], y), G.inv[x][:, None]).min(axis=0))
+        rows.append(k * n + least)
     return np.array(rows)
 
 
 def rep_rows_single_graph(G, moves) -> np.ndarray:
     """K x n rep rows by one component search over all K * n keys k * n + y:
     each key joined to the keys of its images under moves(G, i, j) and to
-    its conjugates (reps[k], z y z^-1) by the centralizer generators z of
-    reps[k].  Components are labelled by their least key."""
-    from genlift.groupcore import centralizer_generators, conjugacy_classes
+    its conjugates (reps[k], z y z^-1) by every element z of the centralizer
+    of reps[k], read from the dense table.  Components are labelled by their
+    least key."""
+    from genlift.groupcore import conjugacy_classes
     from genlift.nielsen import _components, _pair_keys
 
     n, cls = G.n, conjugacy_classes(G)
@@ -509,8 +513,8 @@ def rep_rows_single_graph(G, moves) -> np.ndarray:
     for a, b in moves(G, reps[keys // n], keys % n):
         src.append(keys)
         dst.append(_pair_keys(G, cls, a, b))
-    for k, zs in enumerate(centralizer_generators(G)):
-        for z in zs.tolist():
+    for k, r in enumerate(reps.tolist()):
+        for z in np.flatnonzero(mult[r] == mult[:, r]).tolist():
             src.append(keys[k * n : (k + 1) * n])
             dst.append(k * n + mult[mult[z], G.inv[z]])
     return _components(len(keys), np.concatenate(src), np.concatenate(dst)).reshape(len(reps), n)

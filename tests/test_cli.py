@@ -320,10 +320,10 @@ def test_scale_probe_script():
     lines = [dict(f.split("=") for f in line.split()) for line in proc.stdout.splitlines()]
     assert [(r["q"], r["order"]) for r in lines] == [("5", "60"), ("7", "168")]
     for r in lines:
-        fields = {"build_s", "decompose_s", "decompose_minflt", "aut_s", "joint_s", "verify_s",
-                  "verify_peak_mb", "table_mb", "peak_rss_mb"}
+        fields = {"build_s", "stage1_s", "decompose_s", "decompose_minflt", "aut_s", "joint_s",
+                  "verify_s", "verify_peak_mb", "table_mb", "peak_rss_mb"}
         assert fields <= r.keys()
-        timed = ("build_s", "decompose_s", "aut_s", "joint_s", "verify_s", "verify_peak_mb")
+        timed = ("build_s", "stage1_s", "decompose_s", "aut_s", "joint_s", "verify_s", "verify_peak_mb")
         assert all(float(r[f]) >= 0 for f in timed)
         assert int(r["decompose_minflt"]) >= 0
         assert float(r["peak_rss_mb"]) > 0

@@ -13,7 +13,6 @@ from genlift.groupcore import (
     build_psl2,
     build_sl2,
     centralizer_generators,
-    closure_mask,
     commutators,
     conjugacy_classes,
 )
@@ -21,7 +20,6 @@ from genlift.nielsen import (
     OrbitDecomposition,
     _aut_moves,
     _components,
-    _joint_moves,
     _nielsen_moves,
     _pair_classes,
     _rep_rows,
@@ -159,22 +157,24 @@ CENTRALIZER_HOSTS = (
 
 @pytest.mark.parametrize("build", CENTRALIZER_HOSTS)
 def test_centralizer_generators(build):
-    # the picks of all representatives, made in lockstep, are those of the
-    # one-row greedy: each the least element of C(r) outside <picks so far>
+    # a central representative gets no generator; any other first its least
+    # element of the largest order, alone if C(r) is cyclic, then the least
+    # element of C(r) outside <picks so far>, until they generate C(r)
     G = build()
-    picks = centralizer_generators(G)
-    assert centralizer_generators(G) is picks  # kept with the conjugacy classes
-    for r, gens in zip(conjugacy_classes(G).representatives, picks):
+    for r, gens in zip(conjugacy_classes(G).representatives, centralizer_generators(G)):
         cent = G.mul(r, np.arange(G.n)) == G.mul(np.arange(G.n), r)
-        gens = gens.tolist()
+        gens, size = gens.tolist(), int(cent.sum())
         case = (G.name, r, gens)
-        assert all(cent[z] for z in gens), case
-        assert G.identity not in gens, case
-        assert np.array_equal(closure_mask(G, gens), cent), case  # C(identity) is all of G
-        assert 2 ** len(gens) <= cent.sum(), case
-        for k, z in enumerate(gens):
-            reached = closure_mask_oracle(G, [G.identity] + gens[:k])
-            assert z == np.flatnonzero(cent & ~reached)[0], case
+        if size == G.n:
+            assert gens == [], case
+            continue
+        orders = [element_order(G, z) if cent[z] else 0 for z in range(G.n)]
+        assert gens[0] == orders.index(max(orders)), case
+        assert np.array_equal(closure_mask_oracle(G, gens), cent), case
+        assert len(gens) == 1 if max(orders) == size else 2 ** len(gens) <= size, case
+        for k in range(1, len(gens)):
+            reached = closure_mask_oracle(G, gens[:k])
+            assert gens[k] == np.flatnonzero(cent & ~reached)[0], case
 
 
 def _presented(text: str):
@@ -192,23 +192,41 @@ TWO_STAGE_HOSTS = (
 )
 
 
-@pytest.mark.parametrize("build", TWO_STAGE_HOSTS)
-def test_two_stage_search_matches_oracles(build):
+@pytest.mark.parametrize("build", TWO_STAGE_HOSTS + [lambda: build_psl2(16)])
+def test_pair_classes_match_brute_force(build):
+    # stage 1, label for label: the least key of each key's conjugation class of
+    # pairs, against the brute-force orbits under the centralizers.  PSL(2,16)'s
+    # involution rows have four generators, and the Miller group has rows that
+    # the first doubling pass leaves unfixed by some generator
     G = build()
     cls = conjugacy_classes(G)
     least, index = _pair_classes(G, cls)
-    # stage 1, label for label: the least key of each key's conjugation class
-    # of pairs, against the brute-force orbits under the centralizers
     brute = pair_class_labels(G)
     assert np.array_equal(least[index].reshape(brute.shape), brute), G.name
     assert np.array_equal(least, np.flatnonzero(brute.reshape(-1) == np.arange(brute.size))), G.name
     assert index.dtype == np.int32 and _pair_classes(G, cls)[1] is index  # kept, as int32
+
+
+@pytest.mark.parametrize("build", TWO_STAGE_HOSTS)
+def test_two_stage_search_matches_oracles(build):
+    G = build()
+    cls = conjugacy_classes(G)
     # both stages against one search over every key with every edge; PSL(2,2)
     # has no outer automorphism, so its Aut action has no moves at all
-    actions = [_nielsen_moves] + ([_aut_moves, _joint_moves] if G.kind == "psl2" else [])
+    actions = [_nielsen_moves] + ([_aut_moves] if G.kind == "psl2" else [])
     for moves in actions:
         rows = _rep_rows(G, cls, moves)
         assert np.array_equal(rows, rep_rows_single_graph(G, moves)), (G.name, moves)
+    if G.kind == "psl2":
+        # the joint orbits, a quotient of the Nielsen orbits, against one search
+        # with the moves and the automorphisms together, on the generating keys
+        both = rep_rows_single_graph(G, lambda G, i, j: _nielsen_moves(G, i, j) + _aut_moves(G, i, j))
+        joint = joint_orbit_decomposition(G)
+        ids = np.full(both.size, -1)
+        rep_keys = [cls.class_of[a] * G.n + b for a, b in (o.canonical_rep for o in joint.orbits)]
+        ids[rep_keys] = np.arange(len(joint.orbits))
+        expected = np.where(decompose_nielsen_orbits(G).rep_rows >= 0, ids[both], -1)
+        assert np.array_equal(joint.rep_rows, expected), G.name
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -417,6 +435,18 @@ def test_one_nielsen_base_per_group(monkeypatch):
     aut_orbit_decomposition(G)
     joint_orbit_decomposition(G)
     assert actions.count(_nielsen_moves) == 1, actions
+
+
+def test_joint_runs_no_key_search(monkeypatch):
+    # joint orbits are read off the Nielsen orbits: no stage 1, no stage 2
+    def searched(*args):
+        raise AssertionError("the joint decomposition searched the keys")
+
+    G = build_psl2(13)
+    decompose_nielsen_orbits(G)
+    monkeypatch.setattr(genlift.nielsen, "_rep_rows", searched)
+    monkeypatch.setattr(genlift.nielsen, "_pair_classes", searched)
+    assert len(joint_orbit_decomposition(G).orbits) == 12
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19])
