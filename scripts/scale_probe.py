@@ -5,15 +5,16 @@ decompositions and the orbit verifiers.
 Usage:
     python3 scripts/scale_probe.py 19 23 27 31 32 --pair-budget 2000000000
 
-Each q runs in a fresh interpreter, so its memos and ru_maxrss start
-clean.  One line per q:
+Each q runs in a fresh interpreter, so its kept groups and ru_maxrss
+start clean.  One line per q:
 
     q=19 order=3420 build_s=0.002 stage1_s=0.003 decompose_s=0.005 decompose_minflt=847 aut_s=0.003 joint_s=0.000 verify_s=0.002 verify_peak_mb=0.1 table_mb=0.6 peak_rss_mb=33.7
 
-build_s is `build_psl2`; stage1_s is `conjugacy_classes` plus
-`nielsen._pair_classes`, the conjugation classes of pairs, on that group;
-decompose_s is the rest of `decompose_nielsen_orbits`, which reuses them,
-and decompose_minflt the minor page faults the process took during both.
+build_s is `build_psl2`; stage1_s is `nielsen._pair_classes`, the
+conjugation classes of pairs with the conjugacy classes they start from,
+which the group keeps; decompose_s is the rest of
+`decompose_nielsen_orbits`, which reuses them, and decompose_minflt the
+minor page faults the process took during both.
 aut_s is `aut_orbit_decomposition` after it and joint_s
 `joint_orbit_decomposition` after that.  verify_s is
 `orbit_tau(check_members=64)` plus `higman_check` on the largest Nielsen
@@ -44,7 +45,7 @@ from genlift.groupcore import DEFAULT_PAIR_BUDGET, PairBudgetExceeded, check_pai
 # one probe: argv = [q, pair budget]; prints the line for q
 PROBE = """
 import resource, sys, time, tracemalloc
-from genlift.groupcore import build_psl2, conjugacy_classes
+from genlift.groupcore import build_psl2
 from genlift.nielsen import (
     _pair_classes, aut_orbit_decomposition, decompose_nielsen_orbits, higman_check,
     joint_orbit_decomposition, orbit_tau,
@@ -54,7 +55,7 @@ q, budget = int(sys.argv[1]), int(sys.argv[2])
 t0 = time.perf_counter()
 G = build_psl2(q, pair_budget=budget)
 t1, flt = time.perf_counter(), usage().ru_minflt
-_pair_classes(G, conjugacy_classes(G))
+_pair_classes(G)
 t_stage1 = time.perf_counter()
 dec = decompose_nielsen_orbits(G)
 t2, flt = time.perf_counter(), usage().ru_minflt - flt

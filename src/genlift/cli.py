@@ -27,7 +27,7 @@ from .fpgroups import (
     parse_word,
     todd_coxeter,
 )
-from .groupcore import DEFAULT_PAIR_BUDGET, PairBudgetExceeded
+from .groupcore import DEFAULT_PAIR_BUDGET, PairBudgetExceeded, build_psl2
 from .nielsen import aut_orbit_decomposition, decompose_nielsen_orbits
 from .verify import TOOL_VERSION
 
@@ -108,7 +108,7 @@ def cmd_orbits(args) -> int:
         if min(m, n) < 1:
             raise _UsageError(f"--mn wants 'm,n' with m, n >= 1, got {item!r}")
         mn_pairs.append((m, n))
-    G = V.psl(args.q, args.pair_budget)
+    G = build_psl2(args.q, args.pair_budget)
     report = decompose_nielsen_orbits(G).report(mn_pairs=tuple(mn_pairs))
     report = {"schema": SCHEMA, "tool_version": TOOL_VERSION, **report}
     if args.aut:

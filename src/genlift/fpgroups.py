@@ -10,11 +10,10 @@ CosetEnumerationOverflow, which means "unknown", never "infinite".
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groupcore import DEFAULT_PAIR_BUDGET, FiniteGroup, _cayley_table, check_pair_budget
+from .groupcore import DEFAULT_PAIR_BUDGET, FiniteGroup, _cayley_table, _read_only, check_pair_budget
 
 Letter = tuple[int, int]  # (generator index, +1 or -1)
 
@@ -414,11 +413,9 @@ def group_from_coset_table(
     for col in range(2 * table.generator_count):
         if mult[:, table.action[0][col]].tolist() != [row[col] for row in table.action]:
             raise ValueError("coset table does not define a regular representation")
-    # equal names mean equal tables, as the Nielsen orbit memo keys on names;
-    # zlib's checksums, as hashlib would load OpenSSL (about 3.6 MB resident)
-    columns = repr([row[::2] for row in table.action]).encode()
-    name = f"fp-group-{n}-{zlib.crc32(columns):08x}{zlib.adler32(columns):08x}"
-    return FiniteGroup(name, mult, 0, kind="coset")
+    G = FiniteGroup(f"fp-group-{n}", mult, 0, kind="coset")
+    _read_only(G.mult, G.inv, G.orders)
+    return G
 
 
 # ---------------------------------------------------------------------------

@@ -38,18 +38,23 @@ Element indexing is by lex order of canonical matrix entries (matrix
 groups) or by the obvious shift/reflection layout (dihedral), so element
 indices, orbit representatives and reports are reproducible across runs.
 A matrix group keeps its sorted packed elements and one map back to
-indices, `G.matrix_indices` (`_matrix_indices`): the closed-form rank of
-a matrix in the sorted SL listing, read through one array of PSL indices
-for PSL.  `matrix_entries` unpacks the elements into the entry arrays
-(a, b, c, d) that vectorized callers compute with.  Its `labels`, one
-matrix object per element, are built only when something reads them.
+indices, `G.entry_indices` (`_entry_indices`): the closed-form rank of
+the entry arrays (a, b, c, d) of a matrix in the sorted SL listing, read
+through one array of PSL indices for PSL.  `matrix_entries` unpacks the
+elements into the entry arrays that vectorized callers compute with.
+Its `labels`, one matrix object per element, are built only when
+something reads them.
+
+A builder keeps the one group it makes for an argument (`_BUILT`), and
+returns it to every later call that its budget admits.  The group owns
+what is computed from it (`FiniteGroup.computed`), and its arrays are
+read-only, as every caller in the process shares them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -92,10 +97,10 @@ class FiniteGroup:
     checked for every x, and ValueError raised if it fails.
 
     A matrix group also keeps `elements`, its sorted packed matrices, and
-    `matrix_indices`, its map from packed det-1 matrices to indices; its
-    `labels`, a Mat2 (SL) or PslElement (PSL) per element, are built from
-    the elements on first read.  Other groups take their labels, if any, at
-    construction.  `_classes` keeps the conjugacy classes, once computed.
+    `entry_indices`, its map from entry arrays to indices; its `labels`,
+    a Mat2 (SL) or PslElement (PSL) per element, are built from the
+    elements on first read.  Other groups take their labels, if any, at
+    construction.  `computed` keeps what is derived from the group.
     """
 
     def __init__(
@@ -131,9 +136,9 @@ class FiniteGroup:
             self.orders, self.inv = orders, inv
             if (self.mul(np.arange(self.n), inv) != identity).any():
                 raise ValueError("not a group table: some x inv[x] is not the identity")
-        self._classes: Optional[ConjugacyClasses] = None
+        self._computed: dict[str, object] = {}
         self.elements: Optional[np.ndarray] = None  # sorted packed matrices
-        self.matrix_indices: Optional[Callable] = None  # packed matrices -> indices
+        self.entry_indices: Optional[Callable] = None  # entry arrays (a, b, c, d) -> indices
 
     @functools.cached_property
     def labels(self) -> Optional[list]:
@@ -165,6 +170,12 @@ class FiniteGroup:
             b = flat.take(rows.take(a) + b)
         return b
 
+    def computed(self, key: str, compute: Callable[[FiniteGroup], object]):
+        """compute(self) on the first request for `key`, kept for every later one."""
+        if key not in self._computed:
+            self._computed[key] = compute(self)
+        return self._computed[key]
+
     # -- table derivation --
 
     def _orders_and_inverses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -190,6 +201,13 @@ class FiniteGroup:
         """The matrix of element i (its sign representative in PSL), from its packed entries."""
         return Mat2(self.field, *(int(e) for e in _unpack(self.elements[i], self.field.q)))
 
+    def matrix_indices(self, packed) -> np.ndarray:
+        """`entry_indices` of packed matrices; KeyError also if some packed int is outside [0, q^4)."""
+        q, packed = self.field.q, np.asarray(packed, dtype=np.int64)
+        if ((packed < 0) | (packed >= q**4)).any():
+            raise KeyError("packed int is not a matrix over the field")
+        return self.entry_indices(*_unpack(packed, q))
+
     def index_of_matrix(self, m) -> int:
         """Index of an SL matrix / PSL element in a matrix-group build."""
         if self.elements is None:
@@ -202,14 +220,18 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.n})"
 
 
-@dataclass
-class ConjugacyClasses:
+class ConjugacyClasses(NamedTuple):
     class_of: np.ndarray  # int32: the class of every element
-    representatives: list[int]  # the least member of each class, in increasing order
+    representatives: np.ndarray  # intp: the least member of each class, in increasing order
     conjugator: np.ndarray  # x with x a x^-1 = representatives[class_of[a]]
-    # (least, index) of the conjugation classes of pairs: the least key of each
-    # class, increasing, and the class of every key; set by nielsen._pair_classes
-    pair_classes: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+
+def _read_only(*arrays: Optional[np.ndarray]) -> tuple:
+    """The arrays, marked not writeable but for None: every caller in the process shares them."""
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +400,6 @@ def _entry_indices(f: GF, psl_of: Optional[np.ndarray], a, b, c, d) -> np.ndarra
     return rank if psl_of is None else psl_of.take(rank)
 
 
-def _matrix_indices(f: GF, psl_of: Optional[np.ndarray], packed) -> np.ndarray:
-    """`_entry_indices` of packed matrices.  KeyError also if some packed
-    int is outside [0, q^4)."""
-    packed = np.asarray(packed, dtype=np.int64)
-    if ((packed < 0) | (packed >= f.q**4)).any():
-        raise KeyError("packed int is not a matrix over the field")
-    return _entry_indices(f, psl_of, *_unpack(packed, f.q))
-
-
 def _trace_orders(f: GF, psl: bool) -> np.ndarray:
     """The order of every non-central element of SL(2,q), or PSL(2,q), by
     its trace t (of a sign representative in PSL), as int32 by t.
@@ -503,7 +516,7 @@ def _matrix_group(
                     orders=orders, inv=inv)
     y = np.arange(n)
     compose(r, lambda e: g.mul(g.mul(e, y), g.inv[e]))  # e y e^-1
-    g.elements, g.matrix_indices = _pack(q, a, b, c, d), functools.partial(_matrix_indices, f, psl_of)
+    g.elements, g.entry_indices = _pack(q, a, b, c, d), index
     return g
 
 
@@ -515,8 +528,9 @@ def matrix_entries(G: FiniteGroup, which=slice(None)) -> tuple[np.ndarray, ...]:
 
 def entry_perm(G: FiniteGroup, entry_map: Callable) -> np.ndarray:
     """Index permutation of a matrix group induced by a map on the entry
-    arrays (a, b, c, d) of all its elements, re-canonicalized."""
-    return G.matrix_indices(_pack(G.field.q, *entry_map(*matrix_entries(G))))
+    arrays (a, b, c, d) of all its elements, whose images are mapped
+    straight to indices."""
+    return G.entry_indices(*entry_map(*matrix_entries(G)))
 
 
 def _matrix_labels(f: GF, a, b, c, d, kind: str) -> list:
@@ -526,11 +540,23 @@ def _matrix_labels(f: GF, a, b, c, d, kind: str) -> list:
     return mats
 
 
+_BUILT: dict[tuple[str, int], FiniteGroup] = {}  # (builder, argument) -> its one group
+
+
+def _kept(builder: str, arg: int, build: Callable[[], FiniteGroup]) -> FiniteGroup:
+    """The group kept for (builder, arg), built on the first request and made
+    read-only.  The caller has checked its budget."""
+    if (builder, arg) not in _BUILT:
+        G = _BUILT[builder, arg] = build()
+        _read_only(G.mult, G.inv, G.orders, G.elements)
+    return _BUILT[builder, arg]
+
+
 def build_sl2(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
     """SL(2,q); order q(q^2-1); elements indexed in lex order of entries."""
     f = field_for_q(q)
     check_pair_budget(q * (q * q - 1), pair_budget)
-    return _matrix_group(f"SL(2,{q})", f, _sl2_entries(f), "sl2", None)
+    return _kept("sl2", q, lambda: _matrix_group(f"SL(2,{q})", f, _sl2_entries(f), "sl2", None))
 
 
 def psl2_order(q: int) -> int:
@@ -542,9 +568,13 @@ def psl2_order(q: int) -> int:
 def build_psl2(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
     """PSL(2,q) via canonical sign representatives min(M, -M) of SL(2,q)."""
     check_pair_budget(psl2_order(q), pair_budget)
-    f = field_for_q(q)
-    reps, psl_of = _sign_representatives(f, _sl2_entries(f))
-    return _matrix_group(f"PSL(2,{q})", f, reps, "psl2", psl_of)
+
+    def build() -> FiniteGroup:
+        f = field_for_q(q)
+        reps, psl_of = _sign_representatives(f, _sl2_entries(f))
+        return _matrix_group(f"PSL(2,{q})", f, reps, "psl2", psl_of)
+
+    return _kept("psl2", q, build)
 
 
 def _sign_representatives(f: GF, sl: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -563,8 +593,12 @@ def build_dihedral(m: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGrou
     """Dihedral group of order 2m: indices 0..m-1 shifts, m..2m-1 reflections."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = 2 * m
-    check_pair_budget(n, pair_budget)
+    check_pair_budget(2 * m, pair_budget)
+    return _kept("dihedral", m, lambda: _dihedral(m))
+
+
+def _dihedral(m: int) -> FiniteGroup:
+    """The dihedral group of order 2m, from a dense table."""
     j = np.arange(m)
 
     def row_of(g: int) -> np.ndarray:
@@ -574,7 +608,7 @@ def build_dihedral(m: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGrou
         return np.concatenate([m + (i - j) % m, (i - j) % m])  # reflection * (shift, reflection)
 
     labels = [("shift", j) for j in range(m)] + [("reflection", j) for j in range(m)]
-    return FiniteGroup(f"D{2 * m}", _cayley_table(n, 0, row_of), 0, labels=labels, kind="dihedral")
+    return FiniteGroup(f"D{2 * m}", _cayley_table(2 * m, 0, row_of), 0, labels=labels, kind="dihedral")
 
 
 # ---------------------------------------------------------------------------
@@ -651,11 +685,14 @@ def generates(G: FiniteGroup, a, b) -> np.ndarray:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
-    """The conjugacy classes, once per group: each class is the conjugates
-    x^-1 g x of its least member g, and the next class starts at the least
-    element in no class yet, so there are K starts."""
-    if G._classes is not None:
-        return G._classes
+    """The conjugacy classes, computed once per group (`_class_walk`)."""
+    return G.computed("classes", _class_walk)
+
+
+def _class_walk(G: FiniteGroup) -> ConjugacyClasses:
+    """Each class is the conjugates x^-1 g x of its least member g, and the
+    next class starts at the least element in no class yet, so there are
+    K starts.  The arrays are read-only."""
     n = G.n
     class_of = np.full(n, -1, dtype=np.int32)
     conjugator = np.empty(n, dtype=np.int64)
@@ -668,8 +705,7 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
         reps.append(g)
         rest = np.flatnonzero(class_of[g:] < 0)
         g = g + int(rest[0]) if rest.size else n
-    G._classes = ConjugacyClasses(class_of=class_of, representatives=reps, conjugator=conjugator)
-    return G._classes
+    return ConjugacyClasses(*_read_only(class_of, np.array(reps, dtype=np.intp), conjugator))
 
 
 def centralizer_generators(G: FiniteGroup) -> list[np.ndarray]:
@@ -682,8 +718,7 @@ def centralizer_generators(G: FiniteGroup) -> list[np.ndarray]:
     least doubles.  The unfinished rows take their next pick in the same
     round, and one call of `_closures` a round closes them all.
     """
-    reps = np.asarray(conjugacy_classes(G).representatives, dtype=np.intp)
-    allx = np.arange(G.n)
+    reps, allx = conjugacy_classes(G).representatives, np.arange(G.n)
     cent = G.conj(reps[:, None], allx) == allx  # r x r^-1 == x, a row per representative
     size = cent.sum(axis=1)
     picks = np.argmax(np.where(cent, G.orders, 0), axis=1)[:, None]  # least of the largest order

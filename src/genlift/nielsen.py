@@ -13,28 +13,26 @@ The pair (a, b) is keyed k * n + y by its conjugate (reps[k], y),
 reps[k] = x a x^-1 the class representative of a and y = x b x^-1.
 Nielsen and Aut orbits are found in two stages, each labelling a class
 or component by its least key, whose pair is its least member, as
-representatives are least members.  Stage 1 (`_pair_classes`, kept with
-the conjugacy classes) labels the conjugation classes of pairs by orbit
-minima under the centralizers, folded by pointer doubling.  Stage 2
-applies the moves to the least key of each class only, as they commute
-with simultaneous conjugation, reads the images through the stage-1
-labels and joins the classes by a numpy union-find (hooking and pointer
-jumping).  Joint orbits, the Neumanns' T-systems, are the Nielsen orbits
-up to automorphisms, which commute with the moves: components over the
-Nielsen orbit ids, with no pair-level work.  The outer automorphism
-permutations are computed once per group name (`_AUT_PERMS`).
+representatives are least members.  Stage 1 (`_pair_classes`) labels
+the conjugation classes of pairs by orbit minima under the centralizers,
+folded by pointer doubling.  Stage 2 applies the moves to the least key
+of each class only, as they commute with simultaneous conjugation, reads
+the images through the stage-1 labels and joins the classes by a numpy
+union-find (hooking and pointer jumping).  Joint orbits, the Neumanns'
+T-systems, are the Nielsen orbits up to automorphisms, which commute
+with the moves: components over the Nielsen orbit ids, with no
+pair-level work.
 
 Generation is decided for every Nielsen class by one `generates` call
 on the least members.  Aut keeps its components inside generating
-Nielsen classes, as automorphisms preserve generation.  A group's
-Nielsen decomposition is computed once per process: its parts (records,
-rep rows, representative orders) are memoized by group name (`_MEMO`;
-equal names mean equal tables), never with a group, and later calls,
-Aut and joint among them, wrap them for the caller's group.  The parts
-are read-only: a tuple of named tuples and arrays that are not
-writeable.  `mn_free_flags` reads the rep rows on every call; one
-vectorized map from pairs to their keys (`_pair_keys`) serves the move
-edges and `orbit_ids`, and through it `orbit_of` and `labels`.
+Nielsen classes, as automorphisms preserve generation.  The group keeps
+(`FiniteGroup.computed`) its classes of pairs, outer automorphism
+permutations and Nielsen parts (records, rep rows, representative
+orders), all read-only; each Nielsen call, Aut and joint among them,
+wraps the parts in a fresh decomposition.  Aut and joint orbits are not
+kept.  `mn_free_flags` reads the rep rows on every call; one vectorized
+map from pairs to their keys (`_pair_keys`) serves the move edges and
+`orbit_ids`, and through it `orbit_of` and `labels`.
 
 Products and conjugates are read through `FiniteGroup.mul` and
 `FiniteGroup.conj`, elementwise over index arrays.  Orbit records come
@@ -56,7 +54,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .groupcore import (
-    _BLOCK_ENTRIES, ConjugacyClasses, FiniteGroup, _id_dtype, centralizer_generators,
+    _BLOCK_ENTRIES, ConjugacyClasses, FiniteGroup, _id_dtype, _read_only, centralizer_generators,
     commutators, conjugacy_classes, entry_perm, generates, matrix_entries,
 )
 from .matrices import PslElement, format_matrix, trace_invariant
@@ -224,10 +222,15 @@ def _components(nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
             lab, up = up, lab
 
 
-def _pair_classes(G: FiniteGroup, cls: ConjugacyClasses) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1 of `_rep_rows`: the conjugation classes of pairs, as
-    (least, index).  `least` lists the least key of every class in
-    increasing order, and key k * n + y lies in class index[k * n + y].
+def _pair_classes(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1 of `_rep_rows`, kept with the group: the conjugation classes
+    of pairs, as (least, index).  `least` lists the least key of every class
+    in increasing order, and key k * n + y lies in class index[k * n + y]."""
+    return G.computed("pair_classes", _orbit_minima)
+
+
+def _orbit_minima(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The (least, index) of `_pair_classes`.
 
     The class of (reps[k], y) is the orbit of y under conjugation by the
     centralizer C of reps[k], so its least key is k * n + m[y], m[y] the
@@ -237,30 +240,28 @@ def _pair_classes(G: FiniteGroup, cls: ConjugacyClasses) -> tuple[np.ndarray, np
     sigma <- sigma o sigma, ceil(log2 ord z) times.  A row with several
     generators repeats until a pass moves nothing: m is then constant on
     the orbits of C, and m[y], in y's orbit and at most y, is its least."""
-    if cls.pair_classes is None:
-        n, gens = G.n, centralizer_generators(G)
-        allx, lens = np.arange(n), np.array([len(z) for z in gens])
-        # entries of the table's type: the gathers of the doubling move fewer bytes
-        mins = np.tile(np.asarray(cls.representatives, dtype=G.mult.dtype)[cls.class_of], (len(gens), 1))
-        live = np.flatnonzero(lens)
-        mins[live] = allx
-        while live.size:  # until a pass moves no row with several generators
-            before = mins[live]
-            for s in range(lens[live].max()):
-                rows = live[lens[live] > s]
-                z = np.array([gens[k][s] for k in rows])
-                sigma = (np.arange(len(rows))[:, None] * n + G.conj(z[:, None], allx)).reshape(-1)
-                m = mins[rows].reshape(-1)
-                for _ in range(int(G.orders[z].max() - 1).bit_length()):
-                    np.minimum(m, m.take(sigma), out=m)
-                    sigma = sigma.take(sigma)
-                mins[rows] = m.reshape(len(rows), n)
-            live = live[(lens[live] > 1) & (mins[live] != before).any(axis=1)]
-        lab = (mins + np.arange(len(gens))[:, None] * n).reshape(-1)
-        is_least = lab == np.arange(lab.size)
-        rank = np.cumsum(is_least, dtype=np.int32) - 1  # at a least key, its place in `least`
-        cls.pair_classes = np.flatnonzero(is_least), rank[lab]
-    return cls.pair_classes
+    n, gens, cls = G.n, centralizer_generators(G), conjugacy_classes(G)
+    allx, lens = np.arange(n), np.array([len(z) for z in gens])
+    # entries of the table's type: the gathers of the doubling move fewer bytes
+    mins = np.tile(cls.representatives.astype(G.mult.dtype)[cls.class_of], (len(gens), 1))
+    live = np.flatnonzero(lens)
+    mins[live] = allx
+    while live.size:  # until a pass moves no row with several generators
+        before = mins[live]
+        for s in range(lens[live].max()):
+            rows = live[lens[live] > s]
+            z = np.array([gens[k][s] for k in rows])
+            sigma = (np.arange(len(rows))[:, None] * n + G.conj(z[:, None], allx)).reshape(-1)
+            m = mins[rows].reshape(-1)
+            for _ in range(int(G.orders[z].max() - 1).bit_length()):
+                np.minimum(m, m.take(sigma), out=m)
+                sigma = sigma.take(sigma)
+            mins[rows] = m.reshape(len(rows), n)
+        live = live[(lens[live] > 1) & (mins[live] != before).any(axis=1)]
+    lab = (mins + np.arange(len(gens))[:, None] * n).reshape(-1)
+    is_least = lab == np.arange(lab.size)
+    rank = np.cumsum(is_least, dtype=np.int32) - 1  # at a least key, its place in `least`
+    return _read_only(np.flatnonzero(is_least), rank[lab])
 
 
 def _rep_rows(G: FiniteGroup, cls: ConjugacyClasses, moves: Callable) -> np.ndarray:
@@ -271,8 +272,8 @@ def _rep_rows(G: FiniteGroup, cls: ConjugacyClasses, moves: Callable) -> np.ndar
     `_components` joins the classes; a component's least key is the least
     key of one of its classes, so the rows are those of one search over
     all keys with every edge."""
-    n, reps = G.n, np.asarray(cls.representatives)
-    least, index = _pair_classes(G, cls)
+    n, reps = G.n, cls.representatives
+    least, index = _pair_classes(G)
     images = [index[_pair_keys(G, cls, a, b)] for a, b in moves(G, reps[least // n], least % n)]
     src = np.tile(np.arange(len(least)), len(images))
     dst = np.concatenate(images + [np.empty(0, dtype=index.dtype)])  # an action may have no moves
@@ -300,18 +301,18 @@ def _bracket_traces(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return add[squares, neg[add[mul[mul[tA, tB], tAB], f.two]]]
 
 
-def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> OrbitDecomposition:
-    """Orbits given by rep rows of generating classes, each labelled by its
-    least key (-1 outside them), numbered in least-key order, which is
-    least-member order.  The commutator orders and trace invariants of all
-    the representative pairs are computed at once, as arrays."""
+def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> tuple:
+    """Read-only (records, rep rows, rep orders) of the orbits given by rep
+    rows of generating classes, each labelled by its least key (-1 outside),
+    numbered in least-key order, which is least-member order.  The commutator
+    orders and trace invariants of all rep pairs are computed at once."""
     n = G.n
     # an entry stands for one pair per member of its class; index 0 counts the -1s
     sizes = np.bincount(rows.reshape(-1) + 1, np.repeat(np.bincount(cls.class_of), n))[1:]
     keys = np.flatnonzero(sizes)
     remap = np.full(rows.size + 1, -1, dtype=_id_dtype(rows.size))  # its last entry maps -1 to -1
     remap[keys] = np.arange(len(keys))
-    i, j = np.asarray(cls.representatives)[keys // n], keys % n
+    i, j = cls.representatives[keys // n], keys % n
     taus = _bracket_traces(G, i, j).tolist() if G.kind == "psl2" else [None] * len(keys)
     orbits = tuple(map(OrbitRecord._make, zip(
         range(len(keys)),
@@ -320,38 +321,29 @@ def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> Orbit
         taus,
         G.orders[commutators(G, i, j)].tolist(),
     )))
-    parts = remap[rows], G.orders[cls.representatives]
-    for part in parts:
-        part.flags.writeable = False
-    return OrbitDecomposition(G, orbits, *parts)
-
-
-# group name -> (orbit records, rep rows, rep orders) of its Nielsen
-# decomposition; parts only, never a group or a decomposition, whose
-# dec.group would pin the group and its table for the life of the process
-_MEMO: dict[str, tuple[tuple[OrbitRecord, ...], np.ndarray, np.ndarray]] = {}
+    return (orbits, *_read_only(remap[rows], G.orders[cls.representatives]))
 
 
 def decompose_nielsen_orbits(G: FiniteGroup) -> OrbitDecomposition:
-    """Orbits of the generating pairs under the three Nielsen moves,
-    computed once per group name and process (`_MEMO`)."""
-    parts = _MEMO.get(G.name)
-    if parts is not None:
-        return OrbitDecomposition(G, *parts)
+    """Orbits of the generating pairs under the three Nielsen moves: a fresh
+    decomposition around the parts the group keeps (`_nielsen_parts`)."""
+    return OrbitDecomposition(G, *G.computed("nielsen", _nielsen_parts))
+
+
+def _nielsen_parts(G: FiniteGroup) -> tuple:
+    """The `_decompose` parts of the Nielsen rows, masked by one generation test per class."""
     n, cls = G.n, conjugacy_classes(G)
     rows = _rep_rows(G, cls, _nielsen_moves)
     keys = np.flatnonzero(np.bincount(rows[rows >= 0], minlength=rows.size))  # one per class
     generating = np.zeros(rows.size, dtype=bool)
-    generating[keys] = generates(G, np.asarray(cls.representatives)[keys // n], keys % n)
-    dec = _decompose(G, cls, np.where((rows >= 0) & generating[rows], rows, -1))
-    _MEMO[G.name] = dec.orbits, dec.rep_rows, dec.rep_orders
-    return dec
+    generating[keys] = generates(G, cls.representatives[keys // n], keys % n)
+    return _decompose(G, cls, np.where((rows >= 0) & generating[rows], rows, -1))
 
 
 def _key_pairs(dec: OrbitDecomposition, orbit_id: int) -> tuple[np.ndarray, np.ndarray]:
     """The orbit's keys as pairs (reps[k], y), rep_rows[k, y] == orbit_id."""
     k, y = np.nonzero(dec.rep_rows == orbit_id)
-    return np.asarray(conjugacy_classes(dec.group).representatives)[k], y
+    return conjugacy_classes(dec.group).representatives[k], y
 
 
 def orbit_tau(dec: OrbitDecomposition, orbit: OrbitRecord, check_members: int = 16) -> int:
@@ -400,21 +392,18 @@ def higman_check(dec: OrbitDecomposition, orbit: OrbitRecord) -> tuple[int, bool
 # ---------------------------------------------------------------------------
 
 
-# group name -> its outer automorphism permutations, read-only; computed
-# once per name, so the Aut and joint decompositions share them
-_AUT_PERMS: dict[str, tuple[np.ndarray, ...]] = {}
-
-
 def psl_automorphism_perms(G: FiniteGroup) -> tuple[np.ndarray, ...]:
     """The outer generators of Aut(PSL(2,q)) = PGammaL(2,q) as read-only
     index permutations: conjugation by diag(nu,1) for a non-square nu
     (odd q), and the Frobenius (k > 1).  Inner automorphisms fix every
     conjugation class of pairs, the orbit engine's nodes, so they are left
-    out.  Computed once per group name (`_AUT_PERMS`)."""
+    out.  Computed once per group (`_outer_perms`)."""
     if G.kind != "psl2":
         raise ValueError("automorphism action implemented for PSL(2,q) hosts")
-    if G.name in _AUT_PERMS:
-        return _AUT_PERMS[G.name]
+    return G.computed("aut_perms", _outer_perms)
+
+
+def _outer_perms(G: FiniteGroup) -> tuple[np.ndarray, ...]:
     f = G.field
     perms = []
     if f.q % 2 == 1:
@@ -425,10 +414,7 @@ def psl_automorphism_perms(G: FiniteGroup) -> tuple[np.ndarray, ...]:
     if f.k > 1:
         frob = np.array([f.pow(e, f.p) for e in range(f.q)])
         perms.append(entry_perm(G, lambda *entries: [frob[e] for e in entries]))
-    for perm in perms:
-        perm.flags.writeable = False
-    _AUT_PERMS[G.name] = tuple(perms)
-    return _AUT_PERMS[G.name]
+    return _read_only(*perms)
 
 
 def _aut_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
@@ -442,7 +428,8 @@ def aut_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
     as automorphisms preserve generation."""
     generating = decompose_nielsen_orbits(G).rep_rows >= 0
     cls = conjugacy_classes(G)
-    return _decompose(G, cls, np.where(generating, _rep_rows(G, cls, _aut_moves), -1))
+    rows = np.where(generating, _rep_rows(G, cls, _aut_moves), -1)
+    return OrbitDecomposition(G, *_decompose(G, cls, rows))
 
 
 def joint_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
@@ -466,7 +453,7 @@ def joint_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
         sizes[k] += o.size
     orbits = tuple(dec.orbits[r]._replace(orbit_id=k, size=sizes[k]) for k, r in enumerate(roots.tolist()))
     rows = remap[dec.rep_rows]
-    rows.flags.writeable = False
+    _read_only(rows)
     return OrbitDecomposition(G, orbits, rows, dec.rep_orders)
 
 

@@ -11,15 +11,15 @@ parameter names), which the CLI dispatches through.  `BATTERY` is the
 desk-scale battery as (claim id, parameters) entries in report order;
 `verify_all` runs each entry whose q, where it has one, is at most max_q.
 
-Groups are memoized per process by (builder, q, budget) in `psl` and
-`sl`; every driver reads a group's Nielsen orbits through
-`nielsen.decompose_nielsen_orbits`, which computes them once per group
-name.
+The drivers call the group builders, which return the one group kept
+for each q once its budget is checked, and read a group's Nielsen orbits
+through `nielsen.decompose_nielsen_orbits`, which computes them once per
+group.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
@@ -69,26 +69,6 @@ class ClaimReport:
         # shallow: json.dumps walks the nested evidence anyway, and a deep copy
         # of it costs more than the dump
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-# ---------------------------------------------------------------------------
-# shared builders (memoized per process and budget, so a smaller budget
-# meets the builder's check again)
-# ---------------------------------------------------------------------------
-
-
-def psl(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
-    return _built(build_psl2, q, pair_budget)
-
-
-def sl(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
-    return _built(build_sl2, q, pair_budget)
-
-
-@functools.lru_cache(maxsize=None)
-def _built(build, q: int, pair_budget: int) -> FiniteGroup:
-    # positional only, so every spelling of a psl/sl call shares one entry
-    return build(q, pair_budget)
 
 
 def gamma_orbits(G: FiniteGroup, _unused=None) -> tuple[OrbitDecomposition, bool]:
@@ -144,7 +124,7 @@ def _timed(claim_id: str, parameters: dict, t0: float, passed: bool, evidence: d
 def verify_trace_table(q: int, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     """Spectrum of trace invariants over generating pairs matches the table."""
     t0 = time.perf_counter()
-    G = psl(q, pair_budget)
+    G = build_psl2(q, pair_budget)
     dec = decompose_nielsen_orbits(G)
     spectrum = {o.tau for o in dec.orbits}
     expected = expected_trace_spectrum(q)
@@ -184,9 +164,9 @@ def verify_prop_key(q: int, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     t0 = time.perf_counter()
     if q % 4 != 3:
         raise PreconditionError(f"q = {q} is not congruent to 3 mod 4")
-    G = sl(q, pair_budget)
+    G = build_sl2(q, pair_budget)
     f = G.field
-    reps = np.asarray(conjugacy_classes(G).representatives)
+    reps = conjugacy_classes(G).representatives
     reps4 = reps[4 % G.orders[reps] == 0]
     suspects, witness = _bad_trace_scan(G, reps4, np.arange(G.n), {f.neg(f.two)})
     if witness is not None:
@@ -210,7 +190,7 @@ def _cube_in_center(G: FiniteGroup) -> np.ndarray:
 def _lemma_scan(q: int, bad_traces: set[int], pair_budget: int) -> tuple[bool, dict]:
     """Every pair (a, b) of elements with cube +-I whose commutator trace is
     in bad_traces must not generate SL(2,q); `_bad_trace_scan` finds the witness."""
-    G = sl(q, pair_budget)
+    G = build_sl2(q, pair_budget)
     qualifying = _cube_in_center(G)
     suspects, witness = _bad_trace_scan(G, qualifying, qualifying, bad_traces)
     if witness is not None:
@@ -232,7 +212,7 @@ def verify_lemma5(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     ok, evidence = _lemma_scan(5, {f5.neg(f5.two)}, pair_budget)
     # the permutation-level fact behind the lemma: in PSL(2,5) = Alt(5),
     # no commutator of two order-3 elements has order 5
-    G = psl(5, pair_budget)
+    G = build_psl2(5, pair_budget)
     order3 = np.flatnonzero(G.orders == 3)
     comm5 = int(np.count_nonzero(G.orders[commutators(G, order3[:, None], order3)] == 5))
     evidence["order3_commutators_of_order5"] = comm5
@@ -246,11 +226,11 @@ def verify_lemma7(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     f7 = field_for_q(7)
     ok, evidence = _lemma_scan(7, {f7.from_int(3), f7.neg(f7.from_int(3))}, pair_budget)
     # supporting facts used in the proof
-    G = sl(7, pair_budget)
+    G = build_sl2(7, pair_budget)
     pm3 = np.isin(_traces(G), [f7.from_int(3), f7.from_int(4)])
     orders8 = set(G.orders[pm3].tolist())
     evidence["orders_of_trace_pm3_elements"] = sorted(orders8)
-    P = psl(7, pair_budget)
+    P = build_psl2(7, pair_budget)
     images = P.matrix_indices(G.elements[pm3])
     psl_orders = set(P.orders[images].tolist())
     evidence["psl_image_orders"] = sorted(psl_orders)
@@ -274,8 +254,6 @@ def _theorem_mn(case: str, q: int, m: Optional[int]) -> tuple[int, int]:
             raise PreconditionError("case (iii) needs q = 3 mod 4, q != 3")
         if m is None or m < 1:
             raise PreconditionError("case (iii) needs m >= 1")
-        import math
-
         if not (m % p == 0 or math.gcd(m, (q + 1) // 2) >= 3 or math.gcd(m, (q - 1) // 2) >= 3):
             raise PreconditionError(
                 f"(m,q)=({m},{q}) fails: p|m or gcd(m,(q+1)/2)>=3 or gcd(m,(q-1)/2)>=3"
@@ -300,7 +278,7 @@ def verify_theorem(
     Nielsen orbit of its generating pairs is (m,n)-free."""
     t0 = time.perf_counter()
     mn = _theorem_mn(case, q, m)
-    G = psl(q, pair_budget)
+    G = build_psl2(q, pair_budget)
     dec = decompose_nielsen_orbits(G)
     flags = dec.mn_free_flags(*mn)
     free = [o for o in dec.orbits if flags[o.orbit_id]]
@@ -342,7 +320,7 @@ def verify_s2p2(q: int, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     f = field_for_q(q)
     if q % 2 == 0 or not (q % 4 == 1 or q >= 11):
         raise PreconditionError("needs odd q with q = 1 mod 4 or q >= 11")
-    G = psl(q, pair_budget)
+    G = build_psl2(q, pair_budget)
     dec = decompose_nielsen_orbits(G)
     s2p2 = f.squares_plus_two()
     flags = dec.mn_free_flags(2, f.p)
@@ -362,7 +340,7 @@ def verify_psl25_lift(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     Nielsen orbits contain a (2,5)-generating pair; plus the published
     representatives land in three distinct orbits."""
     t0 = time.perf_counter()
-    G = psl(5, pair_budget)
+    G = build_psl2(5, pair_budget)
     dec = decompose_nielsen_orbits(G)
     flags = dec.mn_free_flags(2, 5)
     all_liftable = not any(flags.values())
@@ -376,7 +354,7 @@ def verify_psl25_lift(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     orbit_ids = [dec.orbit_of(p).orbit_id for p in pair_ids]
     taus = [dec.orbit_of(p).tau for p in pair_ids]
     # the two tau=3 orbits are separated by SL(2,5) conjugacy of commutators
-    S = sl(5, pair_budget)
+    S = build_sl2(5, pair_budget)
     classes = conjugacy_classes(S)
     AC = S.index_of_matrix((A.inverse() * C.inverse()) * (A * C))
     BD = S.index_of_matrix((B.inverse() * D.inverse()) * (B * D))
@@ -427,7 +405,7 @@ def verify_remark(m: int, q: int, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimRepor
     the hypothesis of `_remark_precondition`."""
     t0 = time.perf_counter()
     _remark_precondition(m, q)
-    G = psl(q, pair_budget)
+    G = build_psl2(q, pair_budget)
     f = G.field
     dec = decompose_nielsen_orbits(G)
     flags = dec.mn_free_flags(2, m)
@@ -498,7 +476,7 @@ def verify_example_alt5(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     sizes {600,600,1080}; 19 automorphism orbits of size 120; joint
     orbits of sizes {1080,1200}."""
     t0 = time.perf_counter()
-    G = psl(5, pair_budget)
+    G = build_psl2(5, pair_budget)
     dec = decompose_nielsen_orbits(G)
     nielsen_sizes = sorted(o.size for o in dec.orbits)
     aut = aut_orbit_decomposition(G)
@@ -528,7 +506,7 @@ def verify_small_q_lifting(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     t0 = time.perf_counter()
     results = {}
     for q in (2, 3):
-        G = psl(q, pair_budget)
+        G = build_psl2(q, pair_budget)
         dec = decompose_nielsen_orbits(G)
         flags = dec.mn_free_flags(2, 3)
         results[q] = {

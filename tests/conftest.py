@@ -1,12 +1,11 @@
 import pytest
 
-from genlift import nielsen
+from genlift import groupcore
 
 
 @pytest.fixture(autouse=True)
-def empty_nielsen_memo():
-    """Each test starts without memoized Nielsen decompositions or
-    automorphism permutations, so it computes what it checks instead of
-    reading an earlier test's answer."""
-    nielsen._MEMO.clear()
-    nielsen._AUT_PERMS.clear()
+def empty_build_memo():
+    """Each test starts without kept groups, and so without the classes,
+    orbits and automorphism permutations they keep, so it computes what it
+    checks instead of reading an earlier test's answer."""
+    groupcore._BUILT.clear()

@@ -121,7 +121,7 @@ def test_m_or_n_below_one_is_refused_before_build(capsys, monkeypatch, argv):
     def no_build(*args):
         raise AssertionError("group built before m and n were checked")
 
-    monkeypatch.setattr(V, "_built", no_build)
+    monkeypatch.setattr(groupcore, "_kept", no_build)
     monkeypatch.setattr(groupcore, "_sl2_entries", no_build)
     code, out = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
@@ -245,12 +245,16 @@ def _strip_volatile(node):
     return node
 
 
-def test_cold_and_warm_memo_identical(capsys):
-    # the second run reads the Nielsen orbits the first one memoized
+def test_cold_and_warm_memo_identical(capsys, monkeypatch):
+    # the second run reads the group and Nielsen orbits the first one kept
+    def no_rebuild(*args):
+        raise AssertionError("the second run rebuilt what the first one kept")
+
     argv = ["verify", "thm-i", "--q", "7"]
     code1 = main(argv)
     cold = json.loads(capsys.readouterr().out)
-    assert "PSL(2,7)" in nielsen._MEMO
+    monkeypatch.setattr(groupcore, "_matrix_group", no_rebuild)
+    monkeypatch.setattr(nielsen, "_nielsen_parts", no_rebuild)
     code2 = main(argv)
     warm = json.loads(capsys.readouterr().out)
     assert code1 == code2 == EXIT_PASS

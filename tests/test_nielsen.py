@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genlift.nielsen
+from genlift import groupcore
 from genlift.fpgroups import group_from_coset_table, parse_presentation, todd_coxeter
 from genlift.groupcore import (
     _id_dtype,
@@ -199,12 +200,11 @@ def test_pair_classes_match_brute_force(build):
     # involution rows have four generators, and the Miller group has rows that
     # the first doubling pass leaves unfixed by some generator
     G = build()
-    cls = conjugacy_classes(G)
-    least, index = _pair_classes(G, cls)
+    least, index = _pair_classes(G)
     brute = pair_class_labels(G)
     assert np.array_equal(least[index].reshape(brute.shape), brute), G.name
     assert np.array_equal(least, np.flatnonzero(brute.reshape(-1) == np.arange(brute.size))), G.name
-    assert index.dtype == np.int32 and _pair_classes(G, cls)[1] is index  # kept, as int32
+    assert index.dtype == np.int32 and _pair_classes(G)[1] is index  # kept, as int32
 
 
 @pytest.mark.parametrize("build", TWO_STAGE_HOSTS)
@@ -519,6 +519,15 @@ def test_report_matrices_and_taus_match_scalar_formatting(q):
             assert entry["tau"] == G.field.format_element(o.tau), (q, o)
 
 
+def test_outer_generator_costs_one_unpack(monkeypatch):
+    # entry_perm maps the mapped entry arrays straight to indices, so the one
+    # full unpack per outer generator of PSL(2,9) is matrix_entries' read
+    G, sizes, real = build_psl2(9), [], groupcore._unpack
+    monkeypatch.setattr(groupcore, "_unpack", lambda packed, q: sizes.append(np.size(packed)) or real(packed, q))
+    assert len(psl_automorphism_perms(G)) == 2
+    assert sizes == [G.n, G.n]
+
+
 def test_automorphism_perms_computed_once_per_group(monkeypatch):
     # PSL(2,9) has both outer generators; Aut and joint share one computation,
     # also for a rebuild of the group
@@ -536,18 +545,43 @@ def test_automorphism_perms_computed_once_per_group(monkeypatch):
 
 
 def test_decomposition_parts_are_read_only():
-    G = build_psl2(7)
-    fresh = decompose_nielsen_orbits(G)
-    for dec in (fresh, aut_orbit_decomposition(G), joint_orbit_decomposition(G)):
-        assert isinstance(dec.orbits, tuple)
-        with pytest.raises(ValueError, match="read-only"):
-            dec.rep_rows[0, 0] = 0
-        with pytest.raises(AttributeError):  # records are named tuples
-            dec.orbits[0].size = 0
-        with pytest.raises(ValueError, match="read-only"):
-            dec.rep_orders[0] = 0
-    records, rows, orders = genlift.nielsen._MEMO[G.name]
-    assert records is fresh.orbits and not (rows.flags.writeable or orders.flags.writeable)
+    # a group is shared by every caller in the process: its arrays, and the
+    # classes, classes of pairs and Nielsen parts it keeps, are read-only
+    q8 = _presented("gens: a b\nrels: a^4 a^2b^-2 b^-1aba")
+    for G in (build_psl2(7), build_sl2(5), build_dihedral(5), q8()):
+        fresh = decompose_nielsen_orbits(G)
+        decs = [fresh] + ([aut_orbit_decomposition(G), joint_orbit_decomposition(G)] if G.kind == "psl2" else [])
+        for dec in decs:
+            assert isinstance(dec.orbits, tuple)
+            with pytest.raises(ValueError, match="read-only"):
+                dec.rep_rows[0, 0] = 0
+            with pytest.raises(AttributeError):  # records are named tuples
+                dec.orbits[0].size = 0
+            with pytest.raises(ValueError, match="read-only"):
+                dec.rep_orders[0] = 0
+        again = decompose_nielsen_orbits(G)
+        assert again is not fresh and again.orbits is fresh.orbits and again.rep_rows is fresh.rep_rows
+        cls = conjugacy_classes(G)
+        shared = [G.mult, G.inv, G.orders, cls.class_of, cls.representatives, cls.conjugator, *_pair_classes(G)]
+        for array in shared + ([] if G.elements is None else [G.elements]):
+            with pytest.raises(ValueError, match="read-only"):
+                array.reshape(-1)[0] = 0
+
+
+def test_rebuild_reuses_classes_and_stage_1(monkeypatch):
+    # a second build_psl2(13) is the kept group: Aut and joint on it walk no
+    # conjugacy classes and fold no orbit minima, as the Nielsen orbits kept both
+    calls = []
+    for module, name in ((groupcore, "_class_walk"), (genlift.nielsen, "_orbit_minima")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda G, name=name, real=real: calls.append(name) or real(G))
+    G = build_psl2(13)
+    decompose_nielsen_orbits(G)
+    assert calls == ["_class_walk", "_orbit_minima"]
+    assert build_psl2(13) is G
+    assert len(aut_orbit_decomposition(build_psl2(13)).orbits) == 495
+    assert len(joint_orbit_decomposition(build_psl2(13)).orbits) == 12
+    assert calls == ["_class_walk", "_orbit_minima"]
 
 
 def test_orbit_of_refuses_entries_outside_the_group():

@@ -1,6 +1,4 @@
-import functools
 import json
-import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +7,7 @@ from genlift import nielsen
 from genlift import verify as V
 from genlift.field import field_for_q
 from genlift.fpgroups import group_from_coset_table, parse_presentation, todd_coxeter
-from genlift.groupcore import PairBudgetExceeded, build_dihedral, build_psl2
+from genlift.groupcore import PairBudgetExceeded, build_dihedral, build_psl2, build_sl2
 from genlift.nielsen import (
     aut_orbit_decomposition,
     decompose_nielsen_orbits,
@@ -119,35 +117,35 @@ def test_remark_budget():
 
 
 def test_smaller_budget_refused_after_memo_hit():
-    # the group memos are keyed on the budget, so an earlier default-budget
-    # build must not let a smaller budget through
-    decompose_nielsen_orbits(V.psl(7))
-    with pytest.raises(PairBudgetExceeded):
-        V.psl(7, pair_budget=10)
-    V.sl(7)
-    with pytest.raises(PairBudgetExceeded):
-        V.sl(7, pair_budget=10)
+    # the build memo keys on (builder, argument), not on the budget, so every
+    # call checks its own: a kept group must not let a smaller budget through
+    decompose_nielsen_orbits(build_psl2(7))
+    for build in (build_psl2, build_sl2, build_dihedral):
+        build(7)
+        with pytest.raises(PairBudgetExceeded):
+            build(7, pair_budget=10)
     check(V.verify_dihedral(5), "dihedral")
     with pytest.raises(PairBudgetExceeded):
         V.verify_dihedral(5, pair_budget=10)
 
 
 def test_group_memo_shares_one_build_per_spelling():
-    for memo in (V.psl, V.sl):
-        G = memo(7)
-        assert memo(7, V.DEFAULT_PAIR_BUDGET) is G
-        assert memo(7, pair_budget=V.DEFAULT_PAIR_BUDGET) is G
+    # every spelling of a call, and every budget that admits the group, gets one build
+    for build in (build_psl2, build_sl2, build_dihedral):
+        G = build(7)
+        assert build(7, V.DEFAULT_PAIR_BUDGET) is G
+        assert build(7, pair_budget=V.DEFAULT_PAIR_BUDGET) is G
+        assert build(7, pair_budget=10**9) is G
 
 
-def test_sl_drivers_leave_the_matrix_labels_unbuilt(monkeypatch):
+def test_sl_drivers_leave_the_matrix_labels_unbuilt():
     # the SL drivers compute on entry arrays, not on one matrix object per element;
-    # a fresh group memo, as other tests read the labels of the shared groups
-    monkeypatch.setattr(V, "_built", functools.lru_cache(maxsize=None)(V._built.__wrapped__))
+    # the test starts with no kept groups, so these are the drivers' own builds
     check(V.verify_prop_key(7), "prop-key")
     check(V.verify_prop_key(11), "prop-key")
     check(V.verify_lemma5(), "lemma5")
     check(V.verify_lemma7(), "lemma7")
-    for G in (V.sl(5), V.sl(7), V.sl(11), V.psl(5), V.psl(7)):
+    for G in (build_sl2(5), build_sl2(7), build_sl2(11), build_psl2(5), build_psl2(7)):
         assert "labels" not in G.__dict__, G.name
 
 
@@ -167,7 +165,7 @@ def test_lemma_scan_matches_scalar_scan(q):
     results = []
     for bad in lemma_sets + [{t} for t in singles]:
         results.append(V._lemma_scan(q, bad, V.DEFAULT_PAIR_BUDGET))
-        assert results[-1] == lemma_scan_scalar(V.sl(q), bad), bad
+        assert results[-1] == lemma_scan_scalar(build_sl2(q), bad), bad
     assert any(ok for ok, _ in results) and any(not ok for ok, _ in results)
 
 
@@ -260,22 +258,9 @@ def test_claims_look_their_drivers_up_when_called(monkeypatch):
     assert calls[1:] == [("i",), ("i",), ("iv",)]
 
 
-def test_memo_pins_no_group():
-    # the memo keeps records and rep rows, so a group the caller drops, with
-    # its decomposition, is freed at once, and a rebuild still hits the memo
-    G = build_psl2(7)
-    dec = decompose_nielsen_orbits(G)
-    records, ref = dec.orbits, weakref.ref(G)
-    del G, dec
-    assert ref() is None
-    G = build_psl2(7)
-    dec = decompose_nielsen_orbits(G)
-    assert dec.group is G and dec.orbits is records
-
-
 def test_rebuilt_group_reports_only_the_requested_columns():
-    # the memo shares records and rep rows with every rebuild of the group,
-    # so flags asked for earlier must not show up in a later report
+    # a rebuild is the kept group, whose records and rep rows every
+    # decomposition shares, so flags asked for earlier must not show up in a later report
     dec = decompose_nielsen_orbits(build_psl2(7))
     dec.mn_free_flags(2, 3)
     dec.mn_free_flags(3, 3)
@@ -287,7 +272,7 @@ def test_rebuilt_group_reports_only_the_requested_columns():
 
 
 def test_queries_leave_the_dense_labels_unbuilt():
-    G = V.psl(7)
+    G = build_psl2(7)
     for _computed_then_memoized in range(2):
         dec = decompose_nielsen_orbits(G)
         dec.report(mn_pairs=((2, 3), (3, 3)))
@@ -312,39 +297,37 @@ def test_orbit_queries_leave_the_matrix_labels_unbuilt():
 
 
 def test_coset_groups_get_their_own_orbits():
-    # the memo keys on the group name, so two coset-table groups must not
-    # share one; the same table gives the same name
+    # nothing is kept by group name: Q8 and D8 are both fp-group-8, and a
+    # second group from the same table computes its own orbits, equal ones
     presentations = {
         "Q8": "gens: a b\nrels: a^4 a^2b^-2 b^-1aba",
         "D8": "gens: x y\nrels: x^4 y^2 (xy)^2",
         "S3": "gens: x y\nrels: x^3 y^2 (xy)^2",
     }
-    names = set()
+    names, orders = set(), set()
     for label, text in presentations.items():
         table = todd_coxeter(parse_presentation(text))
         G = group_from_coset_table(table)
         dec = decompose_nielsen_orbits(G)
-        nielsen._MEMO.clear()  # so that fresh is computed, not read back from the memo
         fresh = decompose_nielsen_orbits(group_from_coset_table(table))
-        assert dec.group is G, label
+        assert dec.group is G and fresh.rep_rows is not dec.rep_rows, label
         assert np.array_equal(dec.rep_rows, fresh.rep_rows), label
         assert [(o.size, o.canonical_rep, o.commutator_order) for o in dec.orbits] == [
             (o.size, o.canonical_rep, o.commutator_order) for o in fresh.orbits
         ], label
         assert dec.gamma_size() == fresh.gamma_size() <= G.n**2, label
-        assert group_from_coset_table(table).name == G.name
         names.add(G.name)
-    assert len(names) == 3
+        orders.add(tuple(dec.rep_orders.tolist()))
+    assert names == {"fp-group-8", "fp-group-6"} and len(orders) == 3
 
 
 def test_rebuilt_group_gets_its_own_decomposition(monkeypatch):
-    # a memo hit for a rebuilt group wraps the stored parts for that group,
-    # so its Aut and joint orbits run no Nielsen search
+    # a rebuild is the kept group, and each call wraps its kept Nielsen parts
+    # in a fresh decomposition, so its Aut and joint orbits run no Nielsen search
     first = decompose_nielsen_orbits(build_psl2(13))
     G = build_psl2(13)
     dec = decompose_nielsen_orbits(G)
-    assert dec.group is G
-    assert np.array_equal(dec.rep_rows, first.rep_rows)
+    assert first.group is G and dec is not first and dec.rep_rows is first.rep_rows
     rep_rows, actions = nielsen._rep_rows, []
 
     def counted(G, cls, moves):
