@@ -11,9 +11,13 @@ that runs P closures in lockstep on the flat ids p * n + e: one step
 reads the products of every row's generators with that row's frontier
 and dedupes the new ids by sorting.  A generation test (`generates`,
 elementwise over index arrays) stops a row once it has reached more
-than n/2 elements, as a subgroup of index below 2 is G.  The
-centralizer generators of the class representatives are picked in
-lockstep rounds of it; a cyclic centralizer needs no round.
+than n/2 elements, as a subgroup of index below 2 is G.  On PSL(2,q),
+q >= 3, the trace triple (tr a, tr b, tr ab) of sign representatives
+(`fricke_traces`) first rules out the reducible, dihedral and subfield
+pairs with no closure (`_may_generate`); what is left generates G, A4,
+S4 or A5, so its row stops past min(60, n/2) elements.  The centralizer
+generators of the class representatives are picked in lockstep rounds of
+`_closures`; a cyclic centralizer needs no round.
 
 Dihedral and coset-table groups store the dense n x n table.  SL and PSL
 store only the product and conjugation rows of three factor sets, as
@@ -58,7 +62,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .field import GF, TABLE_LIMIT, field_for_q
+from .field import GF, TABLE_LIMIT, field_for_q, is_prime
 from .matrices import Mat2, PslElement
 
 DEFAULT_PAIR_BUDGET = 2 * 10**7
@@ -616,7 +620,7 @@ def _dihedral(m: int) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-def _closures(G: FiniteGroup, gens, generation: bool = False) -> np.ndarray:
+def _closures(G: FiniteGroup, gens, stop: Optional[int] = None) -> np.ndarray:
     """The subgroups <gens[p]> of P generator rows (a P x k index array;
     pad a short row with the identity), by one breadth-first search from
     the identity that runs every row in lockstep.
@@ -628,17 +632,17 @@ def _closures(G: FiniteGroup, gens, generation: bool = False) -> np.ndarray:
     generators reaches exactly the generated subgroup, since every
     generator has finite order.  Rows run _BLOCK_ENTRIES // n at a time.
 
-    Returns the P x n membership masks, or with `generation` whether each
-    row generates G: such a row stops once it has reached more than n/2
-    elements, since a subgroup of index below 2 is G itself.
+    Returns the P x n membership masks, or given a stop size whether each
+    row's subgroup has more than `stop` elements: such a row stops once
+    it has reached stop + 1 of them.
     """
     n = G.n
     gens = np.asarray(gens, dtype=np.intp)
-    out = np.zeros(len(gens) if generation else (len(gens), n), dtype=bool)
+    out = np.zeros(len(gens) if stop is not None else (len(gens), n), dtype=bool)
     block = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, len(gens), block):
         rows = gens[lo : lo + block]
-        if generation:
+        if stop is not None:
             visited = np.zeros(len(rows) * n, dtype=bool)
         else:  # the masks are filled in place, through a view of these rows of out
             visited = out[lo : lo + block].reshape(-1)
@@ -656,12 +660,12 @@ def _closures(G: FiniteGroup, gens, generation: bool = False) -> np.ndarray:
             keep[1:] = ids[1:] != ids[:-1]
             frontier = ids[keep]
             visited[frontier] = True
-            if generation:
+            if stop is not None:
                 row = frontier // n
                 size += np.bincount(row, minlength=len(rows))
-                frontier = frontier[2 * size[row] <= n]
-        if generation:
-            out[lo : lo + block] = 2 * size > n
+                frontier = frontier[size[row] <= stop]
+        if stop is not None:
+            out[lo : lo + block] = size > stop
     return out
 
 
@@ -679,9 +683,71 @@ def commutators(G: FiniteGroup, i, j) -> np.ndarray:
 
 def generates(G: FiniteGroup, a, b) -> np.ndarray:
     """Whether <a, b> = G, elementwise over broadcast index arrays: all
-    the pairs' closures in one call of `_closures`."""
+    the pairs' closures in one call of `_closures`, each stopped once it
+    has more than n/2 elements, as a subgroup of index below 2 is G.
+
+    On PSL(2,q), q >= 3, the trace triple decides first (`_may_generate`):
+    a pair it rules out takes no closure, and every other pair generates
+    G, A4, S4 or A5, so its closure stops past min(60, n/2) elements.
+    PSL(2,2) = S3 is itself dihedral, so it takes closures only."""
     a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-    return _closures(G, np.stack([a.reshape(-1), b.reshape(-1)], axis=1), True).reshape(a.shape)
+    pairs = np.stack([a.reshape(-1), b.reshape(-1)], axis=1)
+    live, stop = np.arange(len(pairs)), G.n // 2
+    if G.kind == "psl2" and G.field.q > 2:
+        live = np.flatnonzero(_may_generate(G, *fricke_traces(G, pairs[:, 0], pairs[:, 1])))
+        stop = min(60, stop)
+    out = np.zeros(len(pairs), dtype=bool)
+    out[live] = _closures(G, pairs[live], stop)
+    return out.reshape(a.shape)
+
+
+def fricke_traces(G: FiniteGroup, i, j) -> tuple[np.ndarray, ...]:
+    """(x, y, z, tau) of the PSL(2,q) pairs (i, j), elementwise over index
+    arrays: the traces x = tr A, y = tr B and z = tr AB of their sign
+    representatives A and B, and the Fricke invariant
+    tau = tr [A, B] = x^2 + y^2 + z^2 - xyz - 2.  Flipping the sign of A
+    or B flips x or y and z, which leaves tau, x^2, y^2, z^2 and xyz alone."""
+    f = G.field
+    add, mul = f.add_table, f.mul_table
+    (ai, bi, ci, di), (aj, bj, cj, dj) = matrix_entries(G, i), matrix_entries(G, j)
+    x, y = add[ai, di], add[aj, dj]
+    z = add[add[mul[ai, aj], mul[bi, cj]], add[mul[ci, bj], mul[di, dj]]]
+    squares = add[add[mul[x, x], mul[y, y]], mul[z, z]]
+    return x, y, z, add[squares, f.neg_table[add[mul[mul[x, y], z], f.two]]]
+
+
+def _may_generate(G: FiniteGroup, x, y, z, tau) -> np.ndarray:
+    """False where the trace triple puts the pair in a proper subgroup of
+    PSL(2,q), q >= 3, by Dickson's list of subgroups (Macbeath, "Generators
+    of the linear fractional groups", 1969):
+    - tau = 2: A and B share an eigenvector, so the pair is in a Borel
+      subgroup or a torus;
+    - two of x, y, z are 0: two of a, b, ab are involutions (or 1), which
+      generate a dihedral group;
+    - x^2, y^2, z^2 and xyz all lie in one proper subfield GF(p^m), and so
+      in a maximal one: the pair is in a conjugate of PGL(2,p^m).
+    True leaves G, A4, S4 and A5."""
+    f = G.field
+    mul = f.mul_table
+    out = (tau != f.two) & ((x == 0).astype(np.int8) + (y == 0) + (z == 0) < 2)
+    x2, y2, z2, xyz = mul[x, x], mul[y, y], mul[z, z], mul[mul[x, y], z]
+    for sub in G.computed("subfields", _maximal_subfields):
+        out &= ~(sub[x2] & sub[y2] & sub[z2] & sub[xyz])
+    return out
+
+
+def _maximal_subfields(G: FiniteGroup) -> list[np.ndarray]:
+    """Membership masks over the field of G of its maximal proper subfields
+    GF(s), s = p^(k/r) for each prime factor r of k: e lies in GF(s) when
+    e^s = e, the powers read off the multiplication table."""
+    f, e = G.field, np.arange(G.field.q)
+    masks = []
+    for s in (f.p ** (f.k // r) for r in range(2, f.k + 1) if f.k % r == 0 and is_prime(r)):
+        power = e
+        for _ in range(s - 1):
+            power = f.mul_table[power, e]
+        masks.append(power == e)
+    return masks
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
@@ -760,9 +826,8 @@ def is_mn_generated(G: FiniteGroup, m: int, n: int) -> bool:
 
     g1 only runs over conjugacy class representatives; generation is
     invariant under simultaneous conjugation and g2 runs over everything,
-    one `generates` call per g1.
+    the whole grid in one `generates` call.
     """
-    classes = conjugacy_classes(G)
-    cands1 = [g for g in classes.representatives if m % G.orders[g] == 0]
-    cands2 = np.flatnonzero(n % G.orders == 0)
-    return any(generates(G, g1, cands2).any() for g1 in cands1)
+    reps = conjugacy_classes(G).representatives
+    first, second = reps[m % G.orders[reps] == 0], np.flatnonzero(n % G.orders == 0)
+    return bool(generates(G, first[:, None], second).any())

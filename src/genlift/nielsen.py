@@ -24,11 +24,12 @@ with the moves: components over the Nielsen orbit ids, with no
 pair-level work.
 
 Generation is decided for every Nielsen class by one `generates` call
-on the least members.  Aut keeps its components inside generating
-Nielsen classes, as automorphisms preserve generation.  The group keeps
-(`FiniteGroup.computed`) its classes of pairs, outer automorphism
-permutations and Nielsen parts (records, rep rows, representative
-orders), all read-only; each Nielsen call, Aut and joint among them,
+on the least members: on PSL(2,q) most of them by their trace triples,
+the rest by closures that stop past 60 elements.  Aut keeps its
+components inside generating Nielsen classes, as automorphisms preserve
+generation.  The group keeps (`FiniteGroup.computed`) its classes of
+pairs, outer automorphism permutations and Nielsen parts (records, rep
+rows, representative orders), all read-only; each Nielsen call, Aut and joint among them,
 wraps the parts in a fresh decomposition.  Aut and joint orbits are not
 kept.  `mn_free_flags` reads the rep rows on every call; one vectorized
 map from pairs to their keys (`_pair_keys`) serves the move edges and
@@ -37,7 +38,8 @@ map from pairs to their keys (`_pair_keys`) serves the move edges and
 Products and conjugates are read through `FiniteGroup.mul` and
 `FiniteGroup.conj`, elementwise over index arrays.  Orbit records come
 from arrays: commutator orders by products, and for PSL(2,q) trace
-invariants by the Fricke identity on the entries of the rep pairs.
+invariants by the Fricke identity on the entries of the rep pairs
+(`groupcore.fricke_traces`, whose trace triples also decide generation).
 `higman_check` and `orbit_tau` read an orbit's keys, never its members:
 a member is a conjugate of its key's pair, with a conjugate commutator
 and the same tau; `orbit_tau` re-derives tau by scalar matrix
@@ -55,7 +57,7 @@ import numpy as np
 
 from .groupcore import (
     _BLOCK_ENTRIES, ConjugacyClasses, FiniteGroup, _id_dtype, _read_only, centralizer_generators,
-    commutators, conjugacy_classes, entry_perm, generates, matrix_entries,
+    commutators, conjugacy_classes, entry_perm, fricke_traces, generates, matrix_entries,
 )
 from .matrices import PslElement, format_matrix, trace_invariant
 
@@ -288,19 +290,6 @@ def _pair_keys(G: FiniteGroup, cls: ConjugacyClasses, a, b) -> np.ndarray:
     return np.multiply(cls.class_of[a], G.n, dtype=np.int64) + y
 
 
-def _bracket_traces(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """tr [A, B] for the PSL(2,q) pairs (i, j), by the Fricke identity
-    tr [A, B] = tA^2 + tB^2 + tAB^2 - tA tB tAB - 2 on sign representatives;
-    flipping the sign of A or B flips tA or tB and tAB, which it leaves alone."""
-    f = G.field
-    add, mul, neg = f.add_table, f.mul_table, f.neg_table
-    (ai, bi, ci, di), (aj, bj, cj, dj) = matrix_entries(G, i), matrix_entries(G, j)
-    tA, tB = add[ai, di], add[aj, dj]
-    tAB = add[add[mul[ai, aj], mul[bi, cj]], add[mul[ci, bj], mul[di, dj]]]
-    squares = add[add[mul[tA, tA], mul[tB, tB]], mul[tAB, tAB]]
-    return add[squares, neg[add[mul[mul[tA, tB], tAB], f.two]]]
-
-
 def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> tuple:
     """Read-only (records, rep rows, rep orders) of the orbits given by rep
     rows of generating classes, each labelled by its least key (-1 outside),
@@ -313,7 +302,7 @@ def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> tuple
     remap = np.full(rows.size + 1, -1, dtype=_id_dtype(rows.size))  # its last entry maps -1 to -1
     remap[keys] = np.arange(len(keys))
     i, j = cls.representatives[keys // n], keys % n
-    taus = _bracket_traces(G, i, j).tolist() if G.kind == "psl2" else [None] * len(keys)
+    taus = fricke_traces(G, i, j)[3].tolist() if G.kind == "psl2" else [None] * len(keys)
     orbits = tuple(map(OrbitRecord._make, zip(
         range(len(keys)),
         sizes[keys].astype(np.int64).tolist(),

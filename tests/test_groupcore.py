@@ -310,12 +310,13 @@ def test_lockstep_closures_odd_rows():
     # identity padding and repeated generators leave every row's subgroup alone
     padded = np.column_stack([pairs, np.full(len(pairs), e), pairs[:, :1]])
     assert np.array_equal(groupcore._closures(G, padded), plain)
-    assert np.array_equal(groupcore._closures(G, pairs, True), plain.all(axis=1))
+    assert np.array_equal(groupcore._closures(G, pairs, G.n // 2), plain.all(axis=1))
+    assert np.array_equal(groupcore._closures(G, pairs, 11), plain.sum(axis=1) > 11)
     for p, row in zip(pairs, plain):
         assert np.array_equal(row, closure_mask_oracle(G, p))
     # no rows, and rows without generators
     assert groupcore._closures(G, np.empty((0, 2), dtype=int)).shape == (0, G.n)
-    assert groupcore._closures(G, np.empty((0, 2), dtype=int), True).shape == (0,)
+    assert groupcore._closures(G, np.empty((0, 2), dtype=int), G.n // 2).shape == (0,)
     assert generates(G, np.empty(0, dtype=int), 3).shape == (0,)
     bare = groupcore._closures(G, np.empty((3, 0), dtype=int))
     assert np.array_equal(np.flatnonzero(bare), [e, G.n + e, 2 * G.n + e])
@@ -333,6 +334,7 @@ def test_index_two_subgroups_do_not_generate():
     C8 = build_cyclic(8)
     assert not generates(C8, 2, 4) and not generates(C8, 6, 6) and not generates(C8, 2, 6)
     assert generates(C8, 2, 3) and generates(C8, 0, 5) and not generates(C8, 0, 4)
+    assert generates(build_cyclic(1), 0, 0)  # a stop of |G|/2 = 0 elements still decides
 
 
 def test_dihedral_structure():
