@@ -104,8 +104,7 @@ def test_subfield_pairs_do_not_generate(q, sub):
     # PSL(2,sub), the elements with entries in GF(sub): every pair of them is
     # ruled out by its traces, and some pair generates all of PSL(2,sub)
     G = _psl(q)
-    e = np.arange(q)
-    in_sub = np.array([G.field.pow(v, sub) == v for v in e.tolist()])
+    in_sub = np.array([G.field.pow(v, sub) == v for v in range(q)])
     elts = np.flatnonzero(np.logical_and.reduce([in_sub[v] for v in matrix_entries(G)]))
     assert len(elts) == psl2_order(sub)
     a, b = np.broadcast_arrays(elts[:, None], elts)
