@@ -110,7 +110,6 @@ class GF:
         self.zero = 0
         self.one = self.from_int(1)
         self.two = self.from_int(2)
-        self.minus_one = self.neg(self.one)
         if self.q <= TABLE_LIMIT:
             self._build_tables()
         else:
@@ -118,6 +117,7 @@ class GF:
             self.mul_table = None
             self.neg_table = None
             self.inv_table = None
+        self.minus_one = self.neg(self.one)
 
     # -- construction helpers --
 
@@ -206,7 +206,7 @@ class GF:
         return self._add_scalar(a, b)
 
     def neg(self, a: int) -> int:
-        if getattr(self, "neg_table", None) is not None:
+        if self.neg_table is not None:
             return int(self.neg_table[a])
         return self._neg_scalar(a)
 

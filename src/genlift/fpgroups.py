@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groupcore import DEFAULT_PAIR_BUDGET, FiniteGroup, _cayley_table, _read_only, check_pair_budget
+import numpy as np
+
+from .groupcore import DEFAULT_PAIR_BUDGET, FiniteGroup, _read_only, _table_dtype, check_pair_budget
 
 Letter = tuple[int, int]  # (generator index, +1 or -1)
 
@@ -388,34 +390,48 @@ def _verify_table(table: CosetTable, pres: Presentation, subgroup_gens: Sequence
 def group_from_coset_table(
     table: CosetTable, pair_budget: int = DEFAULT_PAIR_BUDGET
 ) -> FiniteGroup:
-    """Regular representation from an enumeration over the trivial subgroup."""
-    n = table.coset_count
-    check_pair_budget(n, pair_budget)
-    # representative word per coset, by BFS over generator actions from coset 0
-    rep_words: list[Word | None] = [None] * n
-    rep_words[0] = Word(())
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for g in range(table.generator_count):
-                for e in (1, -1):
-                    d = table.action[c][table.column(g, e)]
-                    if rep_words[d] is None:
-                        rep_words[d] = rep_words[c] * Word(((g, e),))
-                        nxt.append(d)
-        frontier = nxt
-    if any(w is None for w in rep_words):
-        raise ValueError("coset table is not transitive; not an enumeration over 1")
-    # row i maps coset j to i * rep_words[j]: the product of elements i and j
-    mult = _cayley_table(n, 0, lambda i: [table.trace(i, w) for w in rep_words])
-    # right multiplication by each generator must be its action on the cosets
-    for col in range(2 * table.generator_count):
-        if mult[:, table.action[0][col]].tolist() != [row[col] for row in table.action]:
-            raise ValueError("coset table does not define a regular representation")
-    G = FiniteGroup(f"fp-group-{n}", mult, 0, kind="coset")
+    """Regular representation from an enumeration over the trivial subgroup (`_regular_rows`)."""
+    check_pair_budget(table.coset_count, pair_budget)
+    G = FiniteGroup(f"fp-group-{table.coset_count}", _regular_rows(table), 0, kind="coset")
     _read_only(G.mult, G.inv, G.orders)
     return G
+
+
+def _regular_rows(table: CosetTable) -> np.ndarray:
+    """The dense table of the group that a coset table over the trivial
+    subgroup enumerates, coset c the element g_c with 0 g_c = c.
+
+    A breadth-first spanning tree from coset 0 reaches every other coset
+    d = c x, x the letter of column col (act[col, c] = c x).  Down the tree
+    come first the letters' left multiplication rows, y g_d = (y g_c) x,
+    then the table's rows, g_d g_y = g_c (x g_y): row c read through
+    left[col], one contiguous gather per coset.
+
+    ValueError, before the table is allocated, if the table is not
+    transitive or its action is not regular; a transitive action is
+    regular when the letters' left rows commute with it, as they then
+    generate a transitive centralizer."""
+    n, act = table.coset_count, np.array(table.action, dtype=np.intp).T
+    tree, seen = [(0, 0, 0)], [True] + [False] * (n - 1)  # (d, c, col), d = c x, coset 0 first
+    for c, _, _ in tree:  # the tree grows as the search goes
+        for col, d in enumerate(table.action[c]):
+            if not seen[d]:
+                seen[d] = True
+                tree.append((d, c, col))
+    if len(tree) < n:
+        raise ValueError("coset table is not transitive; not an enumeration over 1")
+    left = np.empty_like(act)
+    left[:, 0] = act[:, 0]
+    for d, c, col in tree[1:]:
+        left[:, d] = act[col].take(left[:, c])
+    if (left[:, act] != act[:, left].swapaxes(0, 1)).any():  # y (c x) != (y c) x for some y, c, x
+        raise ValueError("coset table does not define a regular representation")
+    mult = np.empty((n, n), dtype=_table_dtype(n))
+    mult[0] = np.arange(n)
+    for d, c, col in tree[1:]:
+        # every index is in range; mode "raise" would buffer the output
+        mult[c].take(left[col], out=mult[d], mode="clip")
+    return mult
 
 
 # ---------------------------------------------------------------------------

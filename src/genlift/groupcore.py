@@ -19,15 +19,17 @@ S4 or A5, so its row stops past min(60, n/2) elements.  The centralizer
 generators of the class representatives are picked in lockstep rounds of
 `_closures`; a cyclic centralizer needs no round.
 
-Dihedral and coset-table groups store the dense n x n table.  SL and PSL
-store only the product and conjugation rows of three factor sets, as
-every element factors as x = u t s (`_matrix_group`): 0.63 MB at q = 19
-where the dense table took 22.3 MB.  Every builder computes the rows of
-a few generators directly and composes the others, row[p s] =
-row[p][row[s]], a bounded block of rows at a time: by doubling
-(`_double_rows`) where the places of products are known in closed form,
-breadth-first from each generator's powers otherwise (`_compose_rows`).
-Table entries are int16 up to 2^15 elements, int32 beyond
+Dihedral and coset-table groups store the dense n x n table, written
+straight from its definition: the dihedral table as four quadrants of
+index sums and differences mod m (`_dihedral`), a coset-table group's
+rows down a spanning tree of the enumeration (`fpgroups._regular_rows`).
+SL and PSL store only the product and conjugation rows of three factor
+sets, as every element factors as x = u t s (`_matrix_group`): 0.63 MB
+at q = 19 where the dense table took 22.3 MB.  Their builder computes
+the rows of a few generators directly and composes the others by
+doubling, row[p s] = row[p][row[s]], a bounded block of rows at a time
+(`_double_rows`), as the places of their products are known in closed
+form.  Table entries are int16 up to 2^15 elements, int32 beyond
 (`_table_dtype`); stored orbit, key and pair ids are int32 while they
 fit, int64 beyond (`_id_dtype`).  A dense group walks the powers of all
 its elements for their orders and inverses; a matrix group reads them
@@ -61,6 +63,7 @@ import functools
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import GF, TABLE_LIMIT, field_for_q, is_prime
 from .matrices import Mat2, PslElement
@@ -243,7 +246,7 @@ def _read_only(*arrays: Optional[np.ndarray]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-# entries per block: table composition, `_closures` and `derived_series` work
+# entries per block: `_double_rows`, `_closures` and `derived_series` work
 # _BLOCK_ENTRIES // n rows at a time, so no step allocates an n x n temporary
 _BLOCK_ENTRIES = 1 << 18
 
@@ -260,68 +263,6 @@ def _id_dtype(bound: int) -> type:
     bound < 2^31, int64 from there.  Gather indices stay intp, since
     numpy converts a narrower index array on every take."""
     return np.int32 if bound < 1 << 31 else np.int64
-
-
-def _compose_rows(rows: np.ndarray, members: np.ndarray, identity: int, row_of: Callable) -> None:
-    """Fill rows[i] with the left multiplication row of members[i] (row x
-    is x y for every y), for the members of one subgroup.
-
-    Each generator is the first member, in the order given, that has no
-    row yet, and `row_of(g)` computes its row directly.  Every other row
-    is composed by right multiplication inside the subgroup,
-    row[p s] = row[p][row[s]], the product p s read at column s of the
-    rows: first the powers of the new generator, one row at a time, then
-    breadth-first from every member reached so far.  The index is
-    generator s's row, widened to intp once, and the source rows are read
-    through it a block at a time into one reused buffer, then written
-    straight into `rows`.
-    """
-    n = rows.shape[1]
-    local = np.full(n, -1, dtype=np.intp)  # element -> its place in members
-    local[members] = np.arange(len(members))
-    rows[local[identity]] = np.arange(n)
-    done = np.zeros(len(members), dtype=bool)
-    done[local[identity]] = True
-    block = max(1, _BLOCK_ENTRIES // n)
-    buf = np.empty((block, n), dtype=rows.dtype)
-    gens: list[tuple[int, np.ndarray]] = []  # (generator, its row as intp)
-    while not done.all():
-        s = int(np.argmin(done))
-        rows[s] = row_of(int(members[s]))
-        done[s] = True
-        g, g_row = int(members[s]), rows[s].astype(np.intp)
-        gens.append((g, g_row))
-        # the new generator's powers first, a row each, so a cyclic subgroup
-        # takes no breadth-first step per member
-        p, power = s, local[rows[s, g]]
-        while not done[power]:
-            np.take(rows[p], g_row, out=rows[power], mode="clip")
-            done[power] = True
-            p, power = power, local[rows[power, g]]
-        frontier = np.flatnonzero(done)
-        while frontier.size:
-            reached = []
-            for g, g_row in gens:
-                prod = local[rows[frontier, g]]
-                new = ~done[prod]
-                # p -> p g is injective, so the new products are distinct
-                targets, sources = prod[new], frontier[new]
-                for k in range(0, len(targets), block):
-                    t = targets[k : k + block]
-                    out = buf[: len(t)]
-                    # every index is in range; mode "raise" would buffer the output
-                    np.take(rows[sources[k : k + block]], g_row, axis=1, out=out, mode="clip")
-                    rows[t] = out
-                done[targets] = True
-                reached.append(targets)
-            frontier = np.concatenate(reached)
-
-
-def _cayley_table(n: int, identity: int, row_of: Callable[[int], np.ndarray]) -> np.ndarray:
-    """The dense n x n table: `_compose_rows` on the subgroup G itself."""
-    mult = np.empty((n, n), dtype=_table_dtype(n))
-    _compose_rows(mult, np.arange(n), identity, row_of)
-    return mult
 
 
 def _double_rows(rows: np.ndarray, row_of: Callable[[int], np.ndarray], radix: Sequence[int]) -> None:
@@ -602,17 +543,18 @@ def build_dihedral(m: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGrou
 
 
 def _dihedral(m: int) -> FiniteGroup:
-    """The dihedral group of order 2m, from a dense table."""
-    j = np.arange(m)
-
-    def row_of(g: int) -> np.ndarray:
-        i = g % m
-        if g < m:  # shift * shift, shift * reflection
-            return np.concatenate([(i + j) % m, m + (i + j) % m])
-        return np.concatenate([m + (i - j) % m, (i - j) % m])  # reflection * (shift, reflection)
-
+    """The dihedral group of order 2m, shifts s_i at index i and reflections
+    r_i at m + i, its dense table written in four quadrants in the entry type:
+    s_i s_j = s_(i+j), s_i r_j = r_(i+j), r_i s_j = r_(i-j), r_i r_j = s_(i-j),
+    indices mod m, each row of s_(i+-j) a window of 0, 1, ..., m-1 repeated."""
+    mult = np.empty((2 * m, 2 * m), dtype=_table_dtype(2 * m))
+    windows = sliding_window_view(np.arange(2 * m, dtype=mult.dtype) % m, m)  # t + j mod m at [t, j]
+    mult[:m, :m] = windows[:m]  # s_i s_j: i + j
+    mult[m:, m:] = windows[1:, ::-1]  # r_i r_j: i + 1 + (m - 1 - j) = i - j
+    np.add(mult[:m, :m], m, out=mult[:m, m:])  # s_i r_j
+    np.add(mult[m:, m:], m, out=mult[m:, :m])  # r_i s_j
     labels = [("shift", j) for j in range(m)] + [("reflection", j) for j in range(m)]
-    return FiniteGroup(f"D{2 * m}", _cayley_table(2 * m, 0, row_of), 0, labels=labels, kind="dihedral")
+    return FiniteGroup(f"D{2 * m}", mult, 0, labels=labels, kind="dihedral")
 
 
 # ---------------------------------------------------------------------------
@@ -824,10 +766,11 @@ def derived_series(G: FiniteGroup) -> list[np.ndarray]:
 def is_mn_generated(G: FiniteGroup, m: int, n: int) -> bool:
     """Whether some pair (g1,g2) with g1^m = g2^n = 1 generates G.
 
-    g1 only runs over conjugacy class representatives; generation is
-    invariant under simultaneous conjugation and g2 runs over everything,
-    the whole grid in one `generates` call.
+    g1 only runs over conjugacy class representatives, as generation is
+    invariant under simultaneous conjugation, and g2 over everything: one
+    `generates` call per representative, up to the first that has a
+    generating partner.
     """
     reps = conjugacy_classes(G).representatives
-    first, second = reps[m % G.orders[reps] == 0], np.flatnonzero(n % G.orders == 0)
-    return bool(generates(G, first[:, None], second).any())
+    second = np.flatnonzero(n % G.orders == 0)
+    return any(generates(G, g1, second).any() for g1 in reps[m % G.orders[reps] == 0])

@@ -2,9 +2,9 @@
 
 Every driver recomputes its claim from group data (no hard-coded
 conclusions): spectra come out of orbit decompositions, freeness out of
-exhaustive member scans, group orders out of coset enumeration.  A
-failed report always carries a concrete witness or mismatch description
-in its evidence.
+the (m,n)-flags read off the orbits' rep rows, group orders out of coset
+enumeration.  A failed report always carries a concrete witness or
+mismatch description in its evidence.
 
 `CLAIMS` is the one list of claims: claim id -> (driver, required
 parameter names), which the CLI dispatches through.  `BATTERY` is the

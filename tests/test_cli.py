@@ -170,10 +170,11 @@ def test_budget_refused_before_build(capsys, monkeypatch, argv):
         raise AssertionError("group listed before the budget check")
 
     # every SL(2,q) and PSL(2,q) build starts by listing the SL matrices,
-    # and every dihedral and coset-table build by composing its table
+    # every dihedral build by writing its table and every coset-table
+    # build by filling its rows
     monkeypatch.setattr(groupcore, "_sl2_entries", no_build)
-    monkeypatch.setattr(groupcore, "_cayley_table", no_build)
-    monkeypatch.setattr(fpgroups, "_cayley_table", no_build)
+    monkeypatch.setattr(groupcore, "_dihedral", no_build)
+    monkeypatch.setattr(fpgroups, "_regular_rows", no_build)
     assert run(capsys, *argv)[0] == EXIT_BUDGET
 
 

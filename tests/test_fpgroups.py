@@ -5,6 +5,7 @@ import pytest
 from genlift import fpgroups
 from genlift.fpgroups import (
     CosetEnumerationOverflow,
+    CosetTable,
     PresentationParseError,
     Word,
     abelianization,
@@ -16,7 +17,7 @@ from genlift.fpgroups import (
     todd_coxeter,
 )
 from genlift.groupcore import PairBudgetExceeded
-from oracles import coset_cayley_table, invariant_factors_via_minors, validate_group
+from oracles import coset_cayley_table, element_order, invariant_factors_via_minors, validate_group
 
 
 def enumerate_order(text, max_cosets=10**5):
@@ -42,9 +43,18 @@ def test_quaternion_8():
     assert sorted(G.orders.tolist()) == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
-def test_miller_table_entry_for_entry():
-    table = todd_coxeter(parse_presentation("gens: x y\nrels: x^3 y^3 [x,y]^2"))
-    assert group_from_coset_table(table).mult.tolist() == coset_cayley_table(table)
+@pytest.mark.parametrize(
+    "pres",
+    ["gens: x\nrels: x", "gens: x y\nrels: x^3 y^2 (xy)^2", "gens: a b\nrels: a^4 a^2b^-2 b^-1aba",
+     "gens: x y\nrels: x^3 y^3 [x,y]^2"],
+    ids=["trivial", "S3", "Q8", "miller"],
+)
+def test_miller_table_entry_for_entry(pres):
+    table = todd_coxeter(parse_presentation(pres))
+    G = group_from_coset_table(table)
+    assert G.mult.tolist() == coset_cayley_table(table)
+    validate_group(G)
+    assert G.orders.tolist() == [element_order(G, g) for g in range(G.n)]
 
 
 def test_non_regular_coset_table_refused():
@@ -54,6 +64,12 @@ def test_non_regular_coset_table_refused():
         group_from_coset_table(table)
 
 
+def test_intransitive_coset_table_refused():
+    # one generator fixing both cosets: coset 1 is not reached from coset 0
+    with pytest.raises(ValueError, match="not transitive"):
+        group_from_coset_table(CosetTable(1, 2, [[0, 0], [1, 1]]))
+
+
 def test_coset_table_group_refused_over_budget(monkeypatch):
     table = todd_coxeter(parse_presentation("gens: x\nrels: x^4"))
     assert group_from_coset_table(table, pair_budget=16).n == 4  # 4^2 = 16 entries, at the bound
@@ -61,7 +77,7 @@ def test_coset_table_group_refused_over_budget(monkeypatch):
     def no_table(*args):
         raise AssertionError("table built before the budget check")
 
-    monkeypatch.setattr(fpgroups, "_cayley_table", no_table)
+    monkeypatch.setattr(fpgroups, "_regular_rows", no_table)
     with pytest.raises(PairBudgetExceeded):
         group_from_coset_table(table, pair_budget=10)
 

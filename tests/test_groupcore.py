@@ -28,6 +28,7 @@ from oracles import (
     closure_mask as closure_mask_oracle,
     derived_length,
     dihedral_cayley_table,
+    element_order,
     matrix_cayley_table,
     matrix_inverses,
     matrix_table_blocks,
@@ -212,8 +213,11 @@ def test_wrong_inverse_map_refused(monkeypatch):
 
 
 def test_dihedral_tables_entry_for_entry():
-    for m in range(3, 13):
-        assert build_dihedral(m).mult.tolist() == dihedral_cayley_table(m), m
+    for m in range(1, 13):  # D2 and D4 are the quadrant edge cases
+        G = build_dihedral(m)
+        assert G.mult.tolist() == dihedral_cayley_table(m), m
+        validate_group(G)
+        assert G.orders.tolist() == [element_order(G, g) for g in range(G.n)], m
 
 
 def test_table_entries_are_16_bit_up_to_2_15_elements():
