@@ -15,13 +15,13 @@ from .groupcore import (
     build_psl2,
     build_sl2,
     generates,
-    is_mn_generated,
 )
 from .matrices import Mat2, trace_invariant
 from .nielsen import (
     OrbitDecomposition,
     aut_orbit_decomposition,
     decompose_nielsen_orbits,
+    is_mn_generated,
     joint_orbit_decomposition,
     trace_spectrum,
 )

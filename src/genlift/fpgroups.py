@@ -195,9 +195,10 @@ def parse_presentation(text: str) -> Presentation:
         elif line.startswith("rels:"):
             if gens is None:
                 raise PresentationParseError("rels before gens", lineno, 1)
-            body = line[len("rels:"):]
-            for tok in body.split():
-                col = raw.index(tok)
+            end = raw.index("rels:") + len("rels:")
+            for tok in line[len("rels:"):].split():
+                col = raw.index(tok, end)  # tok may also occur inside an earlier token
+                end = col + len(tok)
                 parser = _WordParser(tok, gens, line=lineno, col_offset=col)
                 w = parser.parse_word()
                 if parser.pos != len(tok):

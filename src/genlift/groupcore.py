@@ -31,9 +31,10 @@ doubling, row[p s] = row[p][row[s]], a bounded block of rows at a time
 (`_double_rows`), as the places of their products are known in closed
 form.  Table entries are int16 up to 2^15 elements, int32 beyond
 (`_table_dtype`); stored orbit, key and pair ids are int32 while they
-fit, int64 beyond (`_id_dtype`).  A dense group walks the powers of all
-its elements for their orders and inverses; a matrix group reads them
-off the entries (`_trace_orders`), and x inv[x] = 1 is checked.
+fit, int64 beyond (`_id_dtype`).  A coset-table group walks the powers
+of all its elements for their orders and inverses; a dihedral group
+passes them in closed form, a matrix group reads them off the entries
+(`_trace_orders`), and x inv[x] = 1 is checked.
 
 The pair budget is the one size limit: it counts one entry per pair of
 elements, n^2, and every builder (these three and
@@ -43,13 +44,13 @@ elements, n^2, and every builder (these three and
 Element indexing is by lex order of canonical matrix entries (matrix
 groups) or by the obvious shift/reflection layout (dihedral), so element
 indices, orbit representatives and reports are reproducible across runs.
-A matrix group keeps its sorted packed elements and one map back to
-indices, `G.entry_indices` (`_entry_indices`): the closed-form rank of
-the entry arrays (a, b, c, d) of a matrix in the sorted SL listing, read
-through one array of PSL indices for PSL.  `matrix_entries` unpacks the
-elements into the entry arrays that vectorized callers compute with.
-Its `labels`, one matrix object per element, are built only when
-something reads them.
+A matrix group keeps its elements' entries, `G.entries`, one 4 x n int32
+array whose rows a, b, c, d are the entry arrays that vectorized callers
+compute with (`matrix_entries`), and one map back to indices,
+`G.entry_indices` (`_entry_indices`): the closed-form rank of a matrix
+in the sorted SL listing, read through one array of PSL indices for PSL.
+A PSL element is its sign representative, the lex-lesser of M and -M.
+Its `labels`, one Mat2 per element, are built only when read.
 
 A builder keeps the one group it makes for an argument (`_BUILT`), and
 returns it to every later call that its budget admits.  The group owns
@@ -66,7 +67,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import GF, TABLE_LIMIT, field_for_q, is_prime
-from .matrices import Mat2, PslElement
+from .matrices import Mat2
 
 DEFAULT_PAIR_BUDGET = 2 * 10**7
 
@@ -100,13 +101,14 @@ class FiniteGroup:
 
     `orders` and `inv` are computed by walking the powers of every
     element (`_orders_and_inverses`), unless the builder passes both, as
-    the SL/PSL builders do from the entries; then x inv[x] = 1 is
-    checked for every x, and ValueError raised if it fails.
+    the SL/PSL builders do from the entries and the dihedral builder in
+    closed form; then x inv[x] = 1 is checked for every x, and
+    ValueError raised if it fails.
 
-    A matrix group also keeps `elements`, its sorted packed matrices, and
-    `entry_indices`, its map from entry arrays to indices; its `labels`,
-    a Mat2 (SL) or PslElement (PSL) per element, are built from the
-    elements on first read.  Other groups take their labels, if any, at
+    A matrix group also keeps `entries` (4 x n int32, rows a, b, c, d)
+    and `entry_indices`, its map from entry arrays to indices; its
+    `labels`, a Mat2 per element (the sign representative in PSL), are
+    built on first read.  Other groups take their labels, if any, at
     construction.  `computed` keeps what is derived from the group.
     """
 
@@ -144,14 +146,14 @@ class FiniteGroup:
             if (self.mul(np.arange(self.n), inv) != identity).any():
                 raise ValueError("not a group table: some x inv[x] is not the identity")
         self._computed: dict[str, object] = {}
-        self.elements: Optional[np.ndarray] = None  # sorted packed matrices
+        self.entries: Optional[np.ndarray] = None  # 4 x n int32: rows a, b, c, d
         self.entry_indices: Optional[Callable] = None  # entry arrays (a, b, c, d) -> indices
 
     @functools.cached_property
     def labels(self) -> Optional[list]:
-        if self.elements is None:
+        if self.entries is None:
             return None
-        return _matrix_labels(self.field, *matrix_entries(self), self.kind)
+        return [Mat2(self.field, *e) for e in self.entries.T.tolist()]
 
     def mul(self, a, b) -> np.ndarray:
         """The products a b, elementwise over broadcast index arrays of any
@@ -205,23 +207,19 @@ class FiniteGroup:
     # -- element access --
 
     def matrix(self, i: int) -> Mat2:
-        """The matrix of element i (its sign representative in PSL), from its packed entries."""
-        return Mat2(self.field, *(int(e) for e in _unpack(self.elements[i], self.field.q)))
+        """The matrix of element i (its sign representative in PSL), from its entries."""
+        return Mat2(self.field, *self.entries[:, i].tolist())
 
-    def matrix_indices(self, packed) -> np.ndarray:
-        """`entry_indices` of packed matrices; KeyError also if some packed int is outside [0, q^4)."""
-        q, packed = self.field.q, np.asarray(packed, dtype=np.int64)
-        if ((packed < 0) | (packed >= q**4)).any():
-            raise KeyError("packed int is not a matrix over the field")
-        return self.entry_indices(*_unpack(packed, q))
-
-    def index_of_matrix(self, m) -> int:
-        """Index of an SL matrix / PSL element in a matrix-group build."""
-        if self.elements is None:
+    def index_of_matrix(self, m: Mat2) -> int:
+        """Index of a matrix of either sign (PSL) in a matrix-group build.  TypeError unless m
+        is a Mat2; KeyError if it is over another field, has an entry outside [0, q) or det != 1."""
+        if self.entries is None:
             raise ValueError("group carries no matrix labels")
-        if not isinstance(m, (Mat2, PslElement)):
-            raise TypeError("expected Mat2 or PslElement")
-        return int(self.matrix_indices(m.packed()))
+        if not isinstance(m, Mat2):
+            raise TypeError("expected Mat2")
+        if m.field != self.field or not all(0 <= e < self.field.q for e in m.entries()):
+            raise KeyError("matrix is not over the group's field")
+        return int(self.entry_indices(*m.entries()))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.n})"
@@ -298,31 +296,21 @@ def _double_rows(rows: np.ndarray, row_of: Callable[[int], np.ndarray], radix: S
         base = end
 
 
-def _sl2_entries(f: GF) -> tuple[np.ndarray, ...]:
-    """The entry arrays (a, b, c, d), int64, of all q^3 - q det-1
-    matrices in lex order of entries: for a = 0, any b != 0, c = -1/b and
-    any d; for a != 0, any b, c and d = (1 + bc)/a.  Both blocks are
-    listed in lex order, the first below the second.  ValueError if the
-    field has no tables."""
+def _sl2_entries(f: GF) -> np.ndarray:
+    """The entries of all q^3 - q det-1 matrices in lex order, as a
+    4 x (q^3 - q) int32 array with rows a, b, c, d: for a = 0, any
+    b != 0, c = -1/b and any d; for a != 0, any b, c and d = (1 + bc)/a.
+    Both blocks are listed in lex order, the first below the second.
+    ValueError if the field has no tables."""
     if f.mul_table is None:
         raise ValueError(f"GF({f.q}) has no arithmetic tables (q > {TABLE_LIMIT})")
     q, mulT, addT, invT = f.q, f.mul_table, f.add_table, f.inv_table
-    b0, d0 = np.indices((q - 1, q)).reshape(2, -1)
+    b0, d0 = np.indices((q - 1, q), dtype=np.int32).reshape(2, -1)
     b0 += 1
-    a, b, c = np.indices((q - 1, q, q)).reshape(3, -1)
+    a, b, c = np.indices((q - 1, q, q), dtype=np.int32).reshape(3, -1)
     a += 1
     d = mulT[addT[f.one, mulT[b, c]], invT[a]]
-    return (np.concatenate([np.zeros_like(b0), a]), np.concatenate([b0, b]),
-            np.concatenate([f.neg_table[invT[b0]], c]), np.concatenate([d0, d]))
-
-
-def _pack(q: int, a, b, c, d) -> np.ndarray:
-    """Entries packed into one int each; int order = lex order on entries."""
-    return ((np.asarray(a, dtype=np.int64) * q + b) * q + c) * q + d
-
-
-def _unpack(packed: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
-    return packed // q**3, packed // q**2 % q, packed // q % q, packed % q
+    return np.concatenate([[np.zeros_like(b0), b0, f.neg_table[invT[b0]], d0], [a, b, c, d]], axis=1)
 
 
 def _sl_rank(q: int, a, b, c, d) -> np.ndarray:
@@ -383,12 +371,10 @@ def _primitive_powers(f: GF) -> list[int]:
     raise ValueError(f"GF({f.q}) has no primitive element")
 
 
-def _matrix_group(
-    name: str, f: GF, entries: tuple[np.ndarray, ...], kind: str, psl_of: Optional[np.ndarray]
-) -> FiniteGroup:
-    """Shared SL/PSL construction from the entry arrays of the sorted
-    element matrices and the group's index map (`_entry_indices` through
-    `psl_of`); the elements are packed once, for `G.elements`.
+def _matrix_group(name: str, f: GF, entries: np.ndarray, kind: str, psl_of: Optional[np.ndarray]) -> FiniteGroup:
+    """Shared SL/PSL construction from the 4 x n int32 entries of the
+    sorted element matrices, kept as `G.entries`, and the group's index
+    map (`_entry_indices` through `psl_of`).
 
     Every element x = (a b; c d) factors as x = u t s, u in
     {L(e) = (1 0; e 1)} + {w = (0 1; -1 0)}, t in the torus
@@ -461,14 +447,14 @@ def _matrix_group(
                     orders=orders, inv=inv)
     y = np.arange(n)
     compose(r, lambda e: g.mul(g.mul(e, y), g.inv[e]))  # e y e^-1
-    g.elements, g.entry_indices = _pack(q, a, b, c, d), index
+    g.entries, g.entry_indices = entries, index
     return g
 
 
 def matrix_entries(G: FiniteGroup, which=slice(None)) -> tuple[np.ndarray, ...]:
-    """The entry arrays (a, b, c, d) of the elements `which` (by default all,
-    by index) of a matrix group."""
-    return _unpack(G.elements[which], G.field.q)
+    """The entry arrays (a, b, c, d), int32, of the elements `which` (by
+    default all, by index) of a matrix group: rows of `G.entries`."""
+    return tuple(G.entries[:, which])
 
 
 def entry_perm(G: FiniteGroup, entry_map: Callable) -> np.ndarray:
@@ -476,13 +462,6 @@ def entry_perm(G: FiniteGroup, entry_map: Callable) -> np.ndarray:
     arrays (a, b, c, d) of all its elements, whose images are mapped
     straight to indices."""
     return G.entry_indices(*entry_map(*matrix_entries(G)))
-
-
-def _matrix_labels(f: GF, a, b, c, d, kind: str) -> list:
-    mats = [Mat2(f, int(a[i]), int(b[i]), int(c[i]), int(d[i])) for i in range(len(a))]
-    if kind == "psl2":
-        return [PslElement(m) for m in mats]
-    return mats
 
 
 _BUILT: dict[tuple[str, int], FiniteGroup] = {}  # (builder, argument) -> its one group
@@ -493,7 +472,7 @@ def _kept(builder: str, arg: int, build: Callable[[], FiniteGroup]) -> FiniteGro
     read-only.  The caller has checked its budget."""
     if (builder, arg) not in _BUILT:
         G = _BUILT[builder, arg] = build()
-        _read_only(G.mult, G.inv, G.orders, G.elements)
+        _read_only(G.mult, G.inv, G.orders, G.entries)
     return _BUILT[builder, arg]
 
 
@@ -522,16 +501,16 @@ def build_psl2(q: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
     return _kept("psl2", q, build)
 
 
-def _sign_representatives(f: GF, sl: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The entry arrays of the sign representatives M <= -M of the sorted
-    SL listing `sl`, which stay sorted and distinct, and the PSL index of
+def _sign_representatives(f: GF, sl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the sign representatives M <= -M of the sorted SL
+    listing `sl`, which stay sorted and distinct, and the PSL index of
     every SL rank, -M taking its representative's place.  The listing,
-    four arrays of q^3 - q entries, is freed when this returns, before
-    the group's rows are allocated."""
-    minus = _sl_rank(f.q, *(f.neg_table[e] for e in sl))  # the SL rank of -M
+    4 x (q^3 - q) entries, is freed when this returns, before the group's
+    rows are allocated."""
+    minus = _sl_rank(f.q, *f.neg_table.take(sl))  # the SL rank of -M
     is_rep = np.arange(len(minus)) <= minus
     pos = np.cumsum(is_rep) - 1
-    return tuple(e[is_rep] for e in sl), np.where(is_rep, pos, pos[minus])
+    return sl.compress(is_rep, axis=1), np.where(is_rep, pos, pos[minus])
 
 
 def build_dihedral(m: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FiniteGroup:
@@ -546,7 +525,9 @@ def _dihedral(m: int) -> FiniteGroup:
     """The dihedral group of order 2m, shifts s_i at index i and reflections
     r_i at m + i, its dense table written in four quadrants in the entry type:
     s_i s_j = s_(i+j), s_i r_j = r_(i+j), r_i s_j = r_(i-j), r_i r_j = s_(i-j),
-    indices mod m, each row of s_(i+-j) a window of 0, 1, ..., m-1 repeated."""
+    indices mod m, each row of s_(i+-j) a window of 0, 1, ..., m-1 repeated.
+    Orders and inverses in closed form: s_i has order m / gcd(i, m) and
+    inverse s_(-i), and every reflection is an involution."""
     mult = np.empty((2 * m, 2 * m), dtype=_table_dtype(2 * m))
     windows = sliding_window_view(np.arange(2 * m, dtype=mult.dtype) % m, m)  # t + j mod m at [t, j]
     mult[:m, :m] = windows[:m]  # s_i s_j: i + j
@@ -554,7 +535,10 @@ def _dihedral(m: int) -> FiniteGroup:
     np.add(mult[:m, :m], m, out=mult[:m, m:])  # s_i r_j
     np.add(mult[m:, m:], m, out=mult[m:, :m])  # r_i s_j
     labels = [("shift", j) for j in range(m)] + [("reflection", j) for j in range(m)]
-    return FiniteGroup(f"D{2 * m}", mult, 0, labels=labels, kind="dihedral")
+    i = np.arange(m)
+    orders = np.concatenate([m // np.gcd(i, m), np.full(m, 2)]).astype(np.int32)
+    inv = np.concatenate([-i % m, i + m]).astype(mult.dtype)
+    return FiniteGroup(f"D{2 * m}", mult, 0, labels=labels, kind="dihedral", orders=orders, inv=inv)
 
 
 # ---------------------------------------------------------------------------
@@ -761,16 +745,3 @@ def derived_series(G: FiniteGroup) -> list[np.ndarray]:
         if len(nxt) == len(current):
             return series
         series.append(nxt)
-
-
-def is_mn_generated(G: FiniteGroup, m: int, n: int) -> bool:
-    """Whether some pair (g1,g2) with g1^m = g2^n = 1 generates G.
-
-    g1 only runs over conjugacy class representatives, as generation is
-    invariant under simultaneous conjugation, and g2 over everything: one
-    `generates` call per representative, up to the first that has a
-    generating partner.
-    """
-    reps = conjugacy_classes(G).representatives
-    second = np.flatnonzero(n % G.orders == 0)
-    return any(generates(G, g1, second).any() for g1 in reps[m % G.orders[reps] == 0])

@@ -1,5 +1,6 @@
-"""2x2 matrices over GF(q), the sign quotient to PSL(2,q), and the
-commutator bracket whose trace is constant on Nielsen orbits."""
+"""2x2 matrices over GF(q) and the commutator bracket whose trace is
+constant on Nielsen orbits.  An element of PSL(2,q) is a Mat2 of either
+sign: the bracket ignores the signs of its arguments."""
 
 from __future__ import annotations
 
@@ -54,11 +55,6 @@ class Mat2:
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def packed(self) -> int:
-        """Entries packed into one int; int order = lex order on entries."""
-        q = self.field.q
-        return ((self.a * q + self.b) * q + self.c) * q + self.d
-
     def serialize(self) -> str:
         return format_matrix(*map(self.field.format_element, self.entries()))
 
@@ -73,34 +69,15 @@ def mat_from_ints(f: GF, a: int, b: int, c: int, d: int) -> Mat2:
     return Mat2(f, f.from_int(a), f.from_int(b), f.from_int(c), f.from_int(d))
 
 
-@dataclass(frozen=True)
-class PslElement:
-    """Element of PSL(2,q): the lex-least of the pair {M, -M} in SL(2,q)."""
+def bracket(h1: Mat2, h2: Mat2) -> Mat2:
+    """The SL(2,q) commutator h1^-1 h2^-1 h1 h2 of a pair of det-1 matrices.
 
-    rep: Mat2
-
-    @property
-    def field(self) -> GF:
-        return self.rep.field
-
-    def packed(self) -> int:
-        return self.rep.packed()
-
-    def serialize(self) -> str:
-        return self.rep.serialize()
-
-
-def bracket(h1: PslElement, h2: PslElement) -> Mat2:
-    """The SL(2,q) commutator of sign representatives of a PSL pair.
-
-    Independent of the choice of signs, so any representatives work.
+    Independent of their signs, so it is a function of the PSL pair;
+    ValueError if they lie over different fields.
     """
-    if h1.field != h2.field:
-        raise ValueError("pair over different fields")
-    r1, r2 = h1.rep, h2.rep
-    return r1.inverse() * r2.inverse() * r1 * r2
+    return h1.inverse() * h2.inverse() * h1 * h2
 
 
-def trace_invariant(h1: PslElement, h2: PslElement) -> int:
+def trace_invariant(h1: Mat2, h2: Mat2) -> int:
     """Trace of the bracket; constant on Nielsen orbits of generating pairs."""
     return bracket(h1, h2).trace()

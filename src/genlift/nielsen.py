@@ -31,9 +31,10 @@ generation.  The group keeps (`FiniteGroup.computed`) its classes of
 pairs, outer automorphism permutations and Nielsen parts (records, rep
 rows, representative orders), all read-only; each Nielsen call, Aut and joint among them,
 wraps the parts in a fresh decomposition.  Aut and joint orbits are not
-kept.  `mn_free_flags` reads the rep rows on every call; one vectorized
-map from pairs to their keys (`_pair_keys`) serves the move edges and
-`orbit_ids`, and through it `orbit_of` and `labels`.
+kept.  `mn_free_flags` reads the rep rows on every call, and
+`is_mn_generated` reads its flags.  One vectorized map from pairs to
+their keys (`_pair_keys`) serves the move edges and `orbit_ids`, and
+through it `orbit_of` and `labels`.
 
 Products and conjugates are read through `FiniteGroup.mul` and
 `FiniteGroup.conj`, elementwise over index arrays.  Orbit records come
@@ -59,7 +60,7 @@ from .groupcore import (
     _BLOCK_ENTRIES, ConjugacyClasses, FiniteGroup, _id_dtype, _read_only, centralizer_generators,
     commutators, conjugacy_classes, entry_perm, fricke_traces, generates, matrix_entries,
 )
-from .matrices import PslElement, format_matrix, trace_invariant
+from .matrices import format_matrix, trace_invariant
 
 Pair = tuple[int, int]
 
@@ -319,6 +320,13 @@ def decompose_nielsen_orbits(G: FiniteGroup) -> OrbitDecomposition:
     return OrbitDecomposition(G, *G.computed("nielsen", _nielsen_parts))
 
 
+def is_mn_generated(G: FiniteGroup, m: int, n: int) -> bool:
+    """Whether some pair (g1, g2) with g1^m = g2^n = 1 generates G: whether
+    some Nielsen orbit is not (m,n)-free (`mn_free_flags`), read off the
+    kept decomposition.  ValueError unless m, n >= 1."""
+    return not all(decompose_nielsen_orbits(G).mn_free_flags(m, n).values())
+
+
 def _nielsen_parts(G: FiniteGroup) -> tuple:
     """The `_decompose` parts of the Nielsen rows, masked by one generation test per class."""
     n, cls = G.n, conjugacy_classes(G)
@@ -352,7 +360,7 @@ def orbit_tau(dec: OrbitDecomposition, orbit: OrbitRecord, check_members: int = 
         pick = np.arange(check_members) * len(first) // check_members
         first, second = first[pick], second[pick]
     # the matrices of the sampled elements only; G.labels would make one per element
-    mats = {g: PslElement(G.matrix(g)) for g in set(first.tolist()) | set(second.tolist())}
+    mats = {g: G.matrix(g) for g in set(first.tolist()) | set(second.tolist())}
     for a, b in zip(first.tolist(), second.tolist()):
         t = trace_invariant(mats[a], mats[b])
         if t != orbit.tau:

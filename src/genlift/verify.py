@@ -73,7 +73,7 @@ class ClaimReport:
 
 def gamma_orbits(G: FiniteGroup, _unused=None) -> tuple[OrbitDecomposition, bool]:
     # kept only for perfbench's workloads, which call gamma_orbits(G, None) and
-    # unpack two values; ROADMAP item 4a removes it.  Nothing in src/ calls it
+    # unpack two values; ROADMAP item 4 removes it.  Nothing in src/ calls it
     return decompose_nielsen_orbits(G), False
 
 
@@ -231,7 +231,7 @@ def verify_lemma7(pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     orders8 = set(G.orders[pm3].tolist())
     evidence["orders_of_trace_pm3_elements"] = sorted(orders8)
     P = build_psl2(7, pair_budget)
-    images = P.matrix_indices(G.elements[pm3])
+    images = P.entry_indices(*matrix_entries(G, pm3))
     psl_orders = set(P.orders[images].tolist())
     evidence["psl_image_orders"] = sorted(psl_orders)
     ok = ok and orders8 == {8} and psl_orders == {4}

@@ -131,13 +131,12 @@ def validate_group(G) -> None:
 
 
 def psl_canonical(m):
-    """Canonical sign-representative; psl_canonical(-m) == psl_canonical(m)."""
-    from genlift.matrices import PslElement
-
+    """Canonical sign representative, the lex-least of m and -m by entries;
+    psl_canonical(-m) == psl_canonical(m)."""
     if m.det() != m.field.one:
         raise ValueError("psl_canonical requires determinant 1")
     n = m.neg()
-    return PslElement(m if m.packed() <= n.packed() else n)
+    return m if m.entries() <= n.entries() else n
 
 
 def power(G, g: int, e: int) -> int:
@@ -257,12 +256,10 @@ def possible_psl_orders(q: int) -> set[int]:
 def _label_index(G) -> dict:
     """Entries of every element matrix -> element index, read off G.labels;
     for PSL, M and -M both map to their element."""
-    from genlift.matrices import PslElement
-
     neg = G.field.neg_table.tolist()
     index = {}
     for g, m in enumerate(G.labels):
-        entries = (m.rep if isinstance(m, PslElement) else m).entries()
+        entries = m.entries()
         index[entries] = g
         if G.kind == "psl2":
             index[tuple(neg[e] for e in entries)] = g
@@ -270,25 +267,29 @@ def _label_index(G) -> dict:
 
 
 def sl2_matrices_grid(q: int) -> np.ndarray:
-    """The det-1 matrices of SL(2,q), packed to ((a q + b) q + c) q + d, by
-    filtering the whole q^4 grid of entries in lex order."""
+    """The entries of the det-1 matrices of SL(2,q), a 4 x (q^3 - q) array
+    with rows a, b, c, d, by filtering the whole q^4 grid of entries in lex
+    order."""
     from genlift.field import field_for_q
 
     f = field_for_q(q)
-    a, b, c, d = np.indices((q,) * 4).reshape(4, -1)
+    a, b, c, d = grid = np.indices((q,) * 4).reshape(4, -1)
     mulT, negT, addT = f.mul_table, f.neg_table, f.add_table
-    keep = addT[mulT[a, d], negT[mulT[b, c]]] == f.one
-    return (((a * q + b) * q + c) * q + d)[keep]
+    return grid[:, addT[mulT[a, d], negT[mulT[b, c]]] == f.one]
+
+
+def pack(q: int, a, b, c, d) -> np.ndarray:
+    """Entries packed to ((a q + b) q + c) q + d, int64: an index into a
+    q^4 array whose order is the lex order of entries."""
+    return ((np.asarray(a, dtype=np.int64) * q + b) * q + c) * q + d
 
 
 def matrix_cayley_table(G) -> list[list[int]]:
     """SL(2,q) / PSL(2,q) table: every product of two element matrices in
     plain ints over the field's scalar tables, indexed by `_label_index`."""
-    from genlift.matrices import PslElement
-
     f = G.field
     mul, add = f.mul_table.tolist(), f.add_table.tolist()
-    mats = [(m.rep if isinstance(m, PslElement) else m).entries() for m in G.labels]
+    mats = [m.entries() for m in G.labels]
     index = _label_index(G)
     table = []
     for a, b, c, d in mats:
@@ -301,21 +302,21 @@ def matrix_cayley_table(G) -> list[list[int]]:
 
 
 def _dense_index(G) -> np.ndarray:
-    """Packed entries ((a q + b) q + c) q + d of every element matrix ->
-    element index, a q^4 array that is -1 off the group; for PSL, M and -M
-    both map to their element."""
+    """Packed entries (`pack`) of every element matrix -> element index, a
+    q^4 array that is -1 off the group; for PSL, M and -M both map to their
+    element."""
     q, neg = G.field.q, G.field.neg_table
     a, b, c, d = _entries(G)
     index = np.full(q**4, -1, dtype=np.int64)
-    index[((a * q + b) * q + c) * q + d] = np.arange(G.n)
+    index[pack(q, a, b, c, d)] = np.arange(G.n)
     if G.kind == "psl2":
-        index[((neg[a] * q + neg[b]) * q + neg[c]) * q + neg[d]] = np.arange(G.n)
+        index[pack(q, neg[a], neg[b], neg[c], neg[d])] = np.arange(G.n)
     return index
 
 
 def _entries(G) -> tuple[np.ndarray, ...]:
-    q, packed = G.field.q, G.elements.astype(np.int64)
-    return packed // q**3, packed // q**2 % q, packed // q % q, packed % q
+    """The entry arrays of every element, widened to int64 for packing."""
+    return tuple(G.entries.astype(np.int64))
 
 
 def matrix_table_blocks(G, rows: int = 64):
@@ -335,14 +336,14 @@ def matrix_table_blocks(G, rows: int = 64):
         A, B, C, D = (e[first : first + rows] for e in (a, b, c, d))
         na, nb = add[ta[A] * q + tc[B]], add[tb[A] * q + td[B]]
         nc, nd = add[ta[C] * q + tc[D]], add[tb[C] * q + td[D]]
-        yield first, index[((na * q + nb) * q + nc) * q + nd]
+        yield first, index[pack(q, na, nb, nc, nd)]
 
 
 def matrix_inverses(G) -> np.ndarray:
     """Index of (d -b; -c a), the inverse of each det-1 element (a b; c d)."""
     q, neg = G.field.q, G.field.neg_table
     a, b, c, d = _entries(G)
-    return _dense_index(G)[((d * q + neg[b]) * q + neg[c]) * q + a]
+    return _dense_index(G)[pack(q, d, neg[b], neg[c], a)]
 
 
 def psl_automorphism_perms_scan(G) -> list[list[int]]:
@@ -359,7 +360,7 @@ def psl_automorphism_perms_scan(G) -> list[list[int]]:
         maps.append(lambda m: Mat2(f, m.a, f.mul(m.b, f.inv(nu)), f.mul(m.c, nu), m.d))
     if f.k > 1:
         maps.append(lambda m: Mat2(f, *(f.pow(e, f.p) for e in m.entries())))
-    return [[index[phi(x.rep).entries()] for x in G.labels] for phi in maps]
+    return [[index[phi(x).entries()] for x in G.labels] for phi in maps]
 
 
 def dihedral_cayley_table(m: int) -> list[list[int]]:
@@ -538,11 +539,11 @@ def member_higman_check(dec, orbit) -> tuple[int, bool]:
 def member_taus(dec, orbit) -> set[int]:
     """The trace invariants of every pair of a PSL(2,q) orbit, by scalar
     matrix arithmetic on the members from `member_ids`."""
-    from genlift.matrices import PslElement, trace_invariant
+    from genlift.matrices import trace_invariant
 
     G = dec.group
     i, j = np.divmod(dec.member_ids(orbit.orbit_id).astype(np.int64), G.n)
-    mats = {g: PslElement(G.matrix(g)) for g in set(i.tolist()) | set(j.tolist())}
+    mats = {g: G.matrix(g) for g in set(i.tolist()) | set(j.tolist())}
     return {trace_invariant(mats[a], mats[b]) for a, b in zip(i.tolist(), j.tolist())}
 
 

@@ -143,6 +143,10 @@ def test_parse_errors_carry_position():
         parse_presentation("gens: x\nrels: z")
     with pytest.raises(PresentationParseError):
         parse_presentation("gens: x\nrels: (x")
+    # the column of a token that also occurs inside an earlier one
+    with pytest.raises(PresentationParseError) as exc:
+        parse_presentation("gens: x y\nrels: xy^2 y^")
+    assert (exc.value.line, exc.value.column) == (2, 14)
 
 
 def test_comments_and_blank_lines():

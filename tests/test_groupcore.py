@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 
@@ -19,9 +20,9 @@ from genlift.groupcore import (
     conjugacy_classes,
     derived_series,
     generates,
-    is_mn_generated,
 )
-from genlift.matrices import PslElement, mat_from_ints
+from genlift import is_mn_generated
+from genlift.matrices import Mat2, mat_from_ints
 from oracles import (
     build_cyclic,
     cayley_table,
@@ -32,6 +33,7 @@ from oracles import (
     matrix_cayley_table,
     matrix_inverses,
     matrix_table_blocks,
+    pack,
     possible_psl_orders,
     power,
     sl2_matrices_grid,
@@ -114,20 +116,17 @@ def test_closed_form_index_matches_the_dense_oracle(q):
     # every det-1 matrix and its negation, through the one index map
     f = field_for_q(q)
     sl = sl2_matrices_grid(q)
-    neg = f.neg_table
-    minus = (((neg[sl // q**3] * q + neg[sl // q**2 % q]) * q + neg[sl // q % q]) * q + neg[sl % q])
+    det2 = np.array(mat_from_ints(f, 2, 0, 0, 1).entries())[:, None]  # det 0 in characteristic 2
     for G in (build_sl2(q), build_psl2(q)):
         dense = _dense_index(G)
-        for packed in (sl, minus):
-            expected = dense[packed]
+        for entries in (sl, f.neg_table[sl]):
+            expected = dense[pack(q, *entries)]
             assert (expected >= 0).all(), G.name  # -M is an element of SL, and maps to M's in PSL
-            np.testing.assert_array_equal(G.matrix_indices(packed), expected)
-        det2 = mat_from_ints(f, 2, 0, 0, 1).packed()  # det 0 in characteristic 2
-        for bad in (det2, -1, q**4):
-            with pytest.raises(KeyError):
-                G.matrix_indices(bad)
-            with pytest.raises(KeyError):
-                G.matrix_indices(np.concatenate([sl[:3], [bad]]))
+            np.testing.assert_array_equal(G.entry_indices(*entries), expected)
+        with pytest.raises(KeyError):
+            G.entry_indices(*det2)
+        with pytest.raises(KeyError):
+            G.entry_indices(*np.concatenate([sl[:, :3], det2], axis=1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -195,8 +194,10 @@ def test_matrix_builds_do_not_walk_the_powers(monkeypatch):
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 19):
         for build in (build_sl2, build_psl2):
             assert build(q, pair_budget=10**9).n, q
-    with pytest.raises(AssertionError, match="walked"):  # dense groups still walk
-        build_dihedral(5)
+    for m in range(1, 25):  # orders and inverses in closed form
+        assert build_dihedral(m).n == 2 * m, m
+    with pytest.raises(AssertionError, match="walked"):  # coset-table groups still walk
+        build_cyclic(4)
 
 
 def test_wrong_inverse_map_refused(monkeypatch):
@@ -404,12 +405,36 @@ def test_mn_generation_small():
     assert is_mn_generated(build_psl2(5), 2, 5)
     assert is_mn_generated(build_psl2(7), 2, 3)
     assert not is_mn_generated(build_cyclic(4), 2, 2)  # only reaches the subgroup of order 2
+    for m, n in ((0, 3), (2, 0), (-1, 1)):  # as mn_free_flags refuses them
+        with pytest.raises(ValueError, match="m, n >= 1"):
+            is_mn_generated(build_psl2(5), m, n)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
 def test_sl2_listing_matches_grid_filter(q):
-    listing = groupcore._pack(q, *groupcore._sl2_entries(field_for_q(q)))
-    assert np.array_equal(listing, sl2_matrices_grid(q))
+    listing = groupcore._sl2_entries(field_for_q(q))
+    assert listing.dtype == np.int32
+    np.testing.assert_array_equal(listing, sl2_matrices_grid(q))
+
+
+def test_int32_entries_index_at_the_largest_table_field():
+    # _entry_indices computes a q + d and SL ranks near q^3 in the entry
+    # dtype; at q = 251, the largest prime with field tables, int16 would wrap
+    q, rng = 251, random.Random(251)
+    f = field_for_q(q)
+    triples = [(q - 1, q - 1, q - 1), (0, q - 1, q - 1)] + [tuple(rng.randrange(q) for _ in range(3)) for _ in range(300)]
+    entries, ranks = [], []
+    for a, b, x in triples:
+        if a:  # c = x, d = (1 + bc)/a
+            entries.append((a, b, x, f.mul(f.add(f.one, f.mul(b, x)), f.inv(a))))
+            ranks.append(q * (q - 1) + ((a - 1) * q + b) * q + x)
+        else:  # b != 0, c = -1/b, d = x
+            b = b or 1
+            entries.append((0, b, f.neg(f.inv(b)), x))
+            ranks.append((b - 1) * q + x)
+    assert max(ranks) == q**3 - q - 1
+    a, b, c, d = np.array(entries, dtype=np.int32).T
+    np.testing.assert_array_equal(groupcore._entry_indices(f, None, a, b, c, d), ranks)
 
 
 def test_size_guard():
@@ -444,16 +469,25 @@ def test_index_of_matrix_round_trip():
 def test_index_of_matrix_refuses_non_members():
     for build in (build_sl2, build_psl2):
         G = build(5)
+        f = G.field
         with pytest.raises(KeyError):
-            G.index_of_matrix(mat_from_ints(G.field, 2, 0, 0, 1))  # det 2
+            G.index_of_matrix(mat_from_ints(f, 2, 0, 0, 1))  # det 2
+        for entries in ((5, 0, 0, 1), (-1, 0, 0, 1), (1, 0, 0, 6)):  # entries outside [0, 5)
+            with pytest.raises(KeyError):
+                G.index_of_matrix(Mat2(f, *entries))
+        with pytest.raises(KeyError):  # det 1, but over GF(7)
+            G.index_of_matrix(mat_from_ints(field_for_q(7), 1, 1, 0, 1))
+        for m in (G.labels[0].entries(), 0, "I"):  # not a Mat2
+            with pytest.raises(TypeError):
+                G.index_of_matrix(m)
 
 
 def test_index_of_matrix_canonicalizes_psl_signs():
     G = build_psl2(5)
     for g in range(0, G.n, 7):
-        m = G.labels[g].rep
-        assert G.index_of_matrix(m.neg()) == g
-        assert G.index_of_matrix(PslElement(m.neg())) == g  # not the lex-least sign
+        m = G.labels[g]
+        assert m.entries() < m.neg().entries()  # the label is the lex-least sign
+        assert G.index_of_matrix(m) == G.index_of_matrix(m.neg()) == g
 
 
 def test_psl_build_and_derived_series_skip_numpy_ma():

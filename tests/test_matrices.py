@@ -4,13 +4,7 @@ import pytest
 
 from genlift.field import field_for_q
 from genlift.groupcore import build_sl2
-from genlift.matrices import (
-    Mat2,
-    PslElement,
-    bracket,
-    mat_from_ints,
-    trace_invariant,
-)
+from genlift.matrices import bracket, mat_from_ints, trace_invariant
 from oracles import element_order_sl, identity_mat, psl_canonical
 
 
@@ -57,10 +51,12 @@ def test_bracket_sign_independence(q):
     for _ in range(1000):
         a = random_sl(G, rng)
         b = random_sl(G, rng)
-        ref = bracket(PslElement(a), PslElement(b))
-        assert bracket(PslElement(a.neg()), PslElement(b)) == ref
-        assert bracket(PslElement(a), PslElement(b.neg())) == ref
-        assert bracket(PslElement(a.neg()), PslElement(b.neg())) == ref
+        ref = bracket(a, b)
+        assert bracket(a.neg(), b) == ref
+        assert bracket(a, b.neg()) == ref
+        assert bracket(a.neg(), b.neg()) == ref
+    with pytest.raises(ValueError, match="different fields"):
+        bracket(a, identity_mat(field_for_q(11)))
 
 
 def test_trace_invariant_on_psl_reps():
@@ -77,9 +73,9 @@ def test_psl_canonical_idempotent_and_sign_blind():
     for _ in range(200):
         m = random_sl(G, rng)
         c = psl_canonical(m)
-        assert psl_canonical(c.rep) == c
+        assert psl_canonical(c) == c
         assert psl_canonical(m.neg()) == c
-        assert c.packed() <= m.packed()
+        assert c.entries() <= m.entries()
 
 
 def test_element_orders():

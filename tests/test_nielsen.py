@@ -519,15 +519,6 @@ def test_report_matrices_and_taus_match_scalar_formatting(q):
             assert entry["tau"] == G.field.format_element(o.tau), (q, o)
 
 
-def test_outer_generator_costs_one_unpack(monkeypatch):
-    # entry_perm maps the mapped entry arrays straight to indices, so the one
-    # full unpack per outer generator of PSL(2,9) is matrix_entries' read
-    G, sizes, real = build_psl2(9), [], groupcore._unpack
-    monkeypatch.setattr(groupcore, "_unpack", lambda packed, q: sizes.append(np.size(packed)) or real(packed, q))
-    assert len(psl_automorphism_perms(G)) == 2
-    assert sizes == [G.n, G.n]
-
-
 def test_automorphism_perms_computed_once_per_group(monkeypatch):
     # PSL(2,9) has both outer generators; Aut and joint share one computation,
     # also for a rebuild of the group
@@ -563,7 +554,10 @@ def test_decomposition_parts_are_read_only():
         assert again is not fresh and again.orbits is fresh.orbits and again.rep_rows is fresh.rep_rows
         cls = conjugacy_classes(G)
         shared = [G.mult, G.inv, G.orders, cls.class_of, cls.representatives, cls.conjugator, *_pair_classes(G)]
-        for array in shared + ([] if G.elements is None else [G.elements]):
+        if G.entries is not None:
+            assert G.entries.dtype == np.int32 and G.entries.shape == (4, G.n) and G.entries.flags.c_contiguous
+            shared.append(G.entries)
+        for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array.reshape(-1)[0] = 0
 
