@@ -27,8 +27,9 @@ elements (the q lower unitriangular matrices and w, the diagonal torus
 mod +-1, the q upper unitriangular matrices; R = 3q at even q and
 2q + 1 + (q - 1)/2 at odd q), 2R rows of |G| entries, not a |G| x |G|
 table.  peak_rss_mb is the process's peak resident set (MB = 2^20
-bytes).  A q whose |G|^2 pairs exceed the pair budget is refused, exit
-2, before any probe runs.
+bytes).  Every q is checked before any probe runs: a q that is not a
+prime power, or is past the field bound of 256, exits 64, as a usage
+error does, and a q whose |G|^2 pairs exceed the pair budget exits 2.
 """
 
 import argparse
@@ -81,6 +82,7 @@ print(f"q={q} order={G.n} build_s={t1 - t0:.3f} stage1_s={t_stage1 - t1:.3f} dec
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.error = lambda message: ap.exit(64, f"{ap.prog}: error: {message}\n")  # 2 is the budget refusal
     ap.add_argument("q", type=int, nargs="+")
     ap.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     args = ap.parse_args()

@@ -10,19 +10,21 @@ are built on, so it must never change.
 The modulus is the lexicographically least monic irreducible polynomial
 of degree k, which makes field construction (and everything downstream)
 deterministic.
+
+A field is its arithmetic tables, q x q add and mul and the negatives
+and inverses, built at once from the coefficient vectors of the
+elements; every operation reads them.  So q <= SIZE_BOUND = 256, the
+one field bound.  Polynomial arithmetic is left to the modulus search.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
-SIZE_BOUND = 2**16
-
-# Full q x q add/mul tables are kept for fields small enough to build
-# groups over; scalar polynomial arithmetic covers the rest.
-TABLE_LIMIT = 256
+SIZE_BOUND = 256
 
 
 def is_prime(n: int) -> bool:
@@ -49,17 +51,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
     # mod must be monic
     a = list(a)
@@ -82,14 +73,8 @@ def _poly_is_irreducible(poly: list[int], p: int) -> bool:
     if poly[0] == 0:  # divisible by x
         return deg == 1
     for d in range(1, deg // 2 + 1):
-        for rest in range(p**d):
-            div = []
-            r = rest
-            for _ in range(d):
-                div.append(r % p)
-                r //= p
-            div.append(1)
-            if not _poly_mod(poly, div, p):
+        for rest in itertools.product(range(p), repeat=d):
+            if not _poly_mod(poly, [*rest, 1], p):
                 return False
     return True
 
@@ -101,48 +86,34 @@ class GF:
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        if p**k > SIZE_BOUND:  # before any q x q table is allocated
+            raise ValueError(f"field size {p}^{k} exceeds bound {SIZE_BOUND}")
         self.p = p
         self.k = k
-        self.q = p**k
+        self.q = q = p**k
         self.modulus = modulus  # (c0, ..., c_{k-1}) of x^k + sum c_i x^i
-        # low-degree-first monic modulus polynomial for reduction
-        self._modpoly = list(modulus) + [1]
         self.zero = 0
         self.one = self.from_int(1)
         self.two = self.from_int(2)
-        if self.q <= TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self.add_table = None
-            self.mul_table = None
-            self.neg_table = None
-            self.inv_table = None
+        # digits[a] is the coefficient vector (c0, ..., c_{k-1}) of a, and
+        # place[i] the value of c_i in the encoding
+        place = p ** np.arange(k - 1, -1, -1, dtype=np.int32)
+        digits = np.arange(q, dtype=np.int32)[:, None] // place % p
+        self.add_table = ((digits[:, None] + digits) % p * place).sum(axis=2, dtype=np.int32)
+        self.neg_table = (-digits % p * place).sum(axis=1, dtype=np.int32)
+        # a b = sum_i b_i (x^i a): x (x^i a) shifts every coefficient up one
+        # degree and replaces x^k by -(c0 + c1 x + ... + c_{k-1} x^(k-1))
+        mod_coeffs = np.array(modulus, dtype=np.int32)
+        times_x, prod = digits, np.zeros((q, q, k), dtype=np.int32)
+        for i in range(k):
+            prod += times_x[:, None] * digits[:, i, None]
+            top = times_x[:, -1:]
+            shifted = np.concatenate([np.zeros_like(top), times_x[:, :-1]], axis=1)
+            times_x = (shifted - top * mod_coeffs) % p
+        self.mul_table = (prod % p * place).sum(axis=2, dtype=np.int32)
+        # 1/a is the place of one in row a; row 0 has none and gives 0
+        self.inv_table = (self.mul_table == self.one).argmax(axis=1).astype(np.int32)
         self.minus_one = self.neg(self.one)
-
-    # -- construction helpers --
-
-    def _build_tables(self) -> None:
-        q = self.q
-        if self.k == 1:
-            rng = np.arange(q, dtype=np.int64)
-            self.add_table = ((rng[:, None] + rng[None, :]) % q).astype(np.int32)
-            self.mul_table = ((rng[:, None] * rng[None, :]) % q).astype(np.int32)
-        else:
-            add = np.zeros((q, q), dtype=np.int32)
-            mul = np.zeros((q, q), dtype=np.int32)
-            for a in range(q):
-                for b in range(a, q):
-                    s = self._add_scalar(a, b)
-                    m = self._mul_scalar(a, b)
-                    add[a, b] = add[b, a] = s
-                    mul[a, b] = mul[b, a] = m
-            self.add_table = add
-            self.mul_table = mul
-        self.neg_table = np.array([self._neg_scalar(a) for a in range(q)], dtype=np.int32)
-        inv = np.zeros(q, dtype=np.int32)
-        for a in range(1, q):
-            inv[a] = self._pow_scalar(a, q - 2)
-        self.inv_table = inv
 
     # -- encoding --
 
@@ -166,70 +137,45 @@ class GF:
         """Embed the integer constant n (the element n*1)."""
         return (n % self.p) * self.p ** (self.k - 1)
 
-    # -- scalar arithmetic (table-free paths) --
-
-    def _add_scalar(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.from_coeffs([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def _neg_scalar(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self.from_coeffs([(-c) % self.p for c in self.coeffs(a)])
-
-    def _mul_scalar(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        pa = _poly_trim(list(self.coeffs(a)))  # coeffs are already low-degree first
-        pb = _poly_trim(list(self.coeffs(b)))
-        prod = _poly_mod(_poly_mul(pa, pb, self.p), self._modpoly, self.p)
-        prod += [0] * (self.k - len(prod))
-        return self.from_coeffs(prod)
-
-    def _pow_scalar(self, a: int, e: int) -> int:
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_scalar(result, base)
-            base = self._mul_scalar(base, base)
-            e >>= 1
-        return result
-
-    # -- public operations --
+    # -- arithmetic: reads of the tables --
 
     def add(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
-        return self._add_scalar(a, b)
+        return int(self.add_table[a, b])
 
     def neg(self, a: int) -> int:
-        if self.neg_table is not None:
-            return int(self.neg_table[a])
-        return self._neg_scalar(a)
+        return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
-        return self._mul_scalar(a, b)
+        return int(self.mul_table[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.q)
-        if self.inv_table is not None:
-            return int(self.inv_table[a])
-        return self._pow_scalar(a, self.q - 2)
+        return int(self.inv_table[a])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a = self.inv(a)
             e = -e
-        return self._pow_scalar(a, e)
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    @functools.cached_property
+    def frobenius(self) -> np.ndarray:
+        """The int32 array e -> e^p, the identity on GF(p); the automorphisms
+        of GF(p^k) are its powers."""
+        elements = power = np.arange(self.q, dtype=np.int32)
+        for _ in range(self.p - 1):
+            power = self.mul_table[power, elements]
+        return power
 
     def is_square(self, a: int) -> bool:
         if a == 0 or self.p == 2:
@@ -279,20 +225,11 @@ def make_field(p: int, k: int) -> GF:
         raise ValueError("k must be >= 1")
     if p**k > SIZE_BOUND:
         raise ValueError(f"field size {p}^{k} exceeds bound {SIZE_BOUND}")
-    if k == 1:
-        return GF(p, 1, (0,))
-    # scan (c0, ..., c_{k-1}) in lex order; itertools-free nested count
-    total = p**k
-    for code in range(total):
-        cs = []
-        c = code
-        for _ in range(k):
-            cs.append(c % p)
-            c //= p
-        cs.reverse()  # cs = (c0, ..., c_{k-1}) with c_{k-1} varying fastest
-        poly = cs + [1]  # c_i is the x^i coefficient, so cs is low-degree first
-        if _poly_is_irreducible(poly, p):
-            return GF(p, k, tuple(cs))
+    # (c0, ..., c_{k-1}) in lex order; c_i is the x^i coefficient, so the
+    # polynomial is cs + [1] low-degree first, and x is the first at k = 1
+    for cs in itertools.product(range(p), repeat=k):
+        if _poly_is_irreducible([*cs, 1], p):
+            return GF(p, k, cs)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 

@@ -10,6 +10,7 @@ CosetEnumerationOverflow, which means "unknown", never "infinite".
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -180,25 +181,39 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
     return w
 
 
+_TOKEN = re.compile(r"\S+")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def parse_presentation(text: str) -> Presentation:
-    """Two-line format:  `gens: x y`  then  `rels: x^3 y^3 [x,y]^2`."""
+    """Two-line format:  `gens: x y`  then  `rels: x^3 y^3 [x,y]^2`.
+    Generator names are distinct identifiers on the one `gens:` line."""
     gens: list[str] | None = None
     rels: list[Word] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if line.startswith("gens:"):
-            gens = line[len("gens:"):].split()
+            start = code.index("gens:")
+            if gens is not None:
+                raise PresentationParseError("second 'gens:' line", lineno, start + 1)
+            gens = []
+            for match in _TOKEN.finditer(code, start + len("gens:")):
+                name, col = match[0], match.start()
+                if not _NAME.fullmatch(name):
+                    raise PresentationParseError(f"generator {name!r} is not an identifier", lineno, col + 1)
+                if name in gens:
+                    raise PresentationParseError(f"generator {name!r} listed twice", lineno, col + 1)
+                gens.append(name)
             if not gens:
-                raise PresentationParseError("no generators listed", lineno, len("gens:") + 1)
+                raise PresentationParseError("no generators listed", lineno, start + len("gens:") + 1)
         elif line.startswith("rels:"):
             if gens is None:
                 raise PresentationParseError("rels before gens", lineno, 1)
-            end = raw.index("rels:") + len("rels:")
-            for tok in line[len("rels:"):].split():
-                col = raw.index(tok, end)  # tok may also occur inside an earlier token
-                end = col + len(tok)
+            for match in _TOKEN.finditer(code, code.index("rels:") + len("rels:")):
+                tok, col = match[0], match.start()
                 parser = _WordParser(tok, gens, line=lineno, col_offset=col)
                 w = parser.parse_word()
                 if parser.pos != len(tok):

@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .field import GF, TABLE_LIMIT, field_for_q, is_prime
+from .field import GF, field_for_q, is_prime
 from .matrices import Mat2
 
 DEFAULT_PAIR_BUDGET = 2 * 10**7
@@ -300,10 +300,7 @@ def _sl2_entries(f: GF) -> np.ndarray:
     """The entries of all q^3 - q det-1 matrices in lex order, as a
     4 x (q^3 - q) int32 array with rows a, b, c, d: for a = 0, any
     b != 0, c = -1/b and any d; for a != 0, any b, c and d = (1 + bc)/a.
-    Both blocks are listed in lex order, the first below the second.
-    ValueError if the field has no tables."""
-    if f.mul_table is None:
-        raise ValueError(f"GF({f.q}) has no arithmetic tables (q > {TABLE_LIMIT})")
+    Both blocks are listed in lex order, the first below the second."""
     q, mulT, addT, invT = f.q, f.mul_table, f.add_table, f.inv_table
     b0, d0 = np.indices((q - 1, q), dtype=np.int32).reshape(2, -1)
     b0 += 1
@@ -665,13 +662,13 @@ def _may_generate(G: FiniteGroup, x, y, z, tau) -> np.ndarray:
 def _maximal_subfields(G: FiniteGroup) -> list[np.ndarray]:
     """Membership masks over the field of G of its maximal proper subfields
     GF(s), s = p^(k/r) for each prime factor r of k: e lies in GF(s) when
-    e^s = e, the powers read off the multiplication table."""
+    e^s = e, k/r applications of the Frobenius map e -> e^p."""
     f, e = G.field, np.arange(G.field.q)
     masks = []
-    for s in (f.p ** (f.k // r) for r in range(2, f.k + 1) if f.k % r == 0 and is_prime(r)):
+    for m in (f.k // r for r in range(2, f.k + 1) if f.k % r == 0 and is_prime(r)):
         power = e
-        for _ in range(s - 1):
-            power = f.mul_table[power, e]
+        for _ in range(m):
+            power = f.frobenius[power]
         masks.append(power == e)
     return masks
 

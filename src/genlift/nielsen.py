@@ -409,8 +409,7 @@ def _outer_perms(G: FiniteGroup) -> tuple[np.ndarray, ...]:
         over_nu, mulT = f.inv(nu), f.mul_table
         perms.append(entry_perm(G, lambda a, b, c, d: (a, mulT[b, over_nu], mulT[c, nu], d)))
     if f.k > 1:
-        frob = np.array([f.pow(e, f.p) for e in range(f.q)])
-        perms.append(entry_perm(G, lambda *entries: [frob[e] for e in entries]))
+        perms.append(entry_perm(G, lambda *entries: [f.frobenius[e] for e in entries]))
     return _read_only(*perms)
 
 

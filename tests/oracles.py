@@ -61,6 +61,45 @@ def invariant_factors_via_minors(rows: list[list[int]]) -> list[int]:
     return [gcds[i] // gcds[i - 1] for i in range(1, len(gcds))]
 
 
+# -- GF(p^k) by polynomial arithmetic ------------------------------------------
+
+
+def poly_add(f, a: int, b: int) -> int:
+    """a + b in the field f, coefficient by coefficient mod p."""
+    return f.from_coeffs([x + y for x, y in zip(f.coeffs(a), f.coeffs(b))])
+
+
+def poly_neg(f, a: int) -> int:
+    return f.from_coeffs([-c for c in f.coeffs(a)])
+
+
+def poly_mul(f, a: int, b: int) -> int:
+    """a b in the field f: the schoolbook product of the coefficient vectors
+    (low degree first), reduced from the top degree down by
+    x^k = -(c0 + c1 x + ... + c_{k-1} x^(k-1)), f's monic modulus."""
+    k = f.k
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(f.coeffs(a)):
+        for j, y in enumerate(f.coeffs(b)):
+            prod[i + j] += x * y
+    while len(prod) > k:
+        lead = prod.pop()
+        for i, c in enumerate(f.modulus):
+            prod[len(prod) - k + i] -= lead * c
+    return f.from_coeffs(prod)
+
+
+def poly_pow(f, a: int, e: int) -> int:
+    """a^e in the field f for e >= 0, by square-and-multiply on `poly_mul`."""
+    result = f.one
+    while e:
+        if e & 1:
+            result = poly_mul(f, result, a)
+        a = poly_mul(f, a, a)
+        e >>= 1
+    return result
+
+
 # -- groups and helpers that only the tests use --------------------------------
 
 

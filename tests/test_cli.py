@@ -138,14 +138,14 @@ def test_budget_exit(capsys):
 
 
 def test_field_without_tables_is_refused(capsys):
-    # GF(257) is past the field's TABLE_LIMIT: over the default budget it is
-    # a budget refusal, and within a large one a usage error, not a crash
-    assert run(capsys, "spectrum", "--q", "257")[0] == EXIT_BUDGET
+    # GF(257) is past the field's SIZE_BOUND: a usage error at any budget,
+    # before the budget is checked
+    assert run(capsys, "spectrum", "--q", "257")[0] == EXIT_USAGE
     assert run(capsys, "--pair-budget", str(10**20), "spectrum", "--q", "257")[0] == EXIT_USAGE
-    # past the field's SIZE_BOUND, refused before q is factored
+    # refused before q is factored
     assert run(capsys, "orbits", "--q", "2147483647")[0] == EXIT_USAGE
     for build in (groupcore.build_sl2, groupcore.build_psl2):
-        with pytest.raises(ValueError, match="no arithmetic tables"):
+        with pytest.raises(ValueError, match="exceeds bound 256"):
             build(257, 10**20)
 
 
@@ -341,3 +341,7 @@ def test_scale_probe_script():
                           capture_output=True, text=True)
     assert proc.returncode == EXIT_BUDGET and "PSL(2,7) refused" in proc.stderr
     assert proc.stdout == ""  # refused before any probe ran
+    for q, reason in (("6", "not a prime power"), ("257", "exceeds bound 256"), ("x", "invalid int")):
+        proc = subprocess.run([sys.executable, str(script), "5", q], capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE and reason in proc.stderr, proc.stderr
+        assert proc.stdout == ""

@@ -1,17 +1,19 @@
+import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from genlift.field import (
     GF,
+    SIZE_BOUND,
     _poly_is_irreducible,
     field_for_q,
+    is_prime,
     make_field,
 )
-from oracles import field_elements
+from oracles import field_elements, poly_add, poly_mul, poly_neg, poly_pow
 
 FIELD_SIZES = [5, 7, 9, 13, 16]
 
@@ -44,15 +46,25 @@ def test_field_axioms_random_triples(q):
         assert axioms_hold(f, a, b, c)
 
 
-@given(st.sampled_from(FIELD_SIZES), st.data())
-@settings(max_examples=200, deadline=None)
-def test_field_table_matches_scalar_path(q, data):
-    f = field_for_q(q)
-    a = data.draw(st.integers(0, q - 1))
-    b = data.draw(st.integers(0, q - 1))
-    assert f.add(a, b) == f._add_scalar(a, b)
-    assert f.mul(a, b) == f._mul_scalar(a, b)
-    assert f.neg(a) == f._neg_scalar(a)
+def test_field_table_matches_scalar_path():
+    # every field within the bound: whole tables up to q = 32, then 2000
+    # seeded random pairs per field; every negative, inverse and Frobenius image
+    qs = sorted(p**k for p in range(2, SIZE_BOUND + 1) if is_prime(p)
+                for k in range(1, 9) if p**k <= SIZE_BOUND)
+    assert len(qs) == 70
+    rng = random.Random(7919)
+    for q in qs:
+        f = field_for_q(q)
+        if q <= 32:
+            pairs = itertools.product(range(q), repeat=2)
+        else:
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+        for a, b in pairs:
+            assert (f.add(a, b), f.mul(a, b)) == (poly_add(f, a, b), poly_mul(f, a, b)), (q, a, b)
+        assert f.neg_table.tolist() == [poly_neg(f, a) for a in range(q)], q
+        assert f.inv_table[0] == 0 and all(poly_mul(f, a, f.inv(a)) == f.one for a in range(1, q)), q
+        assert f.frobenius.tolist() == [poly_pow(f, a, f.p) for a in range(q)], q
+        assert f.minus_one == poly_neg(f, f.one)
 
 
 def test_modulus_is_lex_least_irreducible():
@@ -140,9 +152,21 @@ def test_rejections():
 def test_huge_q_refused_before_factoring():
     # trial division would scan every p up to q; the size bound comes first
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="exceeds bound 65536"):
+    with pytest.raises(ValueError, match="exceeds bound 256"):
         field_for_q(100000007)
     assert time.perf_counter() - t0 < 1
+
+
+def test_field_past_the_bound_is_refused_before_allocating():
+    # GF(2^9) would need 512 x 512 tables, 1 MB each
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="field size 2\\^9 exceeds bound 256"):
+            GF(2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0))  # x^9 + x^4 + 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14
 
 
 def test_make_field_deterministic():

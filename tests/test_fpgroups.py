@@ -147,6 +147,21 @@ def test_parse_errors_carry_position():
     with pytest.raises(PresentationParseError) as exc:
         parse_presentation("gens: x y\nrels: xy^2 y^")
     assert (exc.value.line, exc.value.column) == (2, 14)
+    # generator names: one gens line, each name once, each an identifier
+    for text, position in [
+        ("gens: x y\nrels: x^2\ngens: b a", (3, 1)),
+        ("gens: x\n  gens: x", (2, 3)),
+        ("gens: x x", (1, 9)),
+        ("gens: ab a ab", (1, 12)),
+        ("gens: [ y", (1, 7)),
+        ("gens: x,y", (1, 7)),
+        ("gens: x 2y", (1, 9)),
+        ("  gens:  # none", (1, 8)),
+    ]:
+        with pytest.raises(PresentationParseError) as exc:
+            parse_presentation(text)
+        assert (exc.value.line, exc.value.column) == position, text
+    assert parse_presentation("gens: _a x1 X_2\nrels: _a x1 X_2").generators == ("_a", "x1", "X_2")
 
 
 def test_comments_and_blank_lines():
