@@ -243,7 +243,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     # ValueError last: the specific codes above subclass it
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -113,6 +113,9 @@ class GF:
         self.mul_table = (prod % p * place).sum(axis=2, dtype=np.int32)
         # 1/a is the place of one in row a; row 0 has none and gives 0
         self.inv_table = (self.mul_table == self.one).argmax(axis=1).astype(np.int32)
+        # shared by every group built over the field
+        for table in (self.add_table, self.neg_table, self.mul_table, self.inv_table):
+            table.flags.writeable = False
         self.minus_one = self.neg(self.one)
 
     # -- encoding --
@@ -175,6 +178,7 @@ class GF:
         elements = power = np.arange(self.q, dtype=np.int32)
         for _ in range(self.p - 1):
             power = self.mul_table[power, elements]
+        power.flags.writeable = False
         return power
 
     def is_square(self, a: int) -> bool:

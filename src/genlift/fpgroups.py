@@ -1,17 +1,26 @@
 """Finitely presented groups: words, coset enumeration, abelianization.
 
+Words are freely reduced once: `atom^e` repeats the atom's letters |e|
+times and a word joins its factors' letters, so parsing is linear.
+
 The coset enumerator is HLT-style (relator tracing with gap filling),
 with coincidence handling via union-find and a final compaction pass.
-Cosets are defined at the lowest undefined table entry encountered while
+Words enter it once, as table columns: g -> 2g, g^-1 -> 2g + 1.  Cosets
+are defined at the lowest undefined table entry encountered while
 scanning, so enumeration is deterministic.  Enumeration is a
 semi-decision procedure: exceeding max_cosets raises
 CosetEnumerationOverflow, which means "unknown", never "infinite".
+
+The Smith normal form pivots on the least nonzero |entry| of the
+remaining block and reduces its row and column by floor division; a
+remainder, or a block entry the pivot does not divide, becomes a smaller
+pivot, so the form terminates.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -93,8 +102,7 @@ class _WordParser:
     def __init__(self, text: str, gens: Sequence[str], line: int = 1, col_offset: int = 0):
         self.text = text
         self.pos = 0
-        self.gens = sorted(range(len(gens)), key=lambda i: -len(gens[i]))
-        self.gen_names = list(gens)
+        self.gens = sorted(enumerate(gens), key=lambda ig: -len(ig[1]))  # (index, name)
         self.line = line
         self.col_offset = col_offset
 
@@ -108,6 +116,11 @@ class _WordParser:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def expect(self, ch: str, msg: str) -> None:
+        if self.peek() != ch:
+            raise self.error(msg)
+        self.pos += 1
+
     def parse_word(self, stop: str = "") -> Word:
         factors: list[Word] = []
         while True:
@@ -118,10 +131,7 @@ class _WordParser:
             factors.append(self.parse_factor())
         if not factors:
             raise self.error("empty word")
-        out = Word(())
-        for f in factors:
-            out = out * f
-        return out
+        return Word.from_letters([letter for f in factors for letter in f.letters])
 
     def parse_factor(self) -> Word:
         atom = self.parse_atom()
@@ -137,11 +147,7 @@ class _WordParser:
             if self.pos == start or self.text[start:self.pos] == "-":
                 raise self.error("expected integer exponent after '^'")
             e = int(self.text[start:self.pos])
-            word = Word(())
-            base = atom if e >= 0 else atom.inverse()
-            for _ in range(abs(e)):
-                word = word * base
-            return word
+            return Word.from_letters((atom if e >= 0 else atom.inverse()).letters * abs(e))
         return atom
 
     def parse_atom(self) -> Word:
@@ -149,23 +155,16 @@ class _WordParser:
         if ch == "(":
             self.pos += 1
             w = self.parse_word(stop=")")
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
+            self.expect(")", "expected ')'")
             return w
         if ch == "[":
             self.pos += 1
             a = self.parse_word(stop=",")
-            if self.peek() != ",":
-                raise self.error("expected ',' in commutator")
-            self.pos += 1
+            self.expect(",", "expected ',' in commutator")
             b = self.parse_word(stop="]")
-            if self.peek() != "]":
-                raise self.error("expected ']'")
-            self.pos += 1
+            self.expect("]", "expected ']'")
             return commutator_word(a, b)
-        for gi in self.gens:
-            name = self.gen_names[gi]
+        for gi, name in self.gens:
             if self.text.startswith(name, self.pos):
                 self.pos += len(name)
                 return Word(((gi, 1),))
@@ -173,12 +172,7 @@ class _WordParser:
 
 
 def parse_word(text: str, generators: Sequence[str]) -> Word:
-    parser = _WordParser(text, generators)
-    w = parser.parse_word()
-    parser._skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing input after word")
-    return w
+    return _WordParser(text, generators).parse_word()
 
 
 _TOKEN = re.compile(r"\S+")
@@ -187,7 +181,11 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 def parse_presentation(text: str) -> Presentation:
     """Two-line format:  `gens: x y`  then  `rels: x^3 y^3 [x,y]^2`.
-    Generator names are distinct identifiers on the one `gens:` line."""
+    Generator names are distinct identifiers on the one `gens:` line.
+
+    An error points at its line's first non-blank character or at the token
+    at fault; "missing 'gens:' line", raised only for text with no code
+    line, at line 1, column 1."""
     gens: list[str] | None = None
     rels: list[Word] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -195,8 +193,8 @@ def parse_presentation(text: str) -> Presentation:
         line = code.strip()
         if not line:
             continue
+        start = len(code) - len(code.lstrip())
         if line.startswith("gens:"):
-            start = code.index("gens:")
             if gens is not None:
                 raise PresentationParseError("second 'gens:' line", lineno, start + 1)
             gens = []
@@ -211,16 +209,11 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationParseError("no generators listed", lineno, start + len("gens:") + 1)
         elif line.startswith("rels:"):
             if gens is None:
-                raise PresentationParseError("rels before gens", lineno, 1)
-            for match in _TOKEN.finditer(code, code.index("rels:") + len("rels:")):
-                tok, col = match[0], match.start()
-                parser = _WordParser(tok, gens, line=lineno, col_offset=col)
-                w = parser.parse_word()
-                if parser.pos != len(tok):
-                    raise parser.error("trailing input after relator")
-                rels.append(w)
+                raise PresentationParseError("rels before gens", lineno, start + 1)
+            for match in _TOKEN.finditer(code, start + len("rels:")):
+                rels.append(_WordParser(match[0], gens, line=lineno, col_offset=match.start()).parse_word())
         else:
-            raise PresentationParseError("expected 'gens:' or 'rels:' line", lineno, 1)
+            raise PresentationParseError("expected 'gens:' or 'rels:' line", lineno, start + 1)
     if gens is None:
         raise PresentationParseError("missing 'gens:' line", 1, 1)
     return Presentation(tuple(gens), tuple(rels))
@@ -231,6 +224,11 @@ def parse_presentation(text: str) -> Presentation:
 # ---------------------------------------------------------------------------
 
 
+def _columns(word: Word) -> list[int]:
+    """The coset-table columns of the word's letters: g -> 2g, g^-1 -> 2g + 1."""
+    return [2 * g + (e < 0) for g, e in word.letters]
+
+
 @dataclass
 class CosetTable:
     """Complete coset table: action[c][col] with columns g0, g0^-1, g1, ..."""
@@ -239,30 +237,21 @@ class CosetTable:
     coset_count: int
     action: list[list[int]]
 
-    def column(self, g: int, e: int) -> int:
-        return 2 * g + (0 if e > 0 else 1)
-
     def trace(self, coset: int, word: Word) -> int:
-        for g, e in word.letters:
-            coset = self.action[coset][self.column(g, e)]
+        for col in _columns(word):
+            coset = self.action[coset][col]
         return coset
 
     def to_json(self) -> dict:
-        return {
-            "generator_count": self.generator_count,
-            "coset_count": self.coset_count,
-            "action": self.action,
-        }
+        return asdict(self)
 
 
 class _Enumerator:
     def __init__(self, ngens: int, max_cosets: int):
-        self.ngens = ngens
         self.ncols = 2 * ngens
         self.max_cosets = max_cosets
         self.table: list[list[int]] = [[-1] * self.ncols]
         self.rep = [0]  # union-find over cosets
-        self.alive = 1
 
     def find(self, c: int) -> int:
         while self.rep[c] != c:
@@ -270,7 +259,7 @@ class _Enumerator:
             c = self.rep[c]
         return c
 
-    def define(self, coset: int, col: int) -> int:
+    def define(self, coset: int, col: int) -> None:
         if len(self.table) >= self.max_cosets:
             raise CosetEnumerationOverflow(
                 f"exceeded max_cosets={self.max_cosets} before closure"
@@ -278,9 +267,7 @@ class _Enumerator:
         new = len(self.table)
         self.table.append([-1] * self.ncols)
         self.rep.append(new)
-        self.alive += 1
         self._set(coset, col, new)
-        return new
 
     def _set(self, a: int, col: int, b: int) -> None:
         self.table[a][col] = b
@@ -296,7 +283,6 @@ class _Enumerator:
             if x > y:
                 x, y = y, x
             self.rep[y] = x
-            self.alive -= 1
             row = self.table[y]
             for col in range(self.ncols):
                 c = row[col]
@@ -312,8 +298,7 @@ class _Enumerator:
                     stack.append((back, x))
                 self._set(x, col, c)
 
-    def scan_and_fill(self, coset: int, word: Word) -> None:
-        cols = [2 * g + (0 if e > 0 else 1) for g, e in word.letters]
+    def scan_and_fill(self, coset: int, cols: list[int]) -> None:
         while True:
             coset = self.find(coset)
             # forward scan
@@ -357,50 +342,47 @@ def todd_coxeter(
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     ngens = len(pres.generators)
+    relators = [_columns(rel) for rel in pres.relators]
+    subgroup = [_columns(w) for w in subgroup_gens]
     enum = _Enumerator(ngens, max_cosets)
-    for w in subgroup_gens:
-        enum.scan_and_fill(0, w)
+    for cols in subgroup:
+        enum.scan_and_fill(0, cols)
     coset = 0
     while coset < len(enum.table):
-        if enum.find(coset) != coset:
-            coset += 1
-            continue
-        for rel in pres.relators:
-            if enum.find(coset) != coset:
-                break
-            enum.scan_and_fill(coset, rel)
-        if enum.find(coset) == coset:
-            # fill remaining gaps in this row so enumeration terminates
-            for col in range(enum.ncols):
-                if enum.find(coset) != coset:
-                    break
-                if enum.table[coset][col] < 0:
-                    enum.define(coset, col)
+        # a coset stays dead once it has coincided with a lower one
+        for cols in relators:
+            if enum.find(coset) == coset:
+                enum.scan_and_fill(coset, cols)
+        # fill remaining gaps in this row so enumeration terminates
+        for col in range(enum.ncols):
+            if enum.find(coset) == coset and enum.table[coset][col] < 0:
+                enum.define(coset, col)
         coset += 1
     # compact live cosets, renumbered in discovery order
     live = [c for c in range(len(enum.table)) if enum.find(c) == c]
     index = {c: i for i, c in enumerate(live)}
-    action = [
-        [index[enum.find(enum.table[c][col])] for col in range(enum.ncols)] for c in live
-    ]
-    table = CosetTable(generator_count=ngens, coset_count=len(live), action=action)
-    _verify_table(table, pres, subgroup_gens)
-    return table
+    action = [[index[enum.find(d)] for d in enum.table[c]] for c in live]
+    _verify_action(action, relators, subgroup)
+    return CosetTable(generator_count=ngens, coset_count=len(live), action=action)
 
 
-def _verify_table(table: CosetTable, pres: Presentation, subgroup_gens: Sequence[Word]) -> None:
-    n = table.coset_count
-    for col in range(2 * table.generator_count):
-        seen = sorted(table.action[c][col] for c in range(n))
-        if seen != list(range(n)):
+def _verify_action(action: list[list[int]], relators: list[list[int]], subgroup: list[list[int]]) -> None:
+    """AssertionError unless each column is a permutation, each relator fixes
+    every coset and each subgroup generator fixes coset 0; words as columns."""
+    n = len(action)
+    for col in range(len(action[0])):
+        if sorted(row[col] for row in action) != list(range(n)):
             raise AssertionError("coset table column is not a permutation")
-    for c in range(n):
-        for rel in pres.relators:
-            if table.trace(c, rel) != c:
-                raise AssertionError("relator does not stabilize a coset")
-    for w in subgroup_gens:
-        if table.trace(0, w) != 0:
-            raise AssertionError("subgroup generator moves coset 0")
+
+    def trace(c: int, cols: list[int]) -> int:
+        for col in cols:
+            c = action[c][col]
+        return c
+
+    if any(trace(c, cols) != c for cols in relators for c in range(n)):
+        raise AssertionError("relator does not stabilize a coset")
+    if any(trace(0, cols) != 0 for cols in subgroup):
+        raise AssertionError("subgroup generator moves coset 0")
 
 
 def group_from_coset_table(
@@ -466,87 +448,45 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]],
     cols = len(m[0]) if rows else 0
     t = 0
     while t < min(rows, cols):
-        # find a nonzero pivot in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
+        block = [(abs(m[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]]
+        if not block:
             break
-        pi, pj = pivot
+        _, pi, pj = min(block)
         m[t], m[pi] = m[pi], m[t]
         for row in m:
             row[t], row[pj] = row[pj], row[t]
-        # clear row and column t
-        while True:
-            changed = False
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    qout = m[i][t] // m[t][t]
-                    for j in range(cols):
-                        m[i][j] -= qout * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                    changed = True
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    qout = m[t][j] // m[t][t]
-                    for i in range(rows):
-                        m[i][j] -= qout * m[i][t]
-                    if m[t][j]:
-                        for i in range(rows):
-                            m[i][t], m[i][j] = m[i][j], m[i][t]
-                    changed = True
-            if not changed:
-                break
-        # enforce divisibility d_t | entries of the remaining block
-        fixed = False
+        p = m[t][t]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t]:
-                    for jj in range(cols):
-                        m[t][jj] += m[i][jj]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+            qout = m[i][t] // p
+            if qout:
+                m[i] = [a - qout * b for a, b in zip(m[i], m[t])]
+        for j in range(t + 1, cols):
+            qout = m[t][j] // p
+            if qout:
+                for row in m:
+                    row[j] -= qout * row[t]
+        if any(m[i][t] for i in range(t + 1, rows)) or any(m[t][t + 1:]):
             continue
-        if m[t][t] < 0:
-            for j in range(cols):
-                m[t][j] = -m[t][j]
+        bad = next((i for i in range(t + 1, rows) for j in range(t + 1, cols) if m[i][j] % p), None)
+        if bad is not None:
+            m[t] = [a + b for a, b in zip(m[t], m[bad])]
+            continue
+        if p < 0:
+            m[t] = [-a for a in m[t]]
         t += 1
-    diag = [m[i][i] for i in range(min(rows, cols))]
-    return m, [abs(d) for d in diag]
+    return m, [m[i][i] for i in range(min(rows, cols))]
 
 
 def invariant_factors(matrix: Sequence[Sequence[int]], ncols: int | None = None) -> list[int]:
     """Invariant factors of Z^c / rowspace(matrix); units dropped, 0 = C_inf."""
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
-    if not matrix:
-        return [0] * ncols
-    _, diag = smith_normal_form(matrix)
-    factors = [d for d in diag if d != 1]
-    rank = sum(1 for d in diag if d != 0)
-    factors = [d for d in factors if d != 0]
-    factors += [0] * (ncols - rank)
-    return factors
+    nonzero = [d for d in smith_normal_form(matrix)[1] if d]
+    return [d for d in nonzero if d != 1] + [0] * (ncols - len(nonzero))
 
 
 def abelianization(pres: Presentation) -> list[int]:
     """Invariant factors of the abelianized group, via the exponent-sum matrix."""
     ngens = len(pres.generators)
-    matrix = []
-    for rel in pres.relators:
-        row = [0] * ngens
-        for g, e in rel.letters:
-            row[g] += e
-        matrix.append(row)
-    if not matrix:
-        return [0] * ngens
+    matrix = [[sum(e for g, e in rel.letters if g == k) for k in range(ngens)] for rel in pres.relators]
     return invariant_factors(matrix, ngens)

@@ -25,36 +25,31 @@ import numpy as np
 # -- exact integer linear algebra -------------------------------------------
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Cofactor expansion; exact for small integer matrices."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * det_int(minor)
-    return total
-
-
 def invariant_factors_via_minors(rows: list[list[int]]) -> list[int]:
     """d_k = gcd of all k x k minors; invariant factors are d_k / d_{k-1}.
 
+    A minor is the cofactor expansion along its first row, over the minors
+    one size smaller, each of them computed once.
     Returns the nonzero invariant factors (no padding for free rank).
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
+    minors = {((), ()): 1}  # (row indices, column indices) -> minor
+
+    def minor(ri: tuple, ci: tuple) -> int:
+        if (ri, ci) not in minors:
+            top = rows[ri[0]]
+            minors[ri, ci] = sum(
+                (-1) ** j * top[c] * minor(ri[1:], ci[:j] + ci[j + 1 :]) for j, c in enumerate(ci) if top[c]
+            )
+        return minors[ri, ci]
+
     gcds = [1]
     for k in range(1, min(m, n) + 1):
         g = 0
         for ri in combinations(range(m), k):
             for ci in combinations(range(n), k):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                g = math.gcd(g, det_int(sub))
+                g = math.gcd(g, minor(ri, ci))
         if g == 0:
             break
         gcds.append(g)

@@ -17,6 +17,7 @@ from genlift.cli import (
     EXIT_USAGE,
     main,
 )
+from genlift.fpgroups import parse_presentation, todd_coxeter
 
 
 def run(capsys, *argv):
@@ -210,6 +211,15 @@ def test_coset_enum(capsys, tmp_path):
     assert report["coset_count"] == 288
     code, report = run_json(capsys, "coset-enum", str(f), "--subgroup", "x")
     assert report["coset_count"] == 96
+    f.write_text("gens: x y\nrels: x^3 y^2 (xy)^2\n")
+    code, report = run_json(capsys, "coset-enum", str(f), "--table")
+    table = todd_coxeter(parse_presentation(f.read_text()))
+    assert (code, report["coset_count"]) == (EXIT_PASS, 6)
+    assert report["coset_table"] == {
+        "generator_count": table.generator_count,
+        "coset_count": table.coset_count,
+        "action": table.action,
+    }
 
 
 def test_coset_enum_overflow(capsys, tmp_path):
@@ -222,6 +232,13 @@ def test_coset_enum_parse_error(capsys, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("gens: x\nrels: x^^3\n")
     assert run(capsys, "coset-enum", str(f))[0] == EXIT_PARSE
+
+
+def test_unreadable_path_is_usage(capsys, tmp_path):
+    # a directory where a file is read or written; lemma5 itself passes
+    for argv in (["coset-enum", str(tmp_path)], ["verify", "lemma5", "--output", str(tmp_path)]):
+        assert main(argv) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_output_file_and_table_format(capsys, tmp_path):

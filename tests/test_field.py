@@ -172,3 +172,12 @@ def test_field_past_the_bound_is_refused_before_allocating():
 def test_make_field_deterministic():
     assert make_field(3, 2) is make_field(3, 2)
     assert field_for_q(9) == make_field(3, 2)
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_field_tables_are_read_only(q):
+    # every group built over the field shares them
+    F = field_for_q(q)
+    for table in (F.add_table, F.neg_table, F.mul_table, F.inv_table, F.frobenius):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,12 @@ def enumerate_order(text, max_cosets=10**5):
 
 def test_cyclic_5():
     assert enumerate_order("gens: x\nrels: x^5") == 5
+
+
+def test_columns_are_generator_then_inverse():
+    # action[c][2g] is c g and action[c][2g + 1] is c g^-1, cosets numbered as defined
+    table = todd_coxeter(parse_presentation("gens: x\nrels: x^5"))
+    assert table.action == [[1, 4], [2, 0], [3, 1], [4, 2], [0, 3]]
 
 
 def test_symmetric_3():
@@ -124,6 +131,10 @@ def test_word_parsing():
     assert parse_word("(x y)^2", gens).letters == ((0, 1), (1, 1)) * 2
     # free reduction
     assert parse_word("x x^-1 y", gens).letters == ((1, 1),)
+    assert parse_word("(x y x^-1)^3", gens).letters == ((0, 1), (1, 1), (1, 1), (1, 1), (0, -1))
+    # each word is reduced once; building it factor copy by factor copy took seconds
+    assert len(parse_word("x^16000", gens)) == 16000
+    assert len(parse_word("xy" * 4000, gens)) == 8000
 
 
 def test_word_algebra():
@@ -139,6 +150,11 @@ def test_parse_errors_carry_position():
     assert exc.value.line == 2
     with pytest.raises(PresentationParseError):
         parse_presentation("rels: x")
+    # a misplaced line points at its first non-blank character
+    for text, position in [("   rels: x", (1, 4)), ("gens: x\n  foo", (2, 3))]:
+        with pytest.raises(PresentationParseError) as exc:
+            parse_presentation(text)
+        assert (exc.value.line, exc.value.column) == position, text
     with pytest.raises(PresentationParseError):
         parse_presentation("gens: x\nrels: z")
     with pytest.raises(PresentationParseError):
@@ -172,6 +188,17 @@ def test_comments_and_blank_lines():
 
 # -- Smith normal form --------------------------------------------------------
 
+# the clear-and-swap elimination ran away on this matrix, its entries past
+# 4 300 digits within 5 s
+RUNAWAY_6X6 = [
+    [0, 5, -3, 0, 12, -4],
+    [-5, 9, 5, -9, -2, 9],
+    [-10, 2, 0, -6, -10, 0],
+    [12, 0, 12, 0, 12, 0],
+    [-9, -5, -8, -11, -9, 7],
+    [0, -4, 7, 5, -3, 0],
+]
+
 
 def test_snf_fixed_cases():
     _, diag = smith_normal_form([[2, 0], [0, 3]])
@@ -179,14 +206,18 @@ def test_snf_fixed_cases():
     _, diag = smith_normal_form([[6, 0], [0, 4]])
     assert diag == [2, 12]
     assert invariant_factors([[0, 0], [0, 0]]) == [0, 0]
+    D, diag = smith_normal_form(RUNAWAY_6X6)
+    assert diag == [1, 1, 1, 1, 6, 257064] == invariant_factors_via_minors(RUNAWAY_6X6)
+    assert D == [[d if i == j else 0 for j in range(6)] for i, d in enumerate(diag)]
 
 
 def test_snf_vs_minor_gcd_oracle():
     rng = random.Random(2026)
-    for _ in range(1000):
-        m = rng.randrange(1, 6)
-        n = rng.randrange(1, 6)
-        rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
+    shapes = ((rng.randrange(1, 6), rng.randrange(1, 6), 9) for _ in range(1000))
+    # at 6 x 6 and up the clear-and-swap elimination ran away on some matrices
+    shapes = itertools.chain(shapes, [(6, n, 12) for n in (6, 7) for _ in range(30)])
+    for m, n, bound in shapes:
+        rows = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(m)]
         _, diag = smith_normal_form(rows)
         nonzero = [d for d in diag if d != 0]
         assert nonzero == invariant_factors_via_minors(rows)
@@ -205,6 +236,11 @@ def test_abelianization():
     assert abelianization(parse_presentation("gens: x y\nrels: x^2 y^3 [x,y]")) == [6]
     assert abelianization(parse_presentation("gens: x\nrels:")) == [0]
     assert abelianization(parse_presentation("gens: x y\nrels: [x,y]")) == [0, 0]
+    # one relator per row of RUNAWAY_6X6, its entries the exponent sums
+    gens = "abcdef"
+    rels = ["".join(f"{g}^{e}" for g, e in zip(gens, row) if e) for row in RUNAWAY_6X6]
+    text = f"gens: {' '.join(gens)}\nrels: {' '.join(rels)}"
+    assert abelianization(parse_presentation(text)) == [6, 257064]
 
 
 def test_abelianization_invariant_under_relator_order():
