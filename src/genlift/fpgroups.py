@@ -92,6 +92,8 @@ class Presentation:
 # word / presentation parsing
 # ---------------------------------------------------------------------------
 
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes '²' and '٣'
+
 
 class _WordParser:
     """Grammar: word := factor+ ; factor := atom ['^' int] ;
@@ -142,7 +144,7 @@ class _WordParser:
             start = self.pos
             if self.peek() == "-":
                 self.pos += 1
-            while self.peek().isdigit():
+            while self.peek() in _DIGITS:
                 self.pos += 1
             if self.pos == start or self.text[start:self.pos] == "-":
                 raise self.error("expected integer exponent after '^'")

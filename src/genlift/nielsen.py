@@ -11,25 +11,26 @@ splits those classes; such pairs are out of scope and labelled -1.
 
 The pair (a, b) is keyed k * n + y by its conjugate (reps[k], y),
 reps[k] = x a x^-1 the class representative of a and y = x b x^-1.
-Nielsen and Aut orbits are found in two stages, each labelling a class
-or component by its least key, whose pair is its least member, as
-representatives are least members.  Stage 1 (`_pair_classes`) labels
-the conjugation classes of pairs by orbit minima under the centralizers,
-folded by pointer doubling.  Stage 2 applies the moves to the least key
-of each class only, as they commute with simultaneous conjugation, reads
-the images through the stage-1 labels and joins the classes by a numpy
-union-find (hooking and pointer jumping).  Joint orbits, the Neumanns'
-T-systems, are the Nielsen orbits up to automorphisms, which commute
-with the moves: components over the Nielsen orbit ids, with no
-pair-level work.
+One engine (`_orbits`) finds every orbit.  It takes classes of keys:
+the least key of each, whose pair is its least member, as
+representatives are least members; the class of every key; and the
+pairs of each class.  It applies the moves to the least keys only, joins
+the classes they reach by a numpy union-find (hooking and pointer
+jumping) and labels classes, never keys.  Nielsen and Aut orbits take
+the conjugation classes of pairs (`_pair_classes`), as the moves
+commute with simultaneous conjugation: orbit minima under the
+centralizers, folded by pointer doubling.  Joint orbits, the Neumanns'
+T-systems, are the automorphisms on the Nielsen orbits, which they
+permute as they commute with the moves: no key is searched.
 
-Generation is decided for every Nielsen class by one `generates` call
-on the least members: on PSL(2,q) most of them by their trace triples,
-the rest by closures that stop past 60 elements.  Aut keeps its
-components inside generating Nielsen classes, as automorphisms preserve
-generation.  The group keeps (`FiniteGroup.computed`) its classes of
-pairs, outer automorphism permutations and Nielsen parts (records, rep
-rows, representative orders), all read-only; each Nielsen call, Aut and joint among them,
+Generation is decided for every Nielsen component by one `generates`
+call on the least members: on PSL(2,q) most of them by their trace
+triples, the rest by closures that stop past 60 elements.  Aut keeps the
+components whose least key is in a Nielsen orbit, and joint keeps all,
+as automorphisms preserve generation.  The group keeps
+(`FiniteGroup.computed`) its classes of pairs, outer automorphism
+permutations and Nielsen parts (records, rep rows, representative
+orders), all read-only; each Nielsen call, Aut and joint among them,
 wraps the parts in a fresh decomposition.  Aut and joint orbits are not
 kept.  `mn_free_flags` reads the rep rows on every call, and
 `is_mn_generated` reads its flags.  One vectorized map from pairs to
@@ -124,7 +125,10 @@ class OrbitDecomposition:
     def member_ids(self, orbit_id: int) -> np.ndarray:
         """Sorted ids first * n + second of the orbit's pairs (g, x^-1 y x),
         g in class k, x = conjugator[g] and rep_rows[k, y] == orbit_id: int32
-        while n^2 < 2^31, filled _BLOCK_ENTRIES pairs at a time."""
+        while n^2 < 2^31, filled _BLOCK_ENTRIES pairs at a time; KeyError for
+        an id of no orbit.  Perfbench and the tests read it, the library not."""
+        if not 0 <= orbit_id < len(self.orbits):
+            raise KeyError(f"no orbit {orbit_id} in decomposition")
         G, cls = self.group, conjugacy_classes(self.group)
         in_orbit = self.rep_rows == orbit_id
         sizes = np.bincount(cls.class_of, minlength=len(in_orbit))
@@ -225,15 +229,15 @@ def _components(nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
             lab, up = up, lab
 
 
-def _pair_classes(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1 of `_rep_rows`, kept with the group: the conjugation classes
-    of pairs, as (least, index).  `least` lists the least key of every class
-    in increasing order, and key k * n + y lies in class index[k * n + y]."""
+def _pair_classes(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 1, kept with the group: the conjugation classes of pairs, as
+    (least, index, sizes): the least key of every class in increasing order,
+    the class index[k * n + y] of every key, and the pairs of every class."""
     return G.computed("pair_classes", _orbit_minima)
 
 
-def _orbit_minima(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
-    """The (least, index) of `_pair_classes`.
+def _orbit_minima(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (least, index, sizes) of `_pair_classes`.
 
     The class of (reps[k], y) is the orbit of y under conjugation by the
     centralizer C of reps[k], so its least key is k * n + m[y], m[y] the
@@ -264,23 +268,44 @@ def _orbit_minima(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     lab = (mins + np.arange(len(gens))[:, None] * n).reshape(-1)
     is_least = lab == np.arange(lab.size)
     rank = np.cumsum(is_least, dtype=np.int32) - 1  # at a least key, its place in `least`
-    return _read_only(np.flatnonzero(is_least), rank[lab])
+    least, index = np.flatnonzero(is_least), rank[lab]
+    keys = np.zeros(len(least), dtype=np.int64)  # keys per class, each for |class k| pairs
+    np.add.at(keys, index, 1)  # not bincount, which would copy index to intp
+    return _read_only(least, index, keys * np.bincount(cls.class_of)[least // n])
 
 
-def _rep_rows(G: FiniteGroup, cls: ConjugacyClasses, moves: Callable) -> np.ndarray:
-    """K x n rows: the component of the pair (reps[k], y) under the moves,
-    moves(G, i, j) -> [(i', j'), ...], in the graph on the K * n keys,
-    labelled by its least key.  The moves are applied to the least key of
-    each conjugation class of pairs (`_pair_classes`) only, and
-    `_components` joins the classes; a component's least key is the least
-    key of one of its classes, so the rows are those of one search over
-    all keys with every edge."""
+def _orbits(G: FiniteGroup, cls: ConjugacyClasses, classes: tuple, moves: Callable, generating=None) -> tuple:
+    """Read-only (records, rep rows, rep orders) of the orbits of the moves,
+    moves(G, i, j) -> [(i', j'), ...], on classes (least, index, sizes) as
+    `_pair_classes` gives them, index -1 at a key in no class.  The moves
+    act on the least keys only, and `_components` joins the classes.  A
+    component is kept where generating[c] holds at its least class c, by
+    default where c's least pair generates G.  Orbits are numbered in
+    least-key order, which is least-member order."""
     n, reps = G.n, cls.representatives
-    least, index = _pair_classes(G)
+    least, index, sizes = classes
     images = [index[_pair_keys(G, cls, a, b)] for a, b in moves(G, reps[least // n], least % n)]
     src = np.tile(np.arange(len(least)), len(images))
     dst = np.concatenate(images + [np.empty(0, dtype=index.dtype)])  # an action may have no moves
-    return least[_components(len(least), src, dst)][index].reshape(len(reps), n)
+    comp = _components(len(least), src, dst)
+    roots = np.flatnonzero(comp == np.arange(len(least)))
+    if generating is None:
+        generating = np.zeros(len(least), dtype=bool)
+        generating[roots] = generates(G, reps[least[roots] // n], least[roots] % n)
+    roots = roots[generating[roots]]
+    i, j = reps[least[roots] // n], least[roots] % n
+    ids = np.full(len(least) + 1, -1, dtype=_id_dtype(index.size))  # its last entry maps -1 to -1
+    ids[roots] = np.arange(len(roots))
+    ids[:-1] = ids[comp]
+    taus = fricke_traces(G, i, j)[3].tolist() if G.kind == "psl2" else [None] * len(roots)
+    orbits = tuple(map(OrbitRecord._make, zip(
+        range(len(roots)),
+        np.bincount(ids[:-1] + 1, sizes, len(roots) + 1)[1:].astype(np.int64).tolist(),
+        zip(i.tolist(), j.tolist()),
+        taus,
+        G.orders[commutators(G, i, j)].tolist(),
+    )))
+    return (orbits, *_read_only(ids[index].reshape(len(reps), n), G.orders[reps]))
 
 
 def _pair_keys(G: FiniteGroup, cls: ConjugacyClasses, a, b) -> np.ndarray:
@@ -289,29 +314,6 @@ def _pair_keys(G: FiniteGroup, cls: ConjugacyClasses, a, b) -> np.ndarray:
     Widened to int64 before packing, as the table entries may be int16."""
     y = G.conj(cls.conjugator[a], b)
     return np.multiply(cls.class_of[a], G.n, dtype=np.int64) + y
-
-
-def _decompose(G: FiniteGroup, cls: ConjugacyClasses, rows: np.ndarray) -> tuple:
-    """Read-only (records, rep rows, rep orders) of the orbits given by rep
-    rows of generating classes, each labelled by its least key (-1 outside),
-    numbered in least-key order, which is least-member order.  The commutator
-    orders and trace invariants of all rep pairs are computed at once."""
-    n = G.n
-    # an entry stands for one pair per member of its class; index 0 counts the -1s
-    sizes = np.bincount(rows.reshape(-1) + 1, np.repeat(np.bincount(cls.class_of), n))[1:]
-    keys = np.flatnonzero(sizes)
-    remap = np.full(rows.size + 1, -1, dtype=_id_dtype(rows.size))  # its last entry maps -1 to -1
-    remap[keys] = np.arange(len(keys))
-    i, j = cls.representatives[keys // n], keys % n
-    taus = fricke_traces(G, i, j)[3].tolist() if G.kind == "psl2" else [None] * len(keys)
-    orbits = tuple(map(OrbitRecord._make, zip(
-        range(len(keys)),
-        sizes[keys].astype(np.int64).tolist(),
-        zip(i.tolist(), j.tolist()),
-        taus,
-        G.orders[commutators(G, i, j)].tolist(),
-    )))
-    return (orbits, *_read_only(remap[rows], G.orders[cls.representatives]))
 
 
 def decompose_nielsen_orbits(G: FiniteGroup) -> OrbitDecomposition:
@@ -328,13 +330,8 @@ def is_mn_generated(G: FiniteGroup, m: int, n: int) -> bool:
 
 
 def _nielsen_parts(G: FiniteGroup) -> tuple:
-    """The `_decompose` parts of the Nielsen rows, masked by one generation test per class."""
-    n, cls = G.n, conjugacy_classes(G)
-    rows = _rep_rows(G, cls, _nielsen_moves)
-    keys = np.flatnonzero(np.bincount(rows[rows >= 0], minlength=rows.size))  # one per class
-    generating = np.zeros(rows.size, dtype=bool)
-    generating[keys] = generates(G, cls.representatives[keys // n], keys % n)
-    return _decompose(G, cls, np.where((rows >= 0) & generating[rows], rows, -1))
+    """The `_orbits` parts of the Nielsen moves on the classes of pairs."""
+    return _orbits(G, conjugacy_classes(G), _pair_classes(G), _nielsen_moves)
 
 
 def _key_pairs(dec: OrbitDecomposition, orbit_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,38 +416,23 @@ def _aut_moves(G: FiniteGroup, i: np.ndarray, j: np.ndarray) -> list:
 
 
 def aut_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
-    """Orbits of the generating pairs under the diagonal PGammaL(2,q) action:
-    the engine's rows, masked by the generating rows of the Nielsen orbits,
+    """Orbits of the generating pairs under the diagonal PGammaL(2,q) action
+    on the classes of pairs, kept where the Nielsen rows hold the least key,
     as automorphisms preserve generation."""
-    generating = decompose_nielsen_orbits(G).rep_rows >= 0
-    cls = conjugacy_classes(G)
-    rows = np.where(generating, _rep_rows(G, cls, _aut_moves), -1)
-    return OrbitDecomposition(G, *_decompose(G, cls, rows))
+    classes = _pair_classes(G)
+    generating = decompose_nielsen_orbits(G).rep_rows.reshape(-1)[classes[0]] >= 0
+    return OrbitDecomposition(G, *_orbits(G, conjugacy_classes(G), classes, _aut_moves, generating))
 
 
 def joint_orbit_decomposition(G: FiniteGroup) -> OrbitDecomposition:
-    """Orbits of the generating pairs under Nielsen moves and automorphisms.
-    Automorphisms commute with the moves, so an outer generator maps each
-    Nielsen orbit onto the orbit of its image of the orbit's rep, and
-    `_components` over the Nielsen ids, one edge per orbit and generator,
-    joins them.  A joint orbit takes the id order, rep, tau and commutator
-    order of its least Nielsen orbit, whose least member is its own."""
-    dec = decompose_nielsen_orbits(G)
-    i, j = np.array([o.canonical_rep for o in dec.orbits], dtype=np.intp).reshape(-1, 2).T
-    perms = psl_automorphism_perms(G)
-    src = np.tile(np.arange(len(i)), len(perms))
-    dst = np.concatenate([dec.orbit_ids(p[i], p[j]) for p in perms] + [np.empty(0, dtype=np.intp)])
-    least = _components(len(i), src, dst)
-    roots = np.flatnonzero(least == np.arange(len(i)))
-    remap = np.full(len(i) + 1, -1, dtype=dec.rep_rows.dtype)  # its last entry maps -1 to -1
-    remap[:-1] = np.searchsorted(roots, least)
-    sizes = [0] * len(roots)
-    for k, o in zip(remap.tolist(), dec.orbits):
-        sizes[k] += o.size
-    orbits = tuple(dec.orbits[r]._replace(orbit_id=k, size=sizes[k]) for k, r in enumerate(roots.tolist()))
-    rows = remap[dec.rep_rows]
-    _read_only(rows)
-    return OrbitDecomposition(G, orbits, rows, dec.rep_orders)
+    """Orbits of the generating pairs under Nielsen moves and automorphisms:
+    the automorphisms on the Nielsen orbits, which they permute, as they
+    commute with the moves, with no key search."""
+    dec, cls = decompose_nielsen_orbits(G), conjugacy_classes(G)
+    a, b = np.array([o.canonical_rep for o in dec.orbits], dtype=np.intp).reshape(-1, 2).T
+    least = np.multiply(cls.class_of[a], G.n, dtype=np.int64) + b  # each orbit's least key
+    classes = (least, dec.rep_rows.reshape(-1), np.array([o.size for o in dec.orbits], dtype=np.int64))
+    return OrbitDecomposition(G, *_orbits(G, cls, classes, _aut_moves, np.ones(len(least), dtype=bool)))
 
 
 def trace_spectrum(dec: OrbitDecomposition) -> set[int]:

@@ -455,14 +455,15 @@ def verify_dihedral(m: int, pair_budget=DEFAULT_PAIR_BUDGET) -> ClaimReport:
     dec = decompose_nielsen_orbits(G)
     flags = dec.mn_free_flags(2, 2)
     stuck = [o.orbit_id for o in dec.orbits if flags[o.orbit_id]]
-    squares_to_one = 2 % G.orders == 0
-    witnesses = []
-    for o in dec.orbits:
-        if flags[o.orbit_id]:
-            continue
-        ids = dec.member_ids(o.orbit_id)  # sorted, so the least (2,2) member comes first
-        i, j = divmod(int(ids[squares_to_one[ids // G.n] & squares_to_one[ids % G.n]][0]), G.n)
-        witnesses.append({"orbit": o.orbit_id, "pair": [G.labels[i], G.labels[j]]})
+    # every (2,2) pair in one grid, in id order, so a first hit is an orbit's least witness
+    s = np.flatnonzero(2 % G.orders == 0)
+    ids, first = np.unique(dec.orbit_ids(s[:, None], s), return_index=True)
+    names = [G.labels[x] for x in s.tolist()]
+    witnesses = [
+        {"orbit": oid, "pair": [names[at // len(s)], names[at % len(s)]]}
+        for oid, at in zip(ids.tolist(), first.tolist())
+        if oid >= 0
+    ]
     evidence = {
         "orbit_count": len(dec.orbits),
         "orbits_without_22_pair": stuck,

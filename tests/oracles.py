@@ -531,6 +531,21 @@ def pair_class_labels(G) -> np.ndarray:
     return np.array(rows)
 
 
+def pair_class_sizes(G, keys) -> np.ndarray:
+    """The number of pairs conjugate to each pair (reps[k], y) of the keys
+    k * n + y, by orbit-stabilizer: |G| over the number of elements that
+    commute with both, read from the dense table."""
+    from genlift.groupcore import conjugacy_classes
+
+    mult = cayley_table(G)
+    reps = conjugacy_classes(G).representatives
+    counts = [
+        np.count_nonzero((mult[:, a] == mult[a]) & (mult[:, y] == mult[y]))
+        for a, y in zip(reps[keys // G.n].tolist(), (keys % G.n).tolist())
+    ]
+    return G.n // np.array(counts, dtype=np.int64)
+
+
 def rep_rows_single_graph(G, moves) -> np.ndarray:
     """K x n rep rows by one component search over all K * n keys k * n + y:
     each key joined to the keys of its images under moves(G, i, j) and to

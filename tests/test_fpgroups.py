@@ -163,6 +163,12 @@ def test_parse_errors_carry_position():
     with pytest.raises(PresentationParseError) as exc:
         parse_presentation("gens: x y\nrels: xy^2 y^")
     assert (exc.value.line, exc.value.column) == (2, 14)
+    # an exponent takes ASCII digits only: a superscript two and an Arabic-Indic
+    # three are refused at their column, not passed to int()
+    for text in ("gens: x\nrels: x^\u00b2", "gens: x\nrels: x^\u0663"):
+        with pytest.raises(PresentationParseError) as exc:
+            parse_presentation(text)
+        assert (exc.value.line, exc.value.column) == (2, 9), text
     # generator names: one gens line, each name once, each an identifier
     for text, position in [
         ("gens: x y\nrels: x^2\ngens: b a", (3, 1)),

@@ -22,7 +22,7 @@ from genlift.groupcore import (
     _may_generate, build_psl2, commutators, conjugacy_classes, fricke_traces, generates, matrix_entries,
     psl2_order,
 )
-from genlift.nielsen import _nielsen_moves, _pair_classes, _rep_rows
+from genlift.nielsen import _nielsen_moves, _orbits, _pair_classes
 from oracles import closure_mask
 
 PRIME_POWERS = sorted(p**k for p in range(2, 82) if is_prime(p) for k in range(1, 7) if p**k <= 81)
@@ -43,8 +43,11 @@ def class_pairs(G):
 
 
 def component_pairs(G):
-    """The least key of every Nielsen component, generating or not, as pairs."""
-    return _key_pairs(G, np.unique(_rep_rows(G, conjugacy_classes(G), _nielsen_moves)))
+    """The least pair of every Nielsen component, generating or not."""
+    classes = _pair_classes(G)
+    everything = np.ones(len(classes[0]), dtype=bool)
+    orbits = _orbits(G, conjugacy_classes(G), classes, _nielsen_moves, everything)[0]
+    return np.array([o.canonical_rep for o in orbits], dtype=np.intp).reshape(-1, 2).T
 
 
 def closure_generates(G, a, b) -> np.ndarray:

@@ -22,8 +22,8 @@ from genlift.nielsen import (
     _aut_moves,
     _components,
     _nielsen_moves,
+    _orbits,
     _pair_classes,
-    _rep_rows,
     aut_orbit_decomposition,
     decompose_nielsen_orbits,
     higman_check,
@@ -47,6 +47,7 @@ from oracles import (
     orbit_partition_fast,
     orbit_partition_naive,
     pair_class_labels,
+    pair_class_sizes,
     pair_space_orbits,
     psl_automorphism_perms_scan,
     rep_rows_single_graph,
@@ -198,12 +199,14 @@ def test_pair_classes_match_brute_force(build):
     # stage 1, label for label: the least key of each key's conjugation class of
     # pairs, against the brute-force orbits under the centralizers.  PSL(2,16)'s
     # involution rows have four generators, and the Miller group has rows that
-    # the first doubling pass leaves unfixed by some generator
+    # the first doubling pass leaves unfixed by some generator.  Each class's
+    # size, the pairs it stands for, against orbit-stabilizer on its least pair
     G = build()
-    least, index = _pair_classes(G)
+    least, index, sizes = _pair_classes(G)
     brute = pair_class_labels(G)
     assert np.array_equal(least[index].reshape(brute.shape), brute), G.name
     assert np.array_equal(least, np.flatnonzero(brute.reshape(-1) == np.arange(brute.size))), G.name
+    assert np.array_equal(sizes, pair_class_sizes(G, least)) and sizes.sum() == G.n * G.n, G.name
     assert index.dtype == np.int32 and _pair_classes(G)[1] is index  # kept, as int32
 
 
@@ -211,12 +214,16 @@ def test_pair_classes_match_brute_force(build):
 def test_two_stage_search_matches_oracles(build):
     G = build()
     cls = conjugacy_classes(G)
-    # both stages against one search over every key with every edge; PSL(2,2)
-    # has no outer automorphism, so its Aut action has no moves at all
+    # both stages, every component kept, against one search over every key
+    # with every edge, label for label: an orbit's least key is its rep's key.
+    # PSL(2,2) has no outer automorphism, so its Aut action has no moves at all
     actions = [_nielsen_moves] + ([_aut_moves] if G.kind == "psl2" else [])
+    classes = _pair_classes(G)
     for moves in actions:
-        rows = _rep_rows(G, cls, moves)
-        assert np.array_equal(rows, rep_rows_single_graph(G, moves)), (G.name, moves)
+        orbits, rows, _ = _orbits(G, cls, classes, moves, np.ones(len(classes[0]), dtype=bool))
+        least = np.array([cls.class_of[a] * G.n + b for a, b in (o.canonical_rep for o in orbits)])
+        assert np.array_equal(least[rows], rep_rows_single_graph(G, moves)), (G.name, moves)
+        assert sum(o.size for o in orbits) == G.n * G.n, (G.name, moves)
     if G.kind == "psl2":
         # the joint orbits, a quotient of the Nielsen orbits, against one search
         # with the moves and the automorphisms together, on the generating keys
@@ -422,14 +429,14 @@ def test_aut_and_joint_test_generation_through_nielsen(monkeypatch):
 
 def test_one_nielsen_base_per_group(monkeypatch):
     # Nielsen, Aut and joint on one group run one Nielsen component search
-    rep_rows = genlift.nielsen._rep_rows
+    orbits = genlift.nielsen._orbits
     actions = []
 
-    def counted(G, cls, moves):
+    def counted(G, cls, classes, moves, generating=None):
         actions.append(moves)
-        return rep_rows(G, cls, moves)
+        return orbits(G, cls, classes, moves, generating)
 
-    monkeypatch.setattr(genlift.nielsen, "_rep_rows", counted)
+    monkeypatch.setattr(genlift.nielsen, "_orbits", counted)
     G = build_psl2(13)
     decompose_nielsen_orbits(G)
     aut_orbit_decomposition(G)
@@ -438,15 +445,23 @@ def test_one_nielsen_base_per_group(monkeypatch):
 
 
 def test_joint_runs_no_key_search(monkeypatch):
-    # joint orbits are read off the Nielsen orbits: no stage 1, no stage 2
+    # joint orbits are the automorphisms on the Nielsen orbits: no stage 1, and
+    # the engine's classes are the Nielsen orbits
     def searched(*args):
         raise AssertionError("the joint decomposition searched the keys")
 
+    orbits, seen = genlift.nielsen._orbits, []
+
+    def counted(G, cls, classes, moves, generating=None):
+        seen.append(len(classes[0]))
+        return orbits(G, cls, classes, moves, generating)
+
     G = build_psl2(13)
-    decompose_nielsen_orbits(G)
-    monkeypatch.setattr(genlift.nielsen, "_rep_rows", searched)
+    dec = decompose_nielsen_orbits(G)
     monkeypatch.setattr(genlift.nielsen, "_pair_classes", searched)
+    monkeypatch.setattr(genlift.nielsen, "_orbits", counted)
     assert len(joint_orbit_decomposition(G).orbits) == 12
+    assert seen == [len(dec.orbits)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19])
@@ -601,6 +616,15 @@ def test_orbit_ids_are_minus_one_off_the_generating_pairs():
     assert (ids == -1).sum() == G.n * G.n - dec.gamma_size()
     with pytest.raises(KeyError):
         dec.orbit_of((G.identity, 1))
+
+
+def test_member_ids_refuse_ids_outside_the_orbits():
+    # -1 and len(orbits) name no orbit: -1 would list the pairs off the orbits
+    dec = decompose_nielsen_orbits(build_psl2(5))
+    assert len(dec.orbits) == 3 and len(dec.member_ids(2)) == dec.orbits[2].size
+    for bad in (-1, 3, 10):
+        with pytest.raises(KeyError):
+            dec.member_ids(bad)
 
 
 def test_member_ids_round_trip_past_16_bits():

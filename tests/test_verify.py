@@ -328,13 +328,13 @@ def test_rebuilt_group_gets_its_own_decomposition(monkeypatch):
     G = build_psl2(13)
     dec = decompose_nielsen_orbits(G)
     assert first.group is G and dec is not first and dec.rep_rows is first.rep_rows
-    rep_rows, actions = nielsen._rep_rows, []
+    orbits, actions = nielsen._orbits, []
 
-    def counted(G, cls, moves):
+    def counted(G, cls, classes, moves, generating=None):
         actions.append(moves)
-        return rep_rows(G, cls, moves)
+        return orbits(G, cls, classes, moves, generating)
 
-    monkeypatch.setattr(nielsen, "_rep_rows", counted)
+    monkeypatch.setattr(nielsen, "_orbits", counted)
     aut_orbit_decomposition(G)
     joint_orbit_decomposition(G)
     assert nielsen._nielsen_moves not in actions, actions
